@@ -20,7 +20,6 @@ from .dataset import (
     RangeExceeded,
     ValidationReport,
     Violation,
-    canonicalize,
     equivalent,
     format_dataset,
     parse_dataset,
@@ -40,7 +39,7 @@ from .enumeration import (
     root_degrees,
     twist_pairs,
 )
-from .fractional import fractional_datasets, validate_fractional
+from .fractional import fractional_datasets
 from .numtheory import (
     BezoutWitness,
     Factorization,
@@ -80,7 +79,6 @@ __all__ = [
     "ParseError",
     "RangeExceeded",
     "validate",
-    "canonicalize",
     "equivalent",
     "stabilize",
     "format_dataset",
@@ -97,7 +95,6 @@ __all__ = [
     "genus_set",
     "primary_datasets",
     "fractional_datasets",
-    "validate_fractional",
     "BezoutWitness",
     "Factorization",
     "ModuliNotCoprime",

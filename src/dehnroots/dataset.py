@@ -41,7 +41,6 @@ __all__ = [
     "RangeExceeded",
     "ParseError",
     "validate",
-    "canonicalize",
     "equivalent",
     "stabilize",
     "format_dataset",
@@ -199,19 +198,9 @@ def validate(ds):
     return ValidationReport(not violations, tuple(violations))
 
 
-def canonicalize(ds):
-    """Canonical representative of the equivalence class of ``ds``.
-
-    Construction already reduces residues, orders a <= b and sorts the
-    cone pairs, so every stored DataSet is canonical and this is the
-    identity; it exists so callers can state the normalization point.
-    """
-    return ds
-
-
 def equivalent(x, y):
-    """True when x and y describe the same root class."""
-    return canonicalize(x) == canonicalize(y)
+    """True when x and y describe the same root class (stored forms are canonical)."""
+    return x == y
 
 
 def stabilize(ds):

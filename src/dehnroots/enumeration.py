@@ -2,19 +2,21 @@
 
 ``datasets(g, n)`` lists every canonical data set of genus g and degree n,
 i.e. every conjugacy class of degree-n roots of the twist on the genus
-g+1 surface.  The search runs over
+g+1 surface.  One search core, shared with ``has_root`` and the
+fractional candidates, runs over
 
   * the quotient genus g0 with g0*n <= g,
   * multisets of cone orders (divisors of n exceeding 1) whose weights
     (n/n_i)(n_i - 1)/2 sum to g - g0*n,
-  * pairs of units (a, b) with a + b = a*b mod n, found by scanning the
-    x with x and 1 - x both units and inverting,
+  * the twist pairs: units a <= b with a + b = l*a*b mod n (l = 1 for
+    ordinary roots), solved as b = a*(l*a - 1)^-1 by ``twist_pairs``,
   * cone residues, generated nondecreasing within runs of equal order so
     each class appears exactly once.
 
 Residue assignment is pruned on suffix gcds: positions i.. contribute a
 multiple of gcd(n, n/n_i, ...), so a partial sum not divisible by that
-gcd can never reach 0 mod n.
+gcd can never reach 0 mod n.  Both searches keep explicit stacks, so the
+number of cones is not bounded by the recursion limit.
 
 ``oracle_datasets`` answers the same question by brute force over raw
 residue tuples; it is deliberately naive, range-guarded, and kept as an
@@ -85,22 +87,25 @@ def _order_multisets(n, twice_target):
     the list is in lexicographic order.
     """
     divs = [d for d in divisors(n) if d > 1]
+    # (n/d)(d - 1) = n - n/d grows with d, so the first weight that does
+    # not fit ends the scan at that depth
     weights = [(n // d) * (d - 1) for d in divs]
     out = []
-    acc = []
-
-    def extend(i, remaining):
+    picked = []  # indices into divs
+    remaining = twice_target
+    j = 0
+    while True:
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for j in range(i, len(divs)):
-            if weights[j] <= remaining:
-                acc.append(divs[j])
-                extend(j, remaining - weights[j])
-                acc.pop()
-
-    extend(0, twice_target)
-    return out
+            out.append(tuple([divs[i] for i in picked]))
+        elif j < len(divs) and weights[j] <= remaining:
+            picked.append(j)
+            remaining -= weights[j]
+            continue
+        if not picked:
+            return out
+        j = picked.pop()
+        remaining += weights[j]
+        j += 1
 
 
 def cone_multisets(n, target):
@@ -115,71 +120,77 @@ def cone_multisets(n, target):
     return _order_multisets(n, 2 * target)
 
 
-def twist_pairs(n):
-    """Unordered unit pairs (a, b), a <= b, with a + b = a*b mod n.
+def twist_pairs(n, power=1):
+    """Unordered unit pairs (a, b), a <= b, with a + b = power*a*b mod n.
 
-    Scans the x for which x and 1 - x are both units and takes
-    a = x^-1, b = (1-x)^-1; distinct x off the x <-> 1-x symmetry give
-    distinct pairs.
+    The condition reads b*(power*a - 1) = a, so it has a unit solution b
+    exactly when power*a - 1 is a unit, and then b = a*(power*a - 1)^-1.
+    One inverse per unit a, keeping a <= b.  An even n with an odd power
+    has no pairs: units are odd, so a + b is even while power*a*b is odd.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("degree must be odd and >= 3, got %r" % (n,))
-    pairs = set()
-    for x in range(2, n):
-        if gcd(x, n) == 1 and gcd(x - 1, n) == 1:
-            a = mod_inverse(x, n)
-            b = mod_inverse((1 - x) % n, n)
-            pairs.add((a, b) if a <= b else (b, a))
-    return sorted(pairs)
+    if n < 2 or power < 1:
+        raise ValueError("need degree >= 2 and power >= 1, got %r, %r" % (n, power))
+    pairs = []
+    for a in range(1, n):
+        if gcd(a, n) == 1 and gcd(power * a - 1, n) == 1:
+            b = a * mod_inverse(power * a - 1, n) % n
+            if a <= b:
+                pairs.append((a, b))
+    return pairs
 
 
-def _cone_assignments(n, orders, target, unit_cache=None):
-    """Yield residue tuples (c_1..c_m) for the given sorted cone orders with
-    sum (n/n_i)*c_i = target mod n, nondecreasing within equal-order runs."""
+def _cone_assignments(n, orders, target, unit_cones):
+    """Yield the cone tuples ((c_1, n_1), ..., (c_m, n_m)) for the sorted
+    cone orders with sum (n/n_i)*c_i = target mod n, residues nondecreasing
+    within runs of equal order; ``unit_cones[order]`` lists the unit cones.
+
+    Position i tries ``choices[i][pos[i]]`` with ``need[i]`` still owed;
+    positions i.. contribute a multiple of suffix[i].
+    """
     m = len(orders)
-    if unit_cache is None:
-        unit_cache = {}
-    for order in set(orders):
-        if order not in unit_cache:
-            unit_cache[order] = [c for c in range(1, order) if gcd(c, order) == 1]
     steps = [n // order for order in orders]
-    suffix = [0] * (m + 1)
-    suffix[m] = n
+    suffix = [n] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = gcd(suffix[i + 1], steps[i])
-    acc = [0] * m
-
-    def place(i, need, start):
-        if need % suffix[i]:
-            return
+    need = [target % n] + [0] * m
+    if need[0] % suffix[0]:
+        return
+    choices = [unit_cones[order] for order in orders]
+    acc = [None] * m
+    pos = [0] * (m + 1)
+    i = 0
+    while i >= 0:
         if i == m:
             yield tuple(acc)
-            return
-        units = unit_cache[orders[i]]
-        first = start if i and orders[i - 1] == orders[i] else 0
-        step = steps[i]
-        for j in range(first, len(units)):
-            acc[i] = units[j]
-            yield from place(i + 1, (need - step * units[j]) % n, j)
+            i -= 1
+            continue
+        j = pos[i]
+        if j == len(choices[i]):
+            i -= 1
+            continue
+        pos[i] = j + 1
+        cone = choices[i][j]
+        rest = (need[i] - steps[i] * cone[0]) % n
+        if rest % suffix[i + 1] == 0:
+            acc[i] = cone
+            i += 1
+            need[i] = rest
+            pos[i] = j if i < m and orders[i] == orders[i - 1] else 0
 
-    yield from place(0, target % n, 0)
 
-
-def _iter_datasets(g, n):
-    """Yield every canonical data set of genus g and degree n, no duplicates."""
-    if g < 1 or n < 3 or n % 2 == 0:
+def _search(g, n, pairs):
+    """Yield canonical (g0, a, b, cones), one per data set of genus g and
+    degree n with (a, b) in ``pairs``.  The empty cone multiset is kept: for
+    power 1 it fails (IV), as a + b = a*b is a unit, but higher powers allow it.
+    """
+    if not pairs:
         return
-    pairs = twist_pairs(n)
-    unit_cache = {}
+    unit_cones = {d: [(c, d) for c in range(1, d) if gcd(c, d) == 1] for d in divisors(n)}
     for g0 in range(g // n + 1):
-        remaining = g - g0 * n
-        for orders in cone_multisets(n, remaining):
-            if not orders:
-                continue  # (III) and (IV) force at least one cone
+        for orders in _order_multisets(n, 2 * (g - g0 * n)):
             for a, b in pairs:
-                target = (-(a + b)) % n
-                for residues in _cone_assignments(n, orders, target, unit_cache):
-                    yield DataSet(n, g0, a, b, tuple(zip(residues, orders)))
+                for cones in _cone_assignments(n, orders, -(a + b), unit_cones):
+                    yield g0, a, b, cones
 
 
 def datasets(g, n, class_cap=None):
@@ -190,9 +201,11 @@ def datasets(g, n, class_cap=None):
     nothing, once more than ``class_cap`` classes appear (default 10**7).
     """
     cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
+    if n < 3 or n % 2 == 0:
+        return []
     found = []
-    for ds in _iter_datasets(g, n):
-        found.append(ds)
+    for g0, a, b, cones in _search(g, n, twist_pairs(n)):
+        found.append(DataSet(n, g0, a, b, cones))
         if len(found) > cap:
             raise ClassCapExceeded(
                 "more than %d classes of genus %d, degree %d" % (cap, g, n)
@@ -247,9 +260,7 @@ def oracle_datasets(g, n):
 
 def has_root(g, n):
     """True when the genus-(g+1) twist has a degree-n root (first witness wins)."""
-    for _ in _iter_datasets(g, n):
-        return True
-    return False
+    return n >= 3 and n % 2 == 1 and next(_search(g, n, twist_pairs(n)), None) is not None
 
 
 def root_degrees(g):

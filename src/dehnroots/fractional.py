@@ -8,17 +8,16 @@ twist power (``FractionalDataSet.power_shares_factor`` flags this), and
 roots of powers can also exchange the two sides of the curve, which this
 module does not model.  Treat the enumeration as a source of candidates,
 not a classification, which is why it is capped at small degree and
-genus.
+genus.  They come from the ordinary search core fed ``twist_pairs(n, l)``,
+and ``validate`` checks them in the power-l form of (III).
 """
 
-from .dataset import FractionalDataSet, RangeExceeded, validate
-from .enumeration import _cone_assignments, _order_multisets
-from .numtheory import gcd
+from .dataset import FractionalDataSet, RangeExceeded
+from .enumeration import _search, twist_pairs
 
 __all__ = [
     "MAX_DEGREE",
     "MAX_GENUS",
-    "validate_fractional",
     "fractional_datasets",
 ]
 
@@ -26,32 +25,13 @@ MAX_DEGREE = 30
 MAX_GENUS = 12
 
 
-def validate_fractional(candidate):
-    """Report on conditions (I), (II), (IV) and the power form of (III).
-
-    With power 1 this is exactly the ordinary validator.
-    """
-    return validate(candidate)
-
-
-def _twist_pairs_for_power(n, power):
-    """Unit pairs (a, b), a <= b, with a + b = power*a*b (mod n)."""
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
-    return [
-        (a, b)
-        for i, a in enumerate(units)
-        for b in units[i:]
-        if (a + b - power * a * b) % n == 0
-    ]
-
-
 def fractional_datasets(g, n, power):
     """Canonical candidates of genus g and degree n for the power-l twist.
 
-    Same search as the ordinary enumeration, with the pair condition and
-    division-free doubled cone weights generalized so even degrees work.
-    Duplicates are removed under the usual syntactic equivalence (swap a
-    and b, reduce residues, reorder cones); the output is sorted.
+    Same search as the ordinary enumeration, with the power-l pairs and
+    division-free doubled cone weights, so even degrees work.
+    Each candidate appears once up to the usual syntactic equivalence
+    (swap a and b, reduce residues, reorder cones); the output is sorted.
     """
     if g < 1 or g > MAX_GENUS or n < 2 or n > MAX_DEGREE:
         raise RangeExceeded(
@@ -60,19 +40,9 @@ def fractional_datasets(g, n, power):
         )
     if power < 1:
         raise RangeExceeded("power must be >= 1, got %r" % (power,))
-    pairs = _twist_pairs_for_power(n, power)
-    found = []
-    unit_cache = {}
-    for g0 in range(g // n + 1):
-        remaining2 = 2 * (g - g0 * n)
-        for orders in _order_multisets(n, remaining2):
-            # the empty multiset stays in play: for power > 1 a candidate
-            # with no extra cones can satisfy (IV) outright
-            for a, b in pairs:
-                target = (-(a + b)) % n
-                for residues in _cone_assignments(n, orders, target, unit_cache):
-                    found.append(
-                        FractionalDataSet(n, g0, a, b, tuple(zip(residues, orders)), power)
-                    )
+    found = [
+        FractionalDataSet(n, g0, a, b, cones, power)
+        for g0, a, b, cones in _search(g, n, twist_pairs(n, power))
+    ]
     found.sort()
     return found

@@ -9,9 +9,10 @@ n) exists; it has n0^2 members with maximum n(n-3)/2.  For prime n the
 primary roots are the only roots, so T(n) is exactly the set of genera
 with no degree-n root at all.
 
-Margalit-Schleimer roots are the roots of the maximal degree 2g+1; they
-are counted by (U(n)+1)/2 where U(n) = prod p^(k-1) (p-2) over the prime
-powers of n counts the x with x and 1-x both units.
+Margalit-Schleimer roots, of the maximal degree n = 2g+1, are the classes
+(n, 0, (a,b); (-a-b, n)), one per twist pair; they are counted by
+(U(n)+1)/2 where U(n) = prod p^(k-1) (p-2) over the prime powers of n
+counts the x with x and 1-x both units.
 
 A (d,e)-root (d, e odd, >= 3) has quotient genus 0 and exactly two cones,
 of orders d and e; its degree is lcm(d, e) and its genus is
@@ -30,12 +31,12 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .dataset import DataSet
+from .enumeration import twist_pairs
 from .numtheory import (
     bezout_avoiding_primes,
     coprime_divisor_pairs,
     factorize,
     gcd,
-    mod_inverse,
     primes_up_to,
 )
 
@@ -92,21 +93,11 @@ def t_set(n):
 
 
 def ms_roots(g):
-    """All classes of maximal degree 2g+1 for the twist on genus g+1.
-
-    Built directly: for each x with x and 1-x units mod n = 2g+1, the class
-    (n, 0, (x^-1, (1-x)^-1); (-a-b, n)).  x and 1-x give the same class.
-    """
+    """All classes of maximal degree 2g+1 for the twist on genus g+1, sorted."""
     if g < 1:
         return []
     n = 2 * g + 1
-    found = set()
-    for x in range(2, n):
-        if gcd(x, n) == 1 and gcd(x - 1, n) == 1:
-            a = mod_inverse(x, n)
-            b = mod_inverse((1 - x) % n, n)
-            found.add(DataSet(n, 0, a, b, ((-(a + b), n),)))
-    return sorted(found)
+    return [DataSet(n, 0, a, b, ((-(a + b), n),)) for a, b in twist_pairs(n)]
 
 
 def ms_count(n):

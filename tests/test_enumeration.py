@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from dehnroots.dataset import equivalent, format_dataset, parse_dataset, stabilize, validate
@@ -51,6 +53,36 @@ def test_twist_pairs_examples():
 def test_twist_pairs_count_matches_formula():
     for n in range(3, 1001, 2):
         assert len(twist_pairs(n)) == ms_count(n)
+
+
+def test_twist_pairs_match_brute_force():
+    for n in range(2, 61):
+        units = [u for u in range(1, n) if gcd(u, n) == 1]
+        for power in range(1, 5):
+            brute = [
+                (a, b)
+                for i, a in enumerate(units)
+                for b in units[i:]
+                if (a + b - power * a * b) % n == 0
+            ]
+            assert twist_pairs(n, power) == brute, (n, power)
+            if n % 2 == 0 and power % 2 == 1:
+                assert brute == []
+
+
+def test_twist_pairs_rejects_only_tiny_degree_or_power():
+    # every n >= 2 and power >= 1 is answered by the brute-force comparison above
+    for n, power in [(1, 1), (0, 2), (5, 0), (5, -1)]:
+        with pytest.raises(ValueError):
+            twist_pairs(n, power)
+
+
+def test_cone_multisets_deeper_than_recursion_limit():
+    assert cone_multisets(3, 3000) == [(3,) * 3000]
+
+
+def test_has_root_deeper_than_recursion_limit():
+    assert has_root(3000, 3) is True
 
 
 def test_datasets_examples():

@@ -11,17 +11,17 @@ from dehnroots.dataset import (
     validate,
 )
 from dehnroots.enumeration import datasets
-from dehnroots.fractional import fractional_datasets, validate_fractional
+from dehnroots.fractional import fractional_datasets
 
 
 def test_golden_candidates():
     quarter = FractionalDataSet(4, 0, 1, 1, ((1, 2),), power=2)
-    assert validate_fractional(quarter).valid
+    assert validate(quarter).valid
     assert quarter.genus == 1
     cube = FractionalDataSet(3, 0, 1, 1, ((2, 3), (2, 3)), power=2)
-    assert validate_fractional(cube).valid
+    assert validate(cube).valid
     assert cube.genus == 2
-    report = validate_fractional(FractionalDataSet(4, 0, 1, 1, ((1, 2),), power=1))
+    report = validate(FractionalDataSet(4, 0, 1, 1, ((1, 2),), power=1))
     assert not report.valid and report.conditions() == {"III"}
 
 
@@ -44,7 +44,7 @@ def test_power_one_agrees_with_plain_validate_on_random_candidates():
             order = rng.choice([d for d in range(2, n + 1) if n % d == 0])
             cones.append((rng.randint(0, order - 1), order))
         plain = validate(DataSet(n, g0, a, b, tuple(cones)))
-        frac = validate_fractional(FractionalDataSet(n, g0, a, b, tuple(cones), power=1))
+        frac = validate(FractionalDataSet(n, g0, a, b, tuple(cones), power=1))
         assert plain.valid == frac.valid
         assert plain.conditions() == frac.conditions()
 
@@ -63,7 +63,7 @@ def test_candidates_satisfy_all_conditions():
     for g, n, power in [(1, 4, 2), (2, 3, 2), (3, 8, 4), (4, 6, 3), (5, 9, 2)]:
         for ds in fractional_datasets(g, n, power):
             assert ds.power == power
-            assert validate_fractional(ds).valid
+            assert validate(ds).valid
             assert ds.genus == g
             assert gcd(ds.a, n) == 1 and gcd(ds.b, n) == 1
             assert (ds.a + ds.b - power * ds.a * ds.b) % n == 0
@@ -81,7 +81,7 @@ def test_even_degree_never_validates_for_power_one():
         candidate = FractionalDataSet(
             n, rng.randint(0, 2), a, b, ((rng.randint(0, order - 1), order),), power=1
         )
-        assert not validate_fractional(candidate).valid
+        assert not validate(candidate).valid
     for g in range(1, 7):
         for n in range(2, 25, 2):
             assert fractional_datasets(g, n, 1) == []
