@@ -57,6 +57,7 @@ from .numtheory import (
     mod_inverse,
 )
 from .special_roots import (
+    PairRow,
     RootClass,
     RootTag,
     TriangularSet,
@@ -66,6 +67,7 @@ from .special_roots import (
     de_roots,
     ms_count,
     ms_roots,
+    pair_table,
     t_set,
 )
 
@@ -119,4 +121,6 @@ __all__ = [
     "de_roots",
     "de_construct",
     "classify",
+    "PairRow",
+    "pair_table",
 ]

@@ -1,31 +1,30 @@
-"""Command-line interface.
+"""Command-line interface, driven by one table.
 
-Subcommands mirror the library: ``roots`` enumerates root classes,
-``de-roots``/``de-root-genera`` print integer lists in the classic GAP
-transcript shape (``[ 45476, 45477 ]``, empty ``[  ]``), ``figure1``
-exports the (genus, degree) pair table as CSV, and the rest are direct
-queries.  Exit codes: 0 success, 2 usage problems, 3 class cap exceeded,
-4 output I/O failure.  The environment variable DEHN_ROOTS_CLASS_CAP
-overrides the enumeration cap.
+Each row of ``COMMANDS`` is a subcommand: name, help text, arguments (name
+or flag and ``add_argument`` keywords), the library query run on the parsed
+arguments, and the printer for the query's output shape.  ``build_parser``
+adds one subparser per row; ``main`` runs the query, then the printer.
+Queries call the library through module attributes looked up at call time
+(``special_roots.de_roots``), so a wrapper set on one sees every call.
+
+Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
+empty ``[  ]``) and class lists one data set per line; ``--format json``
+switches every query except ``figure1``, which writes the pair table as CSV.
+Exit codes: 0 success, 2 usage problems (argparse errors and the library's
+ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
+4 output I/O failure.  DEHN_ROOTS_CLASS_CAP overrides the enumeration cap.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from . import enumeration, fractional, special_roots
-from .dataset import (
-    ParseError,
-    RangeExceeded,
-    format_dataset,
-    parse_dataset,
-    validate,
-)
+from . import enumeration, fractional, numtheory, special_roots
+from .dataset import ParseError, RangeExceeded, format_dataset, parse_dataset, validate
 from .enumeration import ClassCapExceeded, class_cap_from_env
-from .numtheory import PreconditionViolated, bezout_avoiding_primes
+from .numtheory import PreconditionViolated
 
-__all__ = ["PairRow", "pair_table", "main"]
+__all__ = ["COMMANDS", "build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,194 +32,146 @@ EXIT_CAP = 3
 EXIT_IO = 4
 
 
-@dataclass(frozen=True)
-class PairRow:
-    """One populated cell of the (genus, degree) table behind the pair plot."""
-
-    genus: int
-    degree: int
-    class_count: int
-    tags: tuple  # one tag per class, sorted
+def _dataset_json(ds, **extra):
+    cones = [[c, order] for c, order in ds.cones]
+    return dict(degree=ds.degree, g0=ds.quotient_genus, a=ds.a, b=ds.b, cones=cones,
+                genus=ds.genus, **extra)
 
 
-def pair_table(g_max, n_max, class_cap=None):
-    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max, n <= n_max."""
-    rows = []
-    for g in range(g_max + 1):
-        for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
-            classes = enumeration.datasets(g, n, class_cap)
-            if classes:
-                tags = sorted(str(special_roots.classify(ds).tag) for ds in classes)
-                rows.append(PairRow(g, n, len(classes), tuple(tags)))
-    return rows
+def _tagged_json(ds):
+    return _dataset_json(ds, tag=str(special_roots.classify(ds).tag))
 
 
-def _gap_list(values):
-    if not values:
-        return "[  ]"
-    return "[ " + ", ".join(str(v) for v in values) + " ]"
+def _print_int_list(values, args):
+    if args.format == "json":
+        print(json.dumps(list(values)))
+    else:
+        print("[ " + ", ".join(str(v) for v in values) + " ]" if values else "[  ]")
 
 
-def _dataset_json(ds, tag=None):
-    doc = {
-        "degree": ds.degree,
-        "g0": ds.quotient_genus,
-        "a": ds.a,
-        "b": ds.b,
-        "cones": [[c, order] for c, order in ds.cones],
-        "genus": ds.genus,
-        "tag": None if tag is None else str(tag),
-    }
-    return doc
-
-
-def _emit_datasets(classes, fmt):
-    if fmt == "json":
-        docs = [_dataset_json(ds, special_roots.classify(ds).tag) for ds in classes]
-        print(json.dumps(docs, indent=2))
+def _print_classes(classes, args):
+    if args.format == "json":
+        print(json.dumps([_tagged_json(ds) for ds in classes], indent=2))
     else:
         for ds in classes:
             print(format_dataset(ds))
 
 
-def _emit_int_list(values, fmt):
-    if fmt == "json":
-        print(json.dumps(list(values)))
-    else:
-        print(_gap_list(values))
+def _print_count(count, args):
+    print(count)  # an integer reads the same as text and as JSON
 
 
-def _cmd_roots(args):
-    cap = class_cap_from_env()
-    if args.degree is not None:
-        classes = enumeration.datasets(args.genus, args.degree, cap)
-    else:
-        classes = []
-        for n in enumeration.root_degrees(args.genus):
-            classes.extend(enumeration.datasets(args.genus, n, cap))
-    _emit_datasets(classes, args.format)
-    return EXIT_OK
+def _print_dataset(ds, args):
+    print(json.dumps(_tagged_json(ds), indent=2) if args.format == "json" else format_dataset(ds))
 
 
-def _cmd_de_roots(args):
-    _emit_int_list(special_roots.de_roots(args.genus), args.format)
-    return EXIT_OK
-
-
-def _cmd_de_root_genera(args):
-    _emit_int_list(special_roots.de_root_genera(args.degree), args.format)
-    return EXIT_OK
-
-
-def _cmd_figure1(args):
-    rows = pair_table(args.max_genus, args.max_degree, class_cap_from_env())
-    try:
-        with open(args.output, "w", newline="") as handle:
-            handle.write("g,n,classes,tags\n")
-            for row in rows:
-                handle.write(
-                    "%d,%d,%d,%s\n"
-                    % (row.genus, row.degree, row.class_count, "+".join(row.tags))
-                )
-    except OSError as exc:
-        print("cannot write %s: %s" % (args.output, exc), file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
-def _cmd_t_set(args):
-    _emit_int_list(special_roots.t_set(args.degree).members, args.format)
-    return EXIT_OK
-
-
-def _cmd_genus_set(args):
-    _emit_int_list(enumeration.genus_set(args.degree, args.max_genus), args.format)
-    return EXIT_OK
-
-
-def _cmd_root_set(args):
-    _emit_int_list(enumeration.root_degrees(args.genus), args.format)
-    return EXIT_OK
-
-
-def _cmd_ms_roots(args):
-    _emit_datasets(special_roots.ms_roots(args.genus), args.format)
-    return EXIT_OK
-
-
-def _cmd_ms_count(args):
-    count = special_roots.ms_count(args.degree)
-    print(json.dumps(count) if args.format == "json" else count)
-    return EXIT_OK
-
-
-def _cmd_de_construct(args):
-    ds = special_roots.de_construct(args.d, args.e)
-    if args.format == "json":
-        print(json.dumps(_dataset_json(ds, special_roots.classify(ds).tag), indent=2))
-    else:
-        print(format_dataset(ds))
-    return EXIT_OK
-
-
-def _cmd_fractional(args):
-    candidates = fractional.fractional_datasets(args.genus, args.degree, args.power)
-    if args.format == "json":
-        docs = []
-        for ds in candidates:
-            doc = _dataset_json(ds)
-            del doc["tag"]  # candidates are not classified
-            doc["power"] = ds.power
-            doc["power_shares_factor"] = ds.power_shares_factor
-            docs.append(doc)
+def _print_candidates(candidates, args):
+    if args.format == "json":  # candidates are not classified: no tag
+        docs = [_dataset_json(ds, power=ds.power, power_shares_factor=ds.power_shares_factor)
+                for ds in candidates]
         print(json.dumps(docs, indent=2))
     else:
         for ds in candidates:
             caveat = "yes" if ds.power_shares_factor else "no"
             print("%s\tpower=%d\tgcd_caveat=%s" % (format_dataset(ds), ds.power, caveat))
-    return EXIT_OK
 
 
-def _cmd_bezout_avoid(args):
-    primes = set()
-    if args.primes:
-        primes = {int(chunk) for chunk in args.primes.split(",") if chunk.strip()}
-    witness = bezout_avoiding_primes(args.d1, args.d2, primes)
+def _print_witness(w, args):
+    doc = {"c1": w.c1, "c2": w.c2, "d1": w.d1, "d2": w.d2}
+    print(json.dumps(doc) if args.format == "json" else "c1 = %d, c2 = %d" % (w.c1, w.c2))
+
+
+def _print_report(checked, args):
+    ds, report = checked
     if args.format == "json":
-        print(
-            json.dumps(
-                {"c1": witness.c1, "c2": witness.c2, "d1": witness.d1, "d2": witness.d2}
-            )
-        )
-    else:
-        print("c1 = %d, c2 = %d" % (witness.c1, witness.c2))
-    return EXIT_OK
-
-
-def _cmd_validate(args):
-    ds = parse_dataset(args.dataset)
-    report = validate(ds)
-    if args.format == "json":
-        doc = {
-            "valid": report.valid,
-            "violations": [
-                {"condition": v.condition, "detail": v.detail} for v in report.violations
-            ],
-        }
+        violations = [{"condition": v.condition, "detail": v.detail} for v in report.violations]
+        doc = {"valid": report.valid, "violations": violations}
         if report.valid:
-            doc["genus"] = ds.genus
-            doc["degree"] = ds.degree
+            doc.update(genus=ds.genus, degree=ds.degree)
         print(json.dumps(doc, indent=2))
     elif report.valid:
         print("valid; genus %d; degree %d" % (ds.genus, ds.degree))
     else:
         details = "; ".join("%s: %s" % (v.condition, v.detail) for v in report.violations)
         print("invalid; " + details)
+
+
+def _write_csv(rows, args):
+    try:
+        with open(args.output, "w", newline="") as handle:
+            handle.write("g,n,classes,tags\n")
+            for row in rows:
+                tags = "+".join(row.tags)
+                handle.write("%d,%d,%d,%s\n" % (row.genus, row.degree, row.class_count, tags))
+    except OSError as exc:
+        print("cannot write %s: %s" % (args.output, exc), file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 
-def _add_format(parser, choices=("text", "json")):
-    parser.add_argument("--format", choices=choices, default="text")
+def _roots(args):
+    """The classes of one degree, or of each odd degree up to 2g+1 in turn."""
+    cap = class_cap_from_env()
+    if args.degree is not None:
+        return enumeration.datasets(args.genus, args.degree, cap)
+    degrees = range(3, 2 * args.genus + 2, 2)
+    return [ds for n in degrees for ds in enumeration.datasets(args.genus, n, cap)]
+
+
+def _validated(text):
+    ds = parse_dataset(text)
+    return ds, validate(ds)
+
+
+def _primes(text):
+    try:
+        return {int(chunk) for chunk in text.split(",") if chunk.strip()}
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
+
+
+def _int(name):
+    """An integer positional, or a required integer flag."""
+    return name, {"type": int, "required": True} if name.startswith("--") else {"type": int}
+
+
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+
+# (name, help, arguments, query, printer); a printer returns an exit code or None for 0
+COMMANDS = (
+    ("roots", "root classes for a genus (and optional degree)",
+     (_int("--genus"), ("--degree", {"type": int, "default": None}), _FORMAT),
+     _roots, _print_classes),
+    ("de-roots", "degrees of (d,e)-roots for a genus", (_int("genus"), _FORMAT),
+     lambda a: special_roots.de_roots(a.genus), _print_int_list),
+    ("de-root-genera", "genera with a (d,e)-root of this degree", (_int("degree"), _FORMAT),
+     lambda a: special_roots.de_root_genera(a.degree), _print_int_list),
+    ("figure1", "export the populated (g, n) table as CSV",
+     (_int("--max-genus"), _int("--max-degree"), ("--output", {"required": True})),
+     lambda a: special_roots.pair_table(a.max_genus, a.max_degree, class_cap_from_env()),
+     _write_csv),
+    ("t-set", "genera excluded from primary-root existence", (_int("--degree"), _FORMAT),
+     lambda a: special_roots.t_set(a.degree).members, _print_int_list),
+    ("genus-set", "genera with a root of the given degree",
+     (_int("--degree"), _int("--max-genus"), _FORMAT),
+     lambda a: enumeration.genus_set(a.degree, a.max_genus), _print_int_list),
+    ("root-set", "degrees of roots for a genus", (_int("--genus"), _FORMAT),
+     lambda a: enumeration.root_degrees(a.genus), _print_int_list),
+    ("ms-roots", "maximal-degree root classes for a genus", (_int("--genus"), _FORMAT),
+     lambda a: special_roots.ms_roots(a.genus), _print_classes),
+    ("ms-count", "count maximal-degree roots of a degree", (_int("--degree"), _FORMAT),
+     lambda a: special_roots.ms_count(a.degree), _print_count),
+    ("de-construct", "build a (d,e)-root data set", (_int("--d"), _int("--e"), _FORMAT),
+     lambda a: special_roots.de_construct(a.d, a.e), _print_dataset),
+    ("fractional", "candidates for roots of twist powers",
+     (_int("--genus"), _int("--degree"), _int("--power"), _FORMAT),
+     lambda a: fractional.fractional_datasets(a.genus, a.degree, a.power), _print_candidates),
+    ("bezout-avoid", "Bezout coefficients avoiding primes",
+     (_int("--d1"), _int("--d2"), ("--primes", {"type": _primes, "default": ""}), _FORMAT),
+     lambda a: numtheory.bezout_avoiding_primes(a.d1, a.d2, a.primes), _print_witness),
+    ("validate", "validate a data set in text form", (("dataset", {}), _FORMAT),
+     lambda a: _validated(a.dataset), _print_report),
+)
 
 
 def build_parser():
@@ -230,80 +181,11 @@ def build_parser():
         "enumerate and classify root classes by genus and degree.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="root classes for a genus (and optional degree)")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("de-roots", help="degrees of (d,e)-roots for a genus")
-    p.add_argument("genus", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_de_roots)
-
-    p = sub.add_parser("de-root-genera", help="genera with a (d,e)-root of this degree")
-    p.add_argument("degree", type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_de_root_genera)
-
-    p = sub.add_parser("figure1", help="export the populated (g, n) table as CSV")
-    p.add_argument("--max-genus", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_figure1)
-
-    p = sub.add_parser("t-set", help="genera excluded from primary-root existence")
-    p.add_argument("--degree", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_t_set)
-
-    p = sub.add_parser("genus-set", help="genera with a root of the given degree")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-genus", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_genus_set)
-
-    p = sub.add_parser("root-set", help="degrees of roots for a genus")
-    p.add_argument("--genus", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_root_set)
-
-    p = sub.add_parser("ms-roots", help="maximal-degree root classes for a genus")
-    p.add_argument("--genus", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_ms_roots)
-
-    p = sub.add_parser("ms-count", help="count maximal-degree roots of a degree")
-    p.add_argument("--degree", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_ms_count)
-
-    p = sub.add_parser("de-construct", help="build a (d,e)-root data set")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_de_construct)
-
-    p = sub.add_parser("fractional", help="candidates for roots of twist powers")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--power", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fractional)
-
-    p = sub.add_parser("bezout-avoid", help="Bezout coefficients avoiding primes")
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--d2", type=int, required=True)
-    p.add_argument("--primes", default="")
-    _add_format(p)
-    p.set_defaults(func=_cmd_bezout_avoid)
-
-    p = sub.add_parser("validate", help="validate a data set in text form")
-    p.add_argument("dataset")
-    _add_format(p)
-    p.set_defaults(func=_cmd_validate)
-
+    for name, summary, arguments, query, printer in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(query=query, printer=printer)
     return parser
 
 
@@ -314,11 +196,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        return args.printer(args.query(args), args) or EXIT_OK
     except ClassCapExceeded as exc:
         print("class cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, RangeExceeded, PreconditionViolated, ValueError) as exc:
+    except (ParseError, RangeExceeded, PreconditionViolated) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

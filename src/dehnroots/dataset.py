@@ -30,7 +30,7 @@ yields candidate data sets for roots of the l-th power of the twist
 import re
 from dataclasses import dataclass, replace
 
-from .numtheory import gcd
+from .numtheory import RangeExceeded, gcd
 
 __all__ = [
     "VALUE_LIMIT",
@@ -49,10 +49,6 @@ __all__ = [
 
 # Documented ceiling on degrees and stored integers; matches the factoring range.
 VALUE_LIMIT = 10**12
-
-
-class RangeExceeded(ValueError):
-    """An integer is outside the documented range for data-set fields."""
 
 
 class ParseError(ValueError):
@@ -248,7 +244,11 @@ def parse_dataset(text):
     def integer():
         if not tokens or tokens[-1] in "(),;":
             raise ParseError("expected an integer")
-        return int(tokens.pop())
+        token = tokens.pop()
+        try:
+            return int(token)
+        except ValueError:  # longer than the interpreter's integer-string limit
+            raise ParseError("integer of %d digits is too long" % len(token)) from None
 
     def pair():
         expect("(")

@@ -26,7 +26,7 @@ independent cross-check of the search above.
 import os
 from itertools import product
 
-from .dataset import DataSet, validate
+from .dataset import DataSet, RangeExceeded, validate
 from .numtheory import divisors, gcd, mod_inverse
 
 __all__ = [
@@ -65,9 +65,12 @@ def class_cap_from_env():
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CLASS_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError("%s must be a positive integer" % CAP_ENV_VAR)
+        raise RangeExceeded("%s must be a positive integer, got %r" % (CAP_ENV_VAR, raw))
     return cap
 
 
@@ -196,12 +199,13 @@ def _search(g, n, pairs):
 def datasets(g, n, class_cap=None):
     """All root classes of genus g and degree n, canonical and sorted.
 
-    Nonpositive genus and even or tiny degree give an empty list (those
-    cases are theorems, not errors).  Raises ClassCapExceeded, returning
-    nothing, once more than ``class_cap`` classes appear (default 10**7).
+    Nonpositive genus and even, tiny or above 2g+1 degree give an empty
+    list at once (those cases are theorems, not errors).  Raises
+    ClassCapExceeded, returning nothing, once more than ``class_cap``
+    classes appear (default 10**7).
     """
     cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
-    if n < 3 or n % 2 == 0:
+    if n % 2 == 0 or not 3 <= n <= 2 * g + 1:
         return []
     found = []
     for g0, a, b, cones in _search(g, n, twist_pairs(n)):
@@ -260,7 +264,9 @@ def oracle_datasets(g, n):
 
 def has_root(g, n):
     """True when the genus-(g+1) twist has a degree-n root (first witness wins)."""
-    return n >= 3 and n % 2 == 1 and next(_search(g, n, twist_pairs(n)), None) is not None
+    if n % 2 == 0 or not 3 <= n <= 2 * g + 1:
+        return False
+    return next(_search(g, n, twist_pairs(n)), None) is not None
 
 
 def root_degrees(g):

@@ -21,6 +21,7 @@ __all__ = [
     "NotAUnit",
     "ModuliNotCoprime",
     "PreconditionViolated",
+    "RangeExceeded",
     "gcd",
     "ext_gcd",
     "mod_inverse",
@@ -48,6 +49,10 @@ class ModuliNotCoprime(ValueError):
 
 class PreconditionViolated(ValueError):
     """Raised by ``bezout_avoiding_primes`` on inputs outside the lemma's hypotheses."""
+
+
+class RangeExceeded(ValueError):
+    """An integer is outside the documented range of the function it was given to."""
 
 
 def ext_gcd(a, b):
@@ -126,9 +131,9 @@ class Factorization:
 def factorize(n):
     """Factor n >= 1 by trial division.  n must not exceed FACTOR_LIMIT."""
     if n < 1:
-        raise ValueError("cannot factor %r" % (n,))
+        raise RangeExceeded("cannot factor %r" % (n,))
     if n > FACTOR_LIMIT:
-        raise ValueError("%d exceeds the supported factoring range %d" % (n, FACTOR_LIMIT))
+        raise RangeExceeded("%d exceeds the supported factoring range %d" % (n, FACTOR_LIMIT))
     factors = []
     m = n
     for p in (2, 3):
@@ -226,8 +231,8 @@ def bezout_avoiding_primes(d1, d2, avoid):
 
     Returns a BezoutWitness (c1, c2, d1, d2) with c1*d1 + c2*d2 = 1 and
     no prime q in ``avoid`` dividing c1 or c2.  Requires gcd(d1, d2) = 1,
-    and if 2 is in ``avoid``, that d1 and d2 are not both odd (otherwise
-    c1 + c2 would always be even, forcing one of them even).
+    primes q <= FACTOR_LIMIT, and if 2 is in ``avoid``, that d1 and d2 are
+    not both odd (otherwise c1 + c2 would always be even, forcing one even).
 
     Construction: from a base identity A*d1 + B*d2 = 1, the full family of
     solutions is c1 = A - k*d2, c2 = B + k*d1.  For each prime q, c1(k) or
@@ -242,6 +247,8 @@ def bezout_avoiding_primes(d1, d2, avoid):
     if gcd(d1, d2) != 1:
         raise PreconditionViolated("gcd(%d, %d) != 1" % (d1, d2))
     for q in avoid:
+        if q > FACTOR_LIMIT:
+            raise PreconditionViolated("avoided prime %d exceeds %d" % (q, FACTOR_LIMIT))
         if not is_prime(q):
             raise PreconditionViolated("%r is not prime" % (q,))
     if 2 in avoid and d1 % 2 == 1 and d2 % 2 == 1:

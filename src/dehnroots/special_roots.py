@@ -23,7 +23,8 @@ to genus 10**6 by factoring a window of candidates.
 
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
-the genus-4 surface).
+the genus-4 surface).  ``pair_table`` tags every class of a (genus,
+degree) range this way; it is the table behind the paper's pair plot.
 """
 
 import enum
@@ -31,8 +32,9 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .dataset import DataSet
-from .enumeration import twist_pairs
+from .enumeration import datasets, twist_pairs
 from .numtheory import (
+    RangeExceeded,
     bezout_avoiding_primes,
     coprime_divisor_pairs,
     factorize,
@@ -41,6 +43,7 @@ from .numtheory import (
 )
 
 __all__ = [
+    "PairRow",
     "RootTag",
     "RootClass",
     "TriangularSet",
@@ -51,7 +54,12 @@ __all__ = [
     "de_roots",
     "de_construct",
     "classify",
+    "pair_table",
 ]
+
+# Documented ceilings: T(2001) has 10**6 members; de_roots supports g <= 10**6.
+T_SET_MAX_DEGREE = 2001
+DE_ROOTS_MAX_GENUS = 10**6
 
 
 class RootTag(str, enum.Enum):
@@ -83,10 +91,16 @@ class TriangularSet:
     members: tuple
 
 
+def _check_odd_degree(n, name="degree"):
+    if n < 3 or n % 2 == 0:
+        raise RangeExceeded("%s must be odd and >= 3, got %r" % (name, n))
+
+
 def t_set(n):
     """The triangular set T(n) of genera with no primary degree-n root."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("degree must be odd and >= 3, got %r" % (n,))
+    _check_odd_degree(n)
+    if n > T_SET_MAX_DEGREE:
+        raise RangeExceeded("T(n) is supported up to n = %d, got %d" % (T_SET_MAX_DEGREE, n))
     n0 = (n - 1) // 2
     members = {g0 + m * n0 for g0 in range(n0) for m in range(2 * g0 + 1)}
     return TriangularSet(n, tuple(sorted(members)))
@@ -106,8 +120,7 @@ def ms_count(n):
     U(n) = prod p^(k-1)(p-2) counts the x mod n with x and 1-x both units;
     pairing x with 1-x (one fixed point, x = 2^-1) halves it.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("degree must be odd and >= 3, got %r" % (n,))
+    _check_odd_degree(n)
     u = 1
     for p, k in factorize(n).factors:
         u *= p ** (k - 1) * (p - 2)
@@ -155,6 +168,8 @@ def de_roots(g):
     """
     if g < 1:
         return []
+    if g > DE_ROOTS_MAX_GENUS:
+        raise RangeExceeded("de_roots is supported up to g = %d, got %d" % (DE_ROOTS_MAX_GENUS, g))
     lo = g + 1
     hi = (6 * (g + 2) - 1) // 5  # largest n with 5n < 6(g+2)
     if hi < lo:
@@ -213,9 +228,8 @@ def de_construct(d, e):
     units.  The witness choice fixes which class of (d,e)-root comes back;
     any choice is a valid root.
     """
-    for name, value in (("d", d), ("e", e)):
-        if value < 3 or value % 2 == 0:
-            raise ValueError("%s must be odd and >= 3, got %r" % (name, value))
+    _check_odd_degree(d, "d")
+    _check_odd_degree(e, "e")
     n = lcm(d, e)
     avoid = {p for p, _ in factorize(d * e).factors}
     witness = bezout_avoiding_primes(n // d, n // e, avoid)
@@ -238,3 +252,25 @@ def classify(ds):
     if all(order == ds.degree for _, order in ds.cones):
         return RootClass(ds, RootTag.PRIMARY)
     return RootClass(ds, RootTag.OTHER)
+
+
+@dataclass(frozen=True)
+class PairRow:
+    """One populated cell of the (genus, degree) table behind the pair plot."""
+
+    genus: int
+    degree: int
+    class_count: int
+    tags: tuple  # one tag per class, sorted
+
+
+def pair_table(g_max, n_max, class_cap=None):
+    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max, n <= n_max."""
+    rows = []
+    for g in range(g_max + 1):
+        for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
+            classes = datasets(g, n, class_cap)
+            if classes:
+                tags = sorted(str(classify(ds).tag) for ds in classes)
+                rows.append(PairRow(g, n, len(classes), tuple(tags)))
+    return rows

@@ -1,11 +1,17 @@
+import ast
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
-from dehnroots.cli import PairRow, main, pair_table
+from dehnroots import cli, special_roots
+from dehnroots.cli import main
 from dehnroots.dataset import format_dataset, parse_dataset
+from dehnroots.special_roots import PairRow, pair_table
 
 
 def run_cli(capsys, *argv):
@@ -179,7 +185,7 @@ def test_pair_table_stable_region_is_full():
             assert (g, n) in keys, (g, n)
 
 
-def test_exit_codes():
+def test_exit_codes(monkeypatch):
     # usage errors
     assert main(["roots"]) == 2
     assert main(["no-such-command"]) == 2
@@ -188,6 +194,14 @@ def test_exit_codes():
     assert main(["de-construct", "--d", "4", "--e", "5"]) == 2
     assert main(["bezout-avoid", "--d1", "3", "--d2", "6"]) == 2
     assert main(["fractional", "--genus", "1", "--degree", "99", "--power", "2"]) == 2
+    assert main(["t-set", "--degree", "4"]) == 2
+    assert main(["ms-count", "--degree", "4"]) == 2
+    assert main(["de-root-genera", "10000000000001"]) == 2
+    assert main(["validate", "(%s, 0, (2,2); (17,21))" % ("9" * 5000)]) == 2
+    assert main(["bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "x"]) == 2
+    monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "abc")
+    assert main(["roots", "--genus", "2"]) == 2
+    monkeypatch.delenv("DEHN_ROOTS_CLASS_CAP")
     # I/O failure
     assert (
         main(
@@ -203,6 +217,56 @@ def test_exit_codes():
         )
         == 4
     )
+
+
+def test_documented_ceilings_exit_promptly(capsys):
+    for argv in (
+        ["t-set", "--degree", "200001"],
+        ["de-roots", "1000000000000"],
+        ["bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "1000000000000000003"],
+    ):
+        start = perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert perf_counter() - start < 1.0, argv
+    start = perf_counter()
+    assert run_cli(capsys, "roots", "--genus", "5", "--degree", "20000001") == (0, "", "")
+    code, out, _ = run_cli(capsys, "genus-set", "--degree", "20000001", "--max-genus", "2")
+    assert (code, out) == (0, "[  ]\n")
+    assert perf_counter() - start < 1.0
+
+
+def test_primes_option_is_parsed_by_argparse(capsys):
+    code, _, err = run_cli(capsys, "bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "7,x")
+    assert code == 2
+    assert "argument --primes: expected comma-separated integers, got '7,x'" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # only the library's own error types become exit 2; a bare ValueError is a bug
+    def broken(genus):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(special_roots, "de_roots", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["de-roots", "5"])
+
+
+def test_bench_hooks_resolve():
+    # the bench tracer wraps these names as module attributes; the bench
+    # set-up timing calls cli.build_parser
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text())
+    boundaries = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "BOUNDARIES"
+    )
+    names = [(row.elts[0].value, row.elts[1].value) for row in boundaries.elts]
+    assert len(names) >= 20
+    for module, name in names:
+        assert callable(getattr(importlib.import_module("dehnroots." + module), name))
+    assert callable(cli.build_parser) and cli.build_parser().prog == "dehn-roots"
 
 
 def test_class_cap_env(monkeypatch, capsys):

@@ -170,6 +170,11 @@ def test_parser_flexible_whitespace():
     assert spaced == parse_dataset("  (21 , 0 , (2 , 2) ;  (17 , 21) )  ")
 
 
+def test_parser_rejects_integers_past_the_string_limit():
+    with pytest.raises(ParseError):
+        parse_dataset("(%s, 0, (2,2); (17,21))" % ("9" * 5000))
+
+
 def test_parser_rejects_garbage():
     for text in [
         "",

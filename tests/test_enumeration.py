@@ -1,11 +1,13 @@
 from math import gcd
+from time import perf_counter
 
 import pytest
 
-from dehnroots.dataset import equivalent, format_dataset, parse_dataset, stabilize, validate
+from dehnroots.dataset import RangeExceeded, equivalent, format_dataset, parse_dataset, stabilize, validate
 from dehnroots.enumeration import (
     ClassCapExceeded,
     OracleRangeExceeded,
+    class_cap_from_env,
     cone_multisets,
     cone_weight,
     datasets,
@@ -100,6 +102,28 @@ def test_datasets_trivial_inputs_empty():
     assert datasets(0, 3) == []
     assert datasets(5, 4) == []
     assert datasets(5, 1) == []
+
+
+def test_degrees_past_the_bound_answer_at_once():
+    # roots need n <= 2g+1; the answer comes before the O(n) twist-pair scan
+    start = perf_counter()
+    assert datasets(5, 10**12 - 1) == []
+    assert has_root(2, 10**12 - 1) is False
+    assert perf_counter() - start < 1.0
+    for g in range(0, 8):
+        for n in range(2 * g + 3, 2 * g + 30, 2):
+            assert datasets(g, n) == [] and not has_root(g, n)
+
+
+def test_class_cap_from_env_rejects_non_positive(monkeypatch):
+    monkeypatch.delenv("DEHN_ROOTS_CLASS_CAP", raising=False)
+    assert class_cap_from_env() == 10**7
+    monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "25")
+    assert class_cap_from_env() == 25
+    for raw in ("abc", "0", "-3", ""):
+        monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", raw)
+        with pytest.raises(RangeExceeded):
+            class_cap_from_env()
 
 
 def test_datasets_all_valid_no_duplicates():

@@ -3,11 +3,15 @@ from math import gcd as stdlib_gcd
 
 import pytest
 
+import dehnroots
+from dehnroots import dataset
 from dehnroots.numtheory import (
+    FACTOR_LIMIT,
     BezoutWitness,
     ModuliNotCoprime,
     NotAUnit,
     PreconditionViolated,
+    RangeExceeded,
     bezout_avoiding_primes,
     coprime_divisor_pairs,
     crt,
@@ -67,6 +71,15 @@ def test_factorize_examples():
     assert factorize(9).factors == ((3, 2),)
     assert factorize(54573).factors == ((3, 1), (18191, 1))
     assert factorize(1).factors == ()
+
+
+def test_factorize_range_is_typed():
+    assert dehnroots.RangeExceeded is dataset.RangeExceeded is RangeExceeded
+    assert issubclass(RangeExceeded, ValueError)
+    assert factorize(FACTOR_LIMIT).factors == ((2, 12), (5, 12))
+    for n in (FACTOR_LIMIT + 1, 0, -5):
+        with pytest.raises(RangeExceeded):
+            factorize(n)
 
 
 def test_factorize_reassembles_exhaustive():
@@ -154,6 +167,13 @@ def test_bezout_avoiding_primes_examples():
         bezout_avoiding_primes(3, 5, {2})  # both odd with 2 in the avoided set
     with pytest.raises(PreconditionViolated):
         bezout_avoiding_primes(3, 5, {4})  # 4 is not prime
+
+
+def test_bezout_avoided_primes_are_bounded():
+    # 10**18 + 3 is prime, but trial division that far would take hours
+    assert bezout_avoiding_primes(3, 5, {999999999989}).c1 % 999999999989
+    with pytest.raises(PreconditionViolated):
+        bezout_avoiding_primes(3, 5, {10**18 + 3})
 
 
 def test_bezout_avoiding_primes_even_input_with_two():

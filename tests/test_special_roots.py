@@ -2,9 +2,11 @@ from math import gcd, lcm
 
 import pytest
 
-from dehnroots.dataset import DataSet, format_dataset, parse_dataset, validate
+from dehnroots.dataset import DataSet, RangeExceeded, format_dataset, parse_dataset, validate
 from dehnroots.enumeration import datasets, has_root, root_degrees
 from dehnroots.special_roots import (
+    DE_ROOTS_MAX_GENUS,
+    T_SET_MAX_DEGREE,
     RootTag,
     classify,
     de_construct,
@@ -29,6 +31,33 @@ def test_t_set_size_and_maximum():
         assert len(ts.members) == n0 * n0
         assert max(ts.members) == n * (n - 3) // 2
         assert ts.members == tuple(sorted(set(ts.members)))
+
+
+def test_t_set_ceiling():
+    assert T_SET_MAX_DEGREE == 2001
+    assert len(t_set(2001).members) == 10**6
+    with pytest.raises(RangeExceeded):
+        t_set(2003)
+
+
+def test_odd_degree_arguments_are_range_checked():
+    for n in (4, 1, -3, 0):
+        with pytest.raises(RangeExceeded):
+            t_set(n)
+        with pytest.raises(RangeExceeded):
+            ms_count(n)
+    with pytest.raises(RangeExceeded):
+        ms_count(10**12 + 1)  # beyond the factoring range
+    with pytest.raises(RangeExceeded):
+        de_construct(4, 5)
+
+
+def test_de_roots_ceiling():
+    assert DE_ROOTS_MAX_GENUS == 10**6  # de_roots(10**6) itself runs in the acceptance suite
+    with pytest.raises(RangeExceeded):
+        de_roots(10**6 + 1)
+    with pytest.raises(RangeExceeded):
+        de_roots(10**12)
 
 
 def test_ms_roots_examples():
