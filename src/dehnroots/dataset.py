@@ -33,15 +33,12 @@ from dataclasses import dataclass, replace
 from .numtheory import RangeExceeded, gcd
 
 __all__ = [
-    "VALUE_LIMIT",
     "DataSet",
     "FractionalDataSet",
     "ValidationReport",
     "Violation",
-    "RangeExceeded",
     "ParseError",
     "validate",
-    "equivalent",
     "stabilize",
     "format_dataset",
     "parse_dataset",
@@ -192,11 +189,6 @@ def validate(ds):
         violations.append(Violation("IV", "at least one cone pair is required"))
 
     return ValidationReport(not violations, tuple(violations))
-
-
-def equivalent(x, y):
-    """True when x and y describe the same root class (stored forms are canonical)."""
-    return x == y
 
 
 def stabilize(ds):

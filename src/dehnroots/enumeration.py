@@ -30,7 +30,6 @@ from .dataset import DataSet, RangeExceeded, validate
 from .numtheory import divisors, gcd, mod_inverse
 
 __all__ = [
-    "DEFAULT_CLASS_CAP",
     "ClassCapExceeded",
     "OracleRangeExceeded",
     "cone_weight",

@@ -15,11 +15,7 @@ and ``validate`` checks them in the power-l form of (III).
 from .dataset import FractionalDataSet, RangeExceeded
 from .enumeration import _search, twist_pairs
 
-__all__ = [
-    "MAX_DEGREE",
-    "MAX_GENUS",
-    "fractional_datasets",
-]
+__all__ = ["fractional_datasets"]
 
 MAX_DEGREE = 30
 MAX_GENUS = 12

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 __all__ = [
-    "FACTOR_LIMIT",
     "Factorization",
     "BezoutWitness",
     "NotAUnit",
@@ -31,7 +30,6 @@ __all__ = [
     "coprime_divisor_pairs",
     "crt",
     "bezout_avoiding_primes",
-    "primes_up_to",
 ]
 
 # Documented ceiling for trial-division factoring: sqrt(10**12) = 10**6
@@ -77,26 +75,15 @@ def mod_inverse(a, n):
     """Inverse of a mod n, as a residue in [1, n-1].  Requires n >= 2."""
     if n < 2:
         raise ValueError("modulus must be >= 2, got %r" % (n,))
-    g, s, _ = ext_gcd(a, n)
-    if g != 1:
-        raise NotAUnit("%d is not a unit mod %d (gcd = %d)" % (a, n, g))
-    return s % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise NotAUnit("%d is not a unit mod %d (gcd = %d)" % (a, n, gcd(a, n))) from None
 
 
 def is_prime(n):
-    """Deterministic primality by trial division (2, 3, then 6k+-1)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    """Deterministic primality by factoring; n must not exceed FACTOR_LIMIT."""
+    return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
 @dataclass(frozen=True)
@@ -158,12 +145,17 @@ def factorize(n):
     return Factorization(n, tuple(factors))
 
 
-def divisors(n):
-    """All positive divisors of n, strictly increasing."""
+def _divisors_from(factors):
+    """Sorted positive divisors of the number with these (prime, exponent) factors."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def divisors(n):
+    """All positive divisors of n, strictly increasing."""
+    return _divisors_from(factorize(n).factors)
 
 
 def coprime_divisor_pairs(n):
@@ -172,23 +164,14 @@ def coprime_divisor_pairs(n):
     Since d1 and d2 are coprime divisors, d1*d2 divides n automatically.
     The list includes (1, 1) and all (1, d) pairs, sorted lexicographically.
     """
-    fac = factorize(n).factors
-    pairs = set()
-
-    def split(i, d1, d2):
-        if i == len(fac):
-            pairs.add((d1, d2) if d1 <= d2 else (d2, d1))
-            return
-        p, e = fac[i]
-        split(i + 1, d1, d2)
-        q = 1
-        for _ in range(e):
-            q *= p
-            split(i + 1, d1 * q, d2)
-            split(i + 1, d1, d2 * q)
-
-    split(0, 1, 1)
-    return sorted(pairs)
+    pairs = [(1, 1)]
+    for p, e in factorize(n).factors:
+        # each prime power of n goes whole to d1, to d2 or to neither
+        powers = [p**k for k in range(1, e + 1)]
+        pairs += [(d1 * q, d2) for d1, d2 in pairs for q in powers] + [
+            (d1, d2 * q) for d1, d2 in pairs for q in powers
+        ]
+    return sorted({(min(pair), max(pair)) for pair in pairs})
 
 
 def crt(pairs):
@@ -231,8 +214,9 @@ def bezout_avoiding_primes(d1, d2, avoid):
 
     Returns a BezoutWitness (c1, c2, d1, d2) with c1*d1 + c2*d2 = 1 and
     no prime q in ``avoid`` dividing c1 or c2.  Requires gcd(d1, d2) = 1,
-    primes q <= FACTOR_LIMIT, and if 2 is in ``avoid``, that d1 and d2 are
-    not both odd (otherwise c1 + c2 would always be even, forcing one even).
+    d1, d2 and primes q <= FACTOR_LIMIT, and if 2 is in ``avoid``, that d1
+    and d2 are not both odd (otherwise c1 + c2 would always be even, forcing
+    one even).
 
     Construction: from a base identity A*d1 + B*d2 = 1, the full family of
     solutions is c1 = A - k*d2, c2 = B + k*d1.  For each prime q, c1(k) or
@@ -244,6 +228,8 @@ def bezout_avoiding_primes(d1, d2, avoid):
     """
     if d1 < 1 or d2 < 1:
         raise PreconditionViolated("d1 and d2 must be positive")
+    if d1 > FACTOR_LIMIT or d2 > FACTOR_LIMIT:
+        raise PreconditionViolated("d1 and d2 must not exceed %d" % FACTOR_LIMIT)
     if gcd(d1, d2) != 1:
         raise PreconditionViolated("gcd(%d, %d) != 1" % (d1, d2))
     for q in avoid:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -224,11 +225,19 @@ def test_documented_ceilings_exit_promptly(capsys):
         ["t-set", "--degree", "200001"],
         ["de-roots", "1000000000000"],
         ["bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "1000000000000000003"],
+        # a witness for this d2 would be too long to print
+        ["bezout-avoid", "--d1", "2", "--d2", str(10**4299 + 1), "--primes", "3,5,7,11,13,17,19"],
+        ["ms-roots", "--genus", "100001"],
     ):
         start = perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ")
         assert perf_counter() - start < 1.0, argv
+    assert run_cli(capsys, "bezout-avoid", "--d1", "3", "--d2", "1000000000000") == (
+        0,
+        "c1 = -333333333333, c2 = 1\n",
+        "",
+    )
     start = perf_counter()
     assert run_cli(capsys, "roots", "--genus", "5", "--degree", "20000001") == (0, "", "")
     code, out, _ = run_cli(capsys, "genus-set", "--degree", "20000001", "--max-genus", "2")
@@ -280,10 +289,13 @@ def test_class_cap_env(monkeypatch, capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same package as this test, installed or not
+    package_root = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "dehnroots.cli", "de-roots", "54572"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert proc.returncode == 0
     assert proc.stdout == "[ 54573, 54575, 54587, 54769, 65487 ]\n"

@@ -8,7 +8,6 @@ from dehnroots.dataset import (
     FractionalDataSet,
     ParseError,
     RangeExceeded,
-    equivalent,
     format_dataset,
     parse_dataset,
     stabilize,
@@ -91,15 +90,9 @@ def test_canonicalize_preserves_class_data():
 
 
 def test_equivalent():
-    assert equivalent(
-        parse_dataset("(21,0,(2,2);(-4,21))"), parse_dataset("(21,0,(2,2);(17,21))")
-    )
-    assert equivalent(
-        parse_dataset("(5,0,(3,4);(3,5))"), parse_dataset("(5,0,(4,3);(3,5))")
-    )
-    assert not equivalent(
-        parse_dataset("(21,0,(2,2);(17,21))"), parse_dataset("(21,0,(5,17);(20,21))")
-    )
+    assert parse_dataset("(21,0,(2,2);(-4,21))") == parse_dataset("(21,0,(2,2);(17,21))")
+    assert parse_dataset("(5,0,(3,4);(3,5))") == parse_dataset("(5,0,(4,3);(3,5))")
+    assert parse_dataset("(21,0,(2,2);(17,21))") != parse_dataset("(21,0,(5,17);(20,21))")
 
 
 def test_stabilize():

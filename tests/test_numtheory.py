@@ -176,6 +176,15 @@ def test_bezout_avoided_primes_are_bounded():
         bezout_avoiding_primes(3, 5, {10**18 + 3})
 
 
+def test_bezout_inputs_are_bounded():
+    # past the ceiling a witness can outgrow the interpreter's integer-string limit
+    w = bezout_avoiding_primes(3, FACTOR_LIMIT, set())
+    assert 3 * w.c1 + FACTOR_LIMIT * w.c2 == 1
+    for d1, d2 in ((3, FACTOR_LIMIT + 1), (FACTOR_LIMIT + 1, 3), (2, 10**4299 + 1)):
+        with pytest.raises(PreconditionViolated):
+            bezout_avoiding_primes(d1, d2, {3, 5})
+
+
 def test_bezout_avoiding_primes_even_input_with_two():
     w = bezout_avoiding_primes(4, 9, {2, 3})
     assert w.c1 * 4 + w.c2 * 9 == 1
@@ -210,3 +219,11 @@ def test_is_prime_and_sieve_agree():
     sieve = set(primes_up_to(2000))
     for n in range(2001):
         assert is_prime(n) == (n in sieve)
+
+
+def test_is_prime_range():
+    assert is_prime(999999999989)  # the largest prime below FACTOR_LIMIT
+    assert not is_prime(FACTOR_LIMIT)
+    for n in (FACTOR_LIMIT + 1, 10**30 + 57):
+        with pytest.raises(RangeExceeded):
+            is_prime(n)

@@ -6,6 +6,7 @@ from dehnroots.dataset import DataSet, RangeExceeded, format_dataset, parse_data
 from dehnroots.enumeration import datasets, has_root, root_degrees
 from dehnroots.special_roots import (
     DE_ROOTS_MAX_GENUS,
+    MS_ROOTS_MAX_GENUS,
     T_SET_MAX_DEGREE,
     RootTag,
     classify,
@@ -58,6 +59,14 @@ def test_de_roots_ceiling():
         de_roots(10**6 + 1)
     with pytest.raises(RangeExceeded):
         de_roots(10**12)
+
+
+def test_ms_roots_ceiling():
+    assert MS_ROOTS_MAX_GENUS == 10**5
+    assert len(ms_roots(10**5)) == ms_count(200001) == 32764  # (U(n)+1)/2, not enumerated
+    for g in (10**5 + 1, 10**9):
+        with pytest.raises(RangeExceeded):
+            ms_roots(g)
 
 
 def test_ms_roots_examples():
