@@ -478,6 +478,36 @@ CASES = [
         '(21, 0, (2,2); (17,21))\n(21, 0, (5,17); (20,21))\n(21, 0, (11,20); (11,21))\n',
         '',
     ),
+    # the cap bounds each (genus, degree): 69 classes of genus 10 pass a cap of 25
+    (
+        ['roots', '--genus', '10'],
+        {'DEHN_ROOTS_CLASS_CAP': '24'},
+        3,
+        '',
+        'class cap exceeded: more than 24 classes of genus 10, degree 11\n',
+    ),
+    (
+        ['roots', '--genus', '10'],
+        {'DEHN_ROOTS_CLASS_CAP': '25'},
+        0,
+        'sha256:59d348cebd9ca0f12c2622416c6e1cd4a486c40bd2b44757b0bb121f85118619',
+        '',
+    ),
+    # figure1 stops at the first cell past the cap, before it opens its output
+    (
+        ['figure1', '--max-genus', '10', '--max-degree', '21', '--output', '/nonexistent-dir/out.csv'],
+        {'DEHN_ROOTS_CLASS_CAP': '1'},
+        3,
+        '',
+        'class cap exceeded: more than 1 classes of genus 2, degree 5\n',
+    ),
+    (
+        ['figure1', '--max-genus', '10', '--max-degree', '21', '--output', '/nonexistent-dir/out.csv'],
+        {'DEHN_ROOTS_CLASS_CAP': '24'},
+        3,
+        '',
+        'class cap exceeded: more than 24 classes of genus 10, degree 11\n',
+    ),
     (
         ['figure1', '--max-genus', '1', '--max-degree', '3', '--output', '/nonexistent-dir/out.csv'],
         None,
