@@ -39,7 +39,7 @@ def _dataset_json(ds, **extra):
 
 
 def _tagged_json(ds):
-    return _dataset_json(ds, tag=str(special_roots.classify(ds).tag))
+    return _dataset_json(ds, tag=str(special_roots.classify(ds)))
 
 
 def _print_int_list(values, args):
@@ -112,9 +112,7 @@ def _write_csv(rows, args):
 def _roots(args):
     """The classes of one degree, or of each odd degree up to 2g+1 in turn."""
     cap = class_cap_from_env()
-    if args.degree is not None:
-        return enumeration.datasets(args.genus, args.degree, cap)
-    degrees = range(3, 2 * args.genus + 2, 2)
+    degrees = range(3, 2 * args.genus + 2, 2) if args.degree is None else [args.degree]
     return [ds for n in degrees for ds in enumeration.datasets(args.genus, n, cap)]
 
 
@@ -151,7 +149,7 @@ COMMANDS = (
      lambda a: special_roots.pair_table(a.max_genus, a.max_degree, class_cap_from_env()),
      _write_csv),
     ("t-set", "genera excluded from primary-root existence", (_int("--degree"), _FORMAT),
-     lambda a: special_roots.t_set(a.degree).members, _print_int_list),
+     lambda a: special_roots.t_set(a.degree), _print_int_list),
     ("genus-set", "genera with a root of the given degree",
      (_int("--degree"), _int("--max-genus"), _FORMAT),
      lambda a: enumeration.genus_set(a.degree, a.max_genus), _print_int_list),

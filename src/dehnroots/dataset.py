@@ -30,7 +30,7 @@ yields candidate data sets for roots of the l-th power of the twist
 import re
 from dataclasses import dataclass, replace
 
-from .numtheory import RangeExceeded, gcd
+from .numtheory import RangeExceeded, _show, gcd
 
 __all__ = [
     "DataSet",
@@ -57,7 +57,7 @@ def _check_range(name, value, low):
         raise RangeExceeded("%s must be an integer, got %r" % (name, value))
     if value < low or value > VALUE_LIMIT:
         raise RangeExceeded(
-            "%s must lie in [%d, %d], got %d" % (name, low, VALUE_LIMIT, value)
+            "%s must lie in [%d, %d], got %s" % (name, low, VALUE_LIMIT, _show(value))
         )
 
 
@@ -93,7 +93,7 @@ class DataSet:
             try:
                 c, order = pair
             except (TypeError, ValueError):
-                raise RangeExceeded("cone pairs must be (residue, order), got %r" % (pair,))
+                raise RangeExceeded("cone pairs must be (residue, order), got %s" % _show(pair))
             _check_range("cone order", order, 2)
             _check_range("cone residue", c, -VALUE_LIMIT)
             cones.append((c % order, order))

@@ -27,7 +27,7 @@ import os
 from itertools import product
 
 from .dataset import DataSet, RangeExceeded, validate
-from .numtheory import divisors, gcd, mod_inverse
+from .numtheory import _check_ceiling, divisors, gcd, mod_inverse
 
 __all__ = [
     "ClassCapExceeded",
@@ -45,6 +45,11 @@ __all__ = [
 
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
+
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 4 s and
+# 200 MB; genus_set(3, 10**4) makes 10**4 has_root calls in about 40 s.
+DATASETS_MAX_GENUS = 400
+GENUS_SET_MAX_GENUS = 10**4
 
 # Hard bounds for the brute-force oracle; beyond them it is exponential noise.
 ORACLE_MAX_DEGREE = 15
@@ -117,9 +122,7 @@ def cone_multisets(n, target):
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("degree must be odd and >= 3, got %r" % (n,))
-    if target < 0:
-        return []
-    return _order_multisets(n, 2 * target)
+    return _order_multisets(n, 2 * target)  # empty for a negative target
 
 
 def twist_pairs(n, power=1):
@@ -195,26 +198,34 @@ def _search(g, n, pairs):
                     yield g0, a, b, cones
 
 
+def _degree_occurs(g, n):
+    """Can a root of genus g have degree n?  Only odd n in [3, 2g+1] can."""
+    return n % 2 == 1 and 3 <= n <= 2 * g + 1
+
+
+def _classes(g, n, class_cap=None):
+    """Yield the canonical (g0, a, b, cones) of every class of genus g and degree
+    n, or nothing if n cannot occur; raises ClassCapExceeded past ``class_cap``."""
+    if not _degree_occurs(g, n):
+        return
+    cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
+    for count, found in enumerate(_search(g, n, twist_pairs(n)), 1):
+        if count > cap:
+            raise ClassCapExceeded("more than %d classes of genus %d, degree %d" % (cap, g, n))
+        yield found
+
+
 def datasets(g, n, class_cap=None):
     """All root classes of genus g and degree n, canonical and sorted.
 
     Nonpositive genus and even, tiny or above 2g+1 degree give an empty
-    list at once (those cases are theorems, not errors).  Raises
-    ClassCapExceeded, returning nothing, once more than ``class_cap``
-    classes appear (default 10**7).
+    list at once (those cases are theorems, not errors).  Otherwise g must
+    not exceed DATASETS_MAX_GENUS.  Raises ClassCapExceeded, returning
+    nothing, once more than ``class_cap`` classes appear (default 10**7).
     """
-    cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
-    if n % 2 == 0 or not 3 <= n <= 2 * g + 1:
-        return []
-    found = []
-    for g0, a, b, cones in _search(g, n, twist_pairs(n)):
-        found.append(DataSet(n, g0, a, b, cones))
-        if len(found) > cap:
-            raise ClassCapExceeded(
-                "more than %d classes of genus %d, degree %d" % (cap, g, n)
-            )
-    found.sort()
-    return found
+    if _degree_occurs(g, n):
+        _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
+    return [DataSet(n, *found) for found in sorted(_classes(g, n, class_cap))]
 
 
 def oracle_datasets(g, n):
@@ -263,9 +274,7 @@ def oracle_datasets(g, n):
 
 def has_root(g, n):
     """True when the genus-(g+1) twist has a degree-n root (first witness wins)."""
-    if n % 2 == 0 or not 3 <= n <= 2 * g + 1:
-        return False
-    return next(_search(g, n, twist_pairs(n)), None) is not None
+    return next(_classes(g, n), None) is not None
 
 
 def root_degrees(g):
@@ -273,13 +282,15 @@ def root_degrees(g):
 
     Only odd n in [3, 2g+1] can occur, so only those are scanned.
     """
-    if g < 1:
-        return []
     return [n for n in range(3, 2 * g + 2, 2) if has_root(g, n)]
 
 
 def genus_set(n, g_max):
-    """All g <= g_max for which the genus-(g+1) twist has a degree-n root."""
+    """All g <= g_max for which the genus-(g+1) twist has a degree-n root; [] at once
+    if no genus up to g_max has degree n, else g_max must not exceed GENUS_SET_MAX_GENUS."""
+    if not _degree_occurs(g_max, n):
+        return []
+    _check_ceiling(g_max, GENUS_SET_MAX_GENUS, "genus_set is supported up to g")
     return [g for g in range(g_max + 1) if has_root(g, n)]
 
 

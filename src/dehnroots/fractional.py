@@ -14,6 +14,7 @@ and ``validate`` checks them in the power-l form of (III).
 
 from .dataset import FractionalDataSet, RangeExceeded
 from .enumeration import _search, twist_pairs
+from .numtheory import _show
 
 __all__ = ["fractional_datasets"]
 
@@ -35,7 +36,7 @@ def fractional_datasets(g, n, power):
             % (MAX_GENUS, MAX_DEGREE)
         )
     if power < 1:
-        raise RangeExceeded("power must be >= 1, got %r" % (power,))
+        raise RangeExceeded("power must be >= 1, got %s" % _show(power))
     found = [
         FractionalDataSet(n, g0, a, b, cones, power)
         for g0, a, b, cones in _search(g, n, twist_pairs(n, power))

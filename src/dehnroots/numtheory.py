@@ -53,6 +53,23 @@ class RangeExceeded(ValueError):
     """An integer is outside the documented range of the function it was given to."""
 
 
+def _show(value):
+    """repr(value) for an error message; an integer too long for the interpreter's
+    decimal conversion shows as its bit length, so the message itself cannot raise."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return "<%s holding an integer too long to print>" % type(value).__name__
+        return "%s<%d-bit integer>" % ("-" if value < 0 else "", value.bit_length())
+
+
+def _check_ceiling(value, limit, supported):
+    """Raise RangeExceeded("<supported> = <limit>, got <value>") if value > limit."""
+    if value > limit:
+        raise RangeExceeded("%s = %d, got %s" % (supported, limit, _show(value)))
+
+
 def ext_gcd(a, b):
     """Extended Euclid: return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0.
 
@@ -78,7 +95,8 @@ def mod_inverse(a, n):
     try:
         return pow(a, -1, n)
     except ValueError:
-        raise NotAUnit("%d is not a unit mod %d (gcd = %d)" % (a, n, gcd(a, n))) from None
+        shown = (_show(a), _show(n), _show(gcd(a, n)))
+        raise NotAUnit("%s is not a unit mod %s (gcd = %s)" % shown) from None
 
 
 def is_prime(n):
@@ -118,28 +136,22 @@ class Factorization:
 def factorize(n):
     """Factor n >= 1 by trial division.  n must not exceed FACTOR_LIMIT."""
     if n < 1:
-        raise RangeExceeded("cannot factor %r" % (n,))
+        raise RangeExceeded("cannot factor %s" % _show(n))
     if n > FACTOR_LIMIT:
-        raise RangeExceeded("%d exceeds the supported factoring range %d" % (n, FACTOR_LIMIT))
+        raise RangeExceeded(
+            "%s exceeds the supported factoring range %d" % (_show(n), FACTOR_LIMIT)
+        )
     factors = []
     m = n
-    for p in (2, 3):
+    p, step = 2, 1  # trial divisors 2, 3, then 6k - 1 and 6k + 1
+    while p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-    d = 5
-    while d * d <= m:
-        for p in (d, d + 2):
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                factors.append((p, e))
-        d += 6
+        p, step = p + step, (2 if p < 5 else 6 - step)
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
@@ -185,7 +197,7 @@ def crt(pairs):
         if m < 1:
             raise ValueError("moduli must be >= 1, got %r" % (m,))
         if gcd(modulus, m) != 1:
-            raise ModuliNotCoprime("modulus %d is not coprime to the others" % (m,))
+            raise ModuliNotCoprime("modulus %s is not coprime to the others" % _show(m))
         if m == 1:
             continue
         # Lift x from (mod modulus) to (mod modulus*m).
@@ -234,7 +246,7 @@ def bezout_avoiding_primes(d1, d2, avoid):
         raise PreconditionViolated("gcd(%d, %d) != 1" % (d1, d2))
     for q in avoid:
         if q > FACTOR_LIMIT:
-            raise PreconditionViolated("avoided prime %d exceeds %d" % (q, FACTOR_LIMIT))
+            raise PreconditionViolated("avoided prime %s exceeds %d" % (_show(q), FACTOR_LIMIT))
         if not is_prime(q):
             raise PreconditionViolated("%r is not prime" % (q,))
     if 2 in avoid and d1 % 2 == 1 and d2 % 2 == 1:

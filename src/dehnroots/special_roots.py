@@ -24,7 +24,8 @@ to genus 10**6 by factoring a window of candidates.
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
 the genus-4 surface).  ``pair_table`` tags every class of a (genus,
-degree) range this way; it is the table behind the paper's pair plot.
+degree) range this way, straight from the search core's tuples without
+building a data set; it is the table behind the paper's pair plot.
 """
 
 import enum
@@ -32,10 +33,12 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .dataset import DataSet
-from .enumeration import datasets, twist_pairs
+from .enumeration import _classes, twist_pairs
 from .numtheory import (
     RangeExceeded,
+    _check_ceiling,
     _divisors_from,
+    _show,
     bezout_avoiding_primes,
     coprime_divisor_pairs,
     factorize,
@@ -46,8 +49,6 @@ from .numtheory import (
 __all__ = [
     "PairRow",
     "RootTag",
-    "RootClass",
-    "TriangularSet",
     "t_set",
     "ms_roots",
     "ms_count",
@@ -76,45 +77,24 @@ class RootTag(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class RootClass:
-    """A canonical data set with its classification tag.
-
-    ``de_params`` carries the cone orders (d, e) when the tag is DE_ROOT.
-    """
-
-    dataset: DataSet
-    tag: RootTag
-    de_params: tuple = None
-
-
-@dataclass(frozen=True)
-class TriangularSet:
-    n: int
-    members: tuple
-
-
 def _check_odd_degree(n, name="degree"):
     if n < 3 or n % 2 == 0:
-        raise RangeExceeded("%s must be odd and >= 3, got %r" % (name, n))
+        raise RangeExceeded("%s must be odd and >= 3, got %s" % (name, _show(n)))
 
 
 def t_set(n):
-    """The triangular set T(n) of genera with no primary degree-n root."""
+    """The triangular set T(n) of genera with no primary degree-n root, sorted."""
     _check_odd_degree(n)
-    if n > T_SET_MAX_DEGREE:
-        raise RangeExceeded("T(n) is supported up to n = %d, got %d" % (T_SET_MAX_DEGREE, n))
+    _check_ceiling(n, T_SET_MAX_DEGREE, "T(n) is supported up to n")
     n0 = (n - 1) // 2
-    members = {g0 + m * n0 for g0 in range(n0) for m in range(2 * g0 + 1)}
-    return TriangularSet(n, tuple(sorted(members)))
+    return tuple(sorted({g0 + m * n0 for g0 in range(n0) for m in range(2 * g0 + 1)}))
 
 
 def ms_roots(g):
     """All classes of maximal degree 2g+1 for the twist on genus g+1, sorted."""
     if g < 1:
         return []
-    if g > MS_ROOTS_MAX_GENUS:
-        raise RangeExceeded("ms_roots is supported up to g = %d, got %d" % (MS_ROOTS_MAX_GENUS, g))
+    _check_ceiling(g, MS_ROOTS_MAX_GENUS, "ms_roots is supported up to g")
     n = 2 * g + 1
     return [DataSet(n, 0, a, b, ((-(a + b), n),)) for a, b in twist_pairs(n)]
 
@@ -173,30 +153,23 @@ def de_roots(g):
     """
     if g < 1:
         return []
-    if g > DE_ROOTS_MAX_GENUS:
-        raise RangeExceeded("de_roots is supported up to g = %d, got %d" % (DE_ROOTS_MAX_GENUS, g))
-    lo = g + 1
-    hi = (6 * (g + 2) - 1) // 5  # largest n with 5n < 6(g+2)
-    if hi < lo:
-        return []
+    _check_ceiling(g, DE_ROOTS_MAX_GENUS, "de_roots is supported up to g")
+    hi = (6 * (g + 2) - 1) // 5  # largest n with 5n < 6(g+2); at least g+1
     out = []
-    for n, factors in _factored_odd_range(lo, hi):
+    for n, factors in _factored_odd_range(g + 1, hi):
         if _de_genus_hit(n, _divisors_from(factors), g):
             out.append(n)
     return out
 
 
 def _factored_odd_range(lo, hi):
-    """Yield (n, prime factorization) for every odd n in [lo, hi].
+    """Yield (n, prime factorization) for every odd n in [lo, hi], lo >= 2.
 
     Segmented sieve: strip each prime <= sqrt(hi) out of the whole block,
     then whatever remains of each entry is a prime cofactor.
     """
-    lo = max(lo, 2)
     first = lo if lo % 2 else lo + 1
     values = list(range(first, hi + 1, 2))
-    if not values:
-        return
     remainders = values[:]
     factors = [[] for _ in values]
     for p in primes_up_to(isqrt(hi)):
@@ -237,22 +210,26 @@ def de_construct(d, e):
     return DataSet(n, 0, 2, 2, ((-4 * witness.c1, d), (-4 * witness.c2, e)))
 
 
-_CUBE_OF_T4 = DataSet(3, 0, 2, 2, ((1, 3), (2, 3), (2, 3)))
+_CUBE_OF_T4 = (3, 0, 2, 2, ((1, 3), (2, 3), (2, 3)))
+
+
+def _tag(n, g, g0, a, b, cones):
+    """The tag of the canonical class (n, g0, (a,b); cones) of genus g, by precedence
+    MARGALIT_SCHLEIMER > CUBE_OF_T4 > DE_ROOT > PRIMARY > OTHER."""
+    if n == 2 * g + 1:
+        return RootTag.MARGALIT_SCHLEIMER
+    if (n, g0, a, b, cones) == _CUBE_OF_T4:
+        return RootTag.CUBE_OF_T4
+    if g0 == 0 and len(cones) == 2:
+        return RootTag.DE_ROOT
+    if all(order == n for _, order in cones):
+        return RootTag.PRIMARY
+    return RootTag.OTHER
 
 
 def classify(ds):
-    """Classify a valid data set, tags in precedence order
-    MARGALIT_SCHLEIMER > CUBE_OF_T4 > DE_ROOT > PRIMARY > OTHER."""
-    if ds.degree == 2 * ds.genus + 1:
-        return RootClass(ds, RootTag.MARGALIT_SCHLEIMER)
-    if ds == _CUBE_OF_T4:
-        return RootClass(ds, RootTag.CUBE_OF_T4)
-    if ds.quotient_genus == 0 and len(ds.cones) == 2:
-        orders = (ds.cones[0][1], ds.cones[1][1])
-        return RootClass(ds, RootTag.DE_ROOT, orders)
-    if all(order == ds.degree for _, order in ds.cones):
-        return RootClass(ds, RootTag.PRIMARY)
-    return RootClass(ds, RootTag.OTHER)
+    """The RootTag of a valid data set."""
+    return _tag(ds.degree, ds.genus, ds.quotient_genus, ds.a, ds.b, ds.cones)
 
 
 @dataclass(frozen=True)
@@ -270,8 +247,7 @@ def pair_table(g_max, n_max, class_cap=None):
     rows = []
     for g in range(g_max + 1):
         for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
-            classes = datasets(g, n, class_cap)
-            if classes:
-                tags = sorted(str(classify(ds).tag) for ds in classes)
-                rows.append(PairRow(g, n, len(classes), tuple(tags)))
+            tags = sorted(_tag(n, g, *found).value for found in _classes(g, n, class_cap))
+            if tags:
+                rows.append(PairRow(g, n, len(tags), tuple(tags)))
     return rows

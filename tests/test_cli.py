@@ -175,6 +175,9 @@ def test_pair_table_counts():
     for row in rows:
         assert row.class_count == len(datasets(row.genus, row.degree))
         assert len(row.tags) == row.class_count
+        # the table tags the search core's tuples; classify tags the built classes
+        classes = datasets(row.genus, row.degree)
+        assert row.tags == tuple(sorted(str(special_roots.classify(ds)) for ds in classes))
     assert PairRow(1, 3, 1, ("MARGALIT_SCHLEIMER",)) in rows
 
 
@@ -228,6 +231,9 @@ def test_documented_ceilings_exit_promptly(capsys):
         # a witness for this d2 would be too long to print
         ["bezout-avoid", "--d1", "2", "--d2", str(10**4299 + 1), "--primes", "3,5,7,11,13,17,19"],
         ["ms-roots", "--genus", "100001"],
+        ["roots", "--genus", "401"],
+        ["roots", "--genus", "401", "--degree", "3"],
+        ["genus-set", "--degree", "3", "--max-genus", "10001"],
     ):
         start = perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -241,6 +247,8 @@ def test_documented_ceilings_exit_promptly(capsys):
     start = perf_counter()
     assert run_cli(capsys, "roots", "--genus", "5", "--degree", "20000001") == (0, "", "")
     code, out, _ = run_cli(capsys, "genus-set", "--degree", "20000001", "--max-genus", "2")
+    assert (code, out) == (0, "[  ]\n")
+    code, out, _ = run_cli(capsys, "genus-set", "--degree", "4", "--max-genus", "1000000000000")
     assert (code, out) == (0, "[  ]\n")
     assert perf_counter() - start < 1.0
 

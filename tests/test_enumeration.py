@@ -5,6 +5,8 @@ import pytest
 
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset, stabilize, validate
 from dehnroots.enumeration import (
+    DATASETS_MAX_GENUS,
+    GENUS_SET_MAX_GENUS,
     ClassCapExceeded,
     OracleRangeExceeded,
     class_cap_from_env,
@@ -18,7 +20,7 @@ from dehnroots.enumeration import (
     root_degrees,
     twist_pairs,
 )
-from dehnroots.special_roots import ms_count, t_set
+from dehnroots.special_roots import ms_count, ms_roots, t_set
 
 
 def test_cone_weight():
@@ -192,10 +194,34 @@ def test_genus_set_examples():
     assert 7 in genus_set(9, 7)
 
 
+def test_datasets_genus_ceiling():
+    assert DATASETS_MAX_GENUS == 400
+    assert datasets(400, 801) == ms_roots(400)
+    with pytest.raises(RangeExceeded):
+        datasets(401, 3)
+    with pytest.raises(RangeExceeded):
+        primary_datasets(401, 803)
+    # a degree no root of genus 401 has answers before the ceiling is asked
+    assert datasets(401, 4) == [] and datasets(401, 805) == []
+    assert has_root(401, 803)  # existence has no genus ceiling
+
+
+def test_genus_set_ceiling():
+    assert GENUS_SET_MAX_GENUS == 10**4
+    start = perf_counter()
+    assert genus_set(2 * 10**4 + 1, 10**4) == [10**4]
+    with pytest.raises(RangeExceeded):
+        genus_set(2 * 10**4 + 1, 10**4 + 1)
+    # even or tiny degrees, and degrees past 2*g_max + 1, answer [] before any scan
+    for n in (4, 2, 1, -3, 2 * 10**12 + 3):
+        assert genus_set(n, 10**12) == []
+    assert perf_counter() - start < 1.0
+
+
 def test_genus_set_contains_triangular_complement():
     for n in range(3, 16, 2):
         g_max = n * (n - 3) // 2 + 5
-        excluded = set(t_set(n).members)
+        excluded = set(t_set(n))
         got = set(genus_set(n, g_max))
         complement = {g for g in range(g_max + 1) if g not in excluded}
         assert complement <= got

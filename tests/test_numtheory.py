@@ -227,3 +227,33 @@ def test_is_prime_range():
     for n in (FACTOR_LIMIT + 1, 10**30 + 57):
         with pytest.raises(RangeExceeded):
             is_prime(n)
+
+
+BIG = 10**5000  # past the interpreter's 4,300-digit integer-to-string limit
+HUGE_INTEGER_CALLS = [
+    (RangeExceeded, lambda: dehnroots.t_set(BIG)),
+    (RangeExceeded, lambda: dehnroots.t_set(-BIG)),
+    (RangeExceeded, lambda: dehnroots.ms_roots(BIG)),
+    (RangeExceeded, lambda: dehnroots.de_roots(BIG)),
+    (RangeExceeded, lambda: dehnroots.ms_count(BIG + 1)),
+    (RangeExceeded, lambda: dehnroots.de_root_genera(BIG + 1)),
+    (RangeExceeded, lambda: factorize(BIG)),
+    (RangeExceeded, lambda: factorize(-BIG)),
+    (RangeExceeded, lambda: is_prime(BIG)),
+    (RangeExceeded, lambda: dehnroots.de_construct(BIG, 3)),
+    (RangeExceeded, lambda: dehnroots.DataSet(BIG, 0, 1, 1, ((1, 3),))),
+    (RangeExceeded, lambda: dehnroots.DataSet(3, -BIG, 1, 1, ((1, 3),))),
+    (RangeExceeded, lambda: dehnroots.DataSet(3, 0, 1, 1, ((1, 3, BIG),))),
+    (RangeExceeded, lambda: dehnroots.fractional_datasets(2, 5, -BIG)),
+    (RangeExceeded, lambda: dehnroots.datasets(BIG, 3)),
+    (RangeExceeded, lambda: dehnroots.genus_set(3, BIG)),
+    (PreconditionViolated, lambda: bezout_avoiding_primes(3, 5, {BIG})),
+    (NotAUnit, lambda: mod_inverse(3 * BIG, 3)),
+]
+
+
+@pytest.mark.parametrize("error, call", HUGE_INTEGER_CALLS)
+def test_huge_integers_raise_the_typed_error(error, call):
+    # the message stands in for an integer with too many digits to print
+    with pytest.raises(error, match="-bit integer>|integer too long to print>"):
+        call()

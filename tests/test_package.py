@@ -7,8 +7,8 @@ from dehnroots import dataset, enumeration, fractional, numtheory, special_roots
 # to the package surface.
 PUBLIC_NAMES = """
 BezoutWitness ClassCapExceeded DataSet Factorization FractionalDataSet ModuliNotCoprime
-NotAUnit OracleRangeExceeded PairRow ParseError PreconditionViolated RangeExceeded RootClass
-RootTag TriangularSet ValidationReport Violation bezout_avoiding_primes classify cone_multisets
+NotAUnit OracleRangeExceeded PairRow ParseError PreconditionViolated RangeExceeded
+RootTag ValidationReport Violation bezout_avoiding_primes classify cone_multisets
 cone_weight coprime_divisor_pairs crt datasets de_construct de_root_genera de_roots divisors
 ext_gcd factorize format_dataset fractional_datasets gcd genus_set has_root is_prime mod_inverse
 ms_count ms_roots oracle_datasets pair_table parse_dataset primary_datasets root_degrees
