@@ -2,8 +2,9 @@
 
 ``datasets(g, n)`` lists every canonical data set of genus g and degree n,
 i.e. every conjugacy class of degree-n roots of the twist on the genus
-g+1 surface.  One search core, shared with ``has_root`` and the
-fractional candidates, runs over
+g+1 surface.  One search core, ``_search`` with the per-(genus, degree)
+class cap, serves ``datasets``, ``special_roots.pair_table`` and the
+fractional candidates; it runs over
 
   * the quotient genus g0 with g0*n <= g,
   * multisets of cone orders (divisors of n exceeding 1) whose weights
@@ -18,6 +19,9 @@ multiple of gcd(n, n/n_i, ...), so a partial sum not divisible by that
 gcd can never reach 0 mod n.  Both searches keep explicit stacks, so the
 number of cones is not bounded by the recursion limit.
 
+Existence (``has_root``, ``root_degrees``, ``genus_set``) is decided by the
+lcm rule in ``_root_genera``, without twist pairs or the residue search.
+
 ``oracle_datasets`` answers the same question by brute force over raw
 residue tuples; it is deliberately naive, range-guarded, and kept as an
 independent cross-check of the search above.
@@ -25,6 +29,7 @@ independent cross-check of the search above.
 
 import os
 from itertools import product
+from math import lcm
 
 from .dataset import DataSet, RangeExceeded, validate
 from .numtheory import _check_ceiling, divisors, gcd, mod_inverse
@@ -46,8 +51,8 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 4 s and
-# 200 MB; genus_set(3, 10**4) makes 10**4 has_root calls in about 40 s.
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 4 s and 200 MB;
+# genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 1.0-1.5 s (2-core VM).
 DATASETS_MAX_GENUS = 400
 GENUS_SET_MAX_GENUS = 10**4
 
@@ -183,18 +188,23 @@ def _cone_assignments(n, orders, target, unit_cones):
             pos[i] = j if i < m and orders[i] == orders[i - 1] else 0
 
 
-def _search(g, n, pairs):
-    """Yield canonical (g0, a, b, cones), one per data set of genus g and
-    degree n with (a, b) in ``pairs``.  The empty cone multiset is kept: for
-    power 1 it fails (IV), as a + b = a*b is a unit, but higher powers allow it.
+def _search(g, n, pairs, class_cap=None):
+    """Yield canonical (g0, a, b, cones), one per data set of genus g and degree
+    n with (a, b) in ``pairs``; raises ClassCapExceeded past ``class_cap``.
+    The empty cone multiset is kept: for power 1 it fails (IV), as
+    a + b = a*b is a unit, but higher powers allow it.
     """
-    if not pairs:
-        return
+    cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
+    count = 0
     unit_cones = {d: [(c, d) for c in range(1, d) if gcd(c, d) == 1] for d in divisors(n)}
     for g0 in range(g // n + 1):
         for orders in _order_multisets(n, 2 * (g - g0 * n)):
             for a, b in pairs:
                 for cones in _cone_assignments(n, orders, -(a + b), unit_cones):
+                    count += 1
+                    if count > cap:
+                        raise ClassCapExceeded("more than %d classes of genus %d, degree %d"
+                                               % (cap, g, n))
                     yield g0, a, b, cones
 
 
@@ -203,16 +213,33 @@ def _degree_occurs(g, n):
     return n % 2 == 1 and 3 <= n <= 2 * g + 1
 
 
-def _classes(g, n, class_cap=None):
-    """Yield the canonical (g0, a, b, cones) of every class of genus g and degree
-    n, or nothing if n cannot occur; raises ClassCapExceeded past ``class_cap``."""
-    if not _degree_occurs(g, n):
-        return
-    cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
-    for count, found in enumerate(_search(g, n, twist_pairs(n)), 1):
-        if count > cap:
-            raise ClassCapExceeded("more than %d classes of genus %d, degree %d" % (cap, g, n))
-        yield found
+def _root_genera(n, g_max):
+    """Bitset of the genera g <= g_max (bit g) with a degree-n root, for odd n >= 3.
+
+    The lcm rule: g = g0*n + sum (n/n_i)(n_i - 1)/2, g0 >= 0, for a nonempty
+    multiset of divisors n_i > 1 of n with lcm n.  Proof: twist pairs exist for
+    every odd n ((2, 2) is one), and a + b = a*b is a unit; by CRT, (IV) is
+    solvable mod each p^alpha || n iff some n_i is divisible by p^alpha, as a
+    cone with p^v || n_i adds p^(alpha - v) times any unit mod p^v, and for
+    odd p one or more units sum to every unit.  Computed as an unbounded
+    knapsack over divisors(n), one bitset per lcm reached so far; the divisor 1
+    is one more unit of g0 (weight n).  Each item is closed under repetition
+    by doubling shifts.
+    """
+    mask = (1 << (g_max + 1)) - 1
+    by_lcm = {1: 1}  # lcm of the cone orders so far -> bitset of their genera
+    for d in divisors(n):
+        weight = n if d == 1 else (n - n // d) // 2
+        grown = dict(by_lcm)
+        for reached, bits in by_lcm.items():
+            more, shift = (bits << weight) & mask, weight  # one or more d
+            while shift <= g_max:
+                more |= (more << shift) & mask
+                shift *= 2
+            key = lcm(reached, d)
+            grown[key] = grown.get(key, 0) | more
+        by_lcm = grown
+    return by_lcm[n]
 
 
 def datasets(g, n, class_cap=None):
@@ -223,9 +250,10 @@ def datasets(g, n, class_cap=None):
     not exceed DATASETS_MAX_GENUS.  Raises ClassCapExceeded, returning
     nothing, once more than ``class_cap`` classes appear (default 10**7).
     """
-    if _degree_occurs(g, n):
-        _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    return [DataSet(n, *found) for found in sorted(_classes(g, n, class_cap))]
+    if not _degree_occurs(g, n):
+        return []
+    _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
+    return [DataSet(n, *found) for found in sorted(_search(g, n, twist_pairs(n), class_cap))]
 
 
 def oracle_datasets(g, n):
@@ -273,15 +301,13 @@ def oracle_datasets(g, n):
 
 
 def has_root(g, n):
-    """True when the genus-(g+1) twist has a degree-n root (first witness wins)."""
-    return next(_classes(g, n), None) is not None
+    """True when the genus-(g+1) twist has a degree-n root, by the lcm rule."""
+    return _degree_occurs(g, n) and bool(_root_genera(n, g) >> g & 1)
 
 
 def root_degrees(g):
-    """All degrees of roots of the twist on the genus-(g+1) surface.
-
-    Only odd n in [3, 2g+1] can occur, so only those are scanned.
-    """
+    """The odd degrees n in [3, 2g+1] of roots of the twist on genus g+1 (g <= 10**4)."""
+    _check_ceiling(g, GENUS_SET_MAX_GENUS, "root_degrees is supported up to g")
     return [n for n in range(3, 2 * g + 2, 2) if has_root(g, n)]
 
 
@@ -291,7 +317,8 @@ def genus_set(n, g_max):
     if not _degree_occurs(g_max, n):
         return []
     _check_ceiling(g_max, GENUS_SET_MAX_GENUS, "genus_set is supported up to g")
-    return [g for g in range(g_max + 1) if has_root(g, n)]
+    bits = _root_genera(n, g_max)
+    return [g for g in range(g_max + 1) if bits >> g & 1]
 
 
 def primary_datasets(g, n, class_cap=None):

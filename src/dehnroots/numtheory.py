@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 __all__ = [
-    "Factorization",
     "BezoutWitness",
     "NotAUnit",
     "ModuliNotCoprime",
@@ -101,40 +100,11 @@ def mod_inverse(a, n):
 
 def is_prime(n):
     """Deterministic primality by factoring; n must not exceed FACTOR_LIMIT."""
-    return n >= 2 and factorize(n).factors == ((n, 1),)
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """A positive integer together with its prime factorization.
-
-    ``factors`` is a tuple of (prime, exponent) pairs with strictly
-    increasing primes; the empty tuple represents 1.
-    """
-
-    value: int
-    factors: tuple
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError("value must be positive, got %r" % (self.value,))
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if p <= prev:
-                raise ValueError("primes must be strictly increasing")
-            if e < 1:
-                raise ValueError("exponents must be positive")
-            prev = p
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError(
-                "factors %r reassemble to %d, not %d" % (self.factors, prod, self.value)
-            )
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def factorize(n):
-    """Factor n >= 1 by trial division.  n must not exceed FACTOR_LIMIT."""
+    """(prime, exponent) pairs of n in [1, FACTOR_LIMIT] by trial division, primes rising."""
     if n < 1:
         raise RangeExceeded("cannot factor %s" % _show(n))
     if n > FACTOR_LIMIT:
@@ -154,7 +124,7 @@ def factorize(n):
         p, step = p + step, (2 if p < 5 else 6 - step)
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def _divisors_from(factors):
@@ -167,7 +137,7 @@ def _divisors_from(factors):
 
 def divisors(n):
     """All positive divisors of n, strictly increasing."""
-    return _divisors_from(factorize(n).factors)
+    return _divisors_from(factorize(n))
 
 
 def coprime_divisor_pairs(n):
@@ -177,7 +147,7 @@ def coprime_divisor_pairs(n):
     The list includes (1, 1) and all (1, d) pairs, sorted lexicographically.
     """
     pairs = [(1, 1)]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         # each prime power of n goes whole to d1, to d2 or to neither
         powers = [p**k for k in range(1, e + 1)]
         pairs += [(d1 * q, d2) for d1, d2 in pairs for q in powers] + [

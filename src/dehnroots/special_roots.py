@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .dataset import DataSet
-from .enumeration import _classes, twist_pairs
+from .enumeration import DATASETS_MAX_GENUS, _search, twist_pairs
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
@@ -107,7 +107,7 @@ def ms_count(n):
     """
     _check_odd_degree(n)
     u = 1
-    for p, k in factorize(n).factors:
+    for p, k in factorize(n):
         u *= p ** (k - 1) * (p - 2)
     return (u + 1) // 2
 
@@ -205,7 +205,7 @@ def de_construct(d, e):
     _check_odd_degree(d, "d")
     _check_odd_degree(e, "e")
     n = lcm(d, e)
-    avoid = {p for p, _ in factorize(d * e).factors}
+    avoid = {p for p, _ in factorize(d * e)}
     witness = bezout_avoiding_primes(n // d, n // e, avoid)
     return DataSet(n, 0, 2, 2, ((-4 * witness.c1, d), (-4 * witness.c2, e)))
 
@@ -243,11 +243,12 @@ class PairRow:
 
 
 def pair_table(g_max, n_max, class_cap=None):
-    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max, n <= n_max."""
+    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max <= 400, n <= n_max."""
+    _check_ceiling(g_max, DATASETS_MAX_GENUS, "pair_table is supported up to g")
     rows = []
     for g in range(g_max + 1):
         for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
-            tags = sorted(_tag(n, g, *found).value for found in _classes(g, n, class_cap))
+            tags = sorted(_tag(n, g, *c).value for c in _search(g, n, twist_pairs(n), class_cap))
             if tags:
                 rows.append(PairRow(g, n, len(tags), tuple(tags)))
     return rows

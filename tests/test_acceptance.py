@@ -102,7 +102,9 @@ def test_criterion_06_oracle_equivalence():
     pairs = 0
     for n in range(3, 16, 2):
         for g in range(0, 11):
-            assert datasets(g, n) == oracle_datasets(g, n), (g, n)
+            expected = oracle_datasets(g, n)
+            assert datasets(g, n) == expected, (g, n)
+            assert has_root(g, n) == bool(expected), (g, n)
             pairs += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -11,7 +11,7 @@ import pytest
 
 from dehnroots import cli, special_roots
 from dehnroots.cli import main
-from dehnroots.dataset import format_dataset, parse_dataset
+from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset
 from dehnroots.special_roots import PairRow, pair_table
 
 
@@ -189,6 +189,15 @@ def test_pair_table_stable_region_is_full():
             assert (g, n) in keys, (g, n)
 
 
+def test_pair_table_genus_ceiling():
+    # the table lists the cells of datasets, so it stops at the same g <= 400, before any search
+    start = perf_counter()
+    with pytest.raises(RangeExceeded, match="^pair_table is supported up to g = 400, got 401$"):
+        pair_table(401, 3)
+    assert pair_table(400, 2) == []
+    assert perf_counter() - start < 1.0
+
+
 def test_exit_codes(monkeypatch):
     # usage errors
     assert main(["roots"]) == 2
@@ -234,6 +243,9 @@ def test_documented_ceilings_exit_promptly(capsys):
         ["roots", "--genus", "401"],
         ["roots", "--genus", "401", "--degree", "3"],
         ["genus-set", "--degree", "3", "--max-genus", "10001"],
+        ["root-set", "--genus", "10001"],
+        ["figure1", "--max-genus", "401", "--max-degree", "3",
+         "--output", "/nonexistent-dir/out.csv"],
     ):
         start = perf_counter()
         code, out, err = run_cli(capsys, *argv)

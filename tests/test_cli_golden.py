@@ -515,6 +515,21 @@ CASES = [
         '',
         "cannot write /nonexistent-dir/out.csv: [Errno 2] No such file or directory: '/nonexistent-dir/out.csv'\n",
     ),
+    # the genus ceilings stop a query before any search, and figure1 before its output
+    (
+        ['figure1', '--max-genus', '401', '--max-degree', '3', '--output', '/nonexistent-dir/out.csv'],
+        None,
+        2,
+        '',
+        'error: pair_table is supported up to g = 400, got 401\n',
+    ),
+    (
+        ['root-set', '--genus', '10001'],
+        None,
+        2,
+        '',
+        'error: root_degrees is supported up to g = 10000, got 10001\n',
+    ),
 ]
 
 FIGURE1 = [

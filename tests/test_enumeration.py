@@ -20,7 +20,7 @@ from dehnroots.enumeration import (
     root_degrees,
     twist_pairs,
 )
-from dehnroots.special_roots import ms_count, ms_roots, t_set
+from dehnroots.special_roots import ms_count, ms_roots, pair_table, t_set
 
 
 def test_cone_weight():
@@ -216,6 +216,43 @@ def test_genus_set_ceiling():
     for n in (4, 2, 1, -3, 2 * 10**12 + 3):
         assert genus_set(n, 10**12) == []
     assert perf_counter() - start < 1.0
+
+
+def test_existence_at_the_ceiling_answers_quickly():
+    # at the ceiling, for a composite n with many divisors and a large semiprime too
+    for n, count in ((3, 10**4), (3465, 4252), (10001, 5)):
+        start = perf_counter()
+        assert len(genus_set(n, GENUS_SET_MAX_GENUS)) == count
+        assert perf_counter() - start < 1.0, n
+    start = perf_counter()
+    degrees = root_degrees(GENUS_SET_MAX_GENUS)
+    assert perf_counter() - start < 10.0
+    assert degrees[:3] == [3, 5, 7] and degrees[-1] == 2 * GENUS_SET_MAX_GENUS + 1
+    message = "^root_degrees is supported up to g = 10000, got 10001$"
+    with pytest.raises(RangeExceeded, match=message):
+        root_degrees(GENUS_SET_MAX_GENUS + 1)
+
+
+def test_has_root_matches_the_residue_search():
+    # the lcm rule shares no code with the search that lists pair_table's rows
+    rows = {(row.genus, row.degree) for row in pair_table(36, 73)}
+    for g in range(37):
+        for n in range(1, 74, 2):
+            assert has_root(g, n) == ((g, n) in rows), (g, n)
+
+
+def test_abstract_bound_is_sharp_exactly_at_primes():
+    # every g >= b = (n-2)(n-1)/2 has a degree-n root; b - 1 has none iff n is prime,
+    # and for prime n the genera without a root are exactly T(n)
+    for n in range(3, 142, 2):
+        b = (n - 2) * (n - 1) // 2
+        g_max = min(GENUS_SET_MAX_GENUS, b + 2 * n)
+        got = set(genus_set(n, g_max))
+        assert set(range(b, g_max + 1)) <= got, n
+        prime = all(n % d for d in range(3, n, 2))
+        assert (b - 1 not in got) == prime, n
+        if prime:
+            assert got == set(range(1, g_max + 1)) - set(t_set(n)), n
 
 
 def test_genus_set_contains_triangular_complement():

@@ -6,7 +6,7 @@ from dehnroots import dataset, enumeration, fractional, numtheory, special_roots
 # Pinned, so that a change to any module's __all__ shows up here as a change
 # to the package surface.
 PUBLIC_NAMES = """
-BezoutWitness ClassCapExceeded DataSet Factorization FractionalDataSet ModuliNotCoprime
+BezoutWitness ClassCapExceeded DataSet FractionalDataSet ModuliNotCoprime
 NotAUnit OracleRangeExceeded PairRow ParseError PreconditionViolated RangeExceeded
 RootTag ValidationReport Violation bezout_avoiding_primes classify cone_multisets
 cone_weight coprime_divisor_pairs crt datasets de_construct de_root_genera de_roots divisors
