@@ -11,13 +11,13 @@ fractional candidates; it runs over
     (n/n_i)(n_i - 1)/2 sum to g - g0*n,
   * the twist pairs: units a <= b with a + b = l*a*b mod n (l = 1 for
     ordinary roots), solved as b = a*(l*a - 1)^-1 by ``twist_pairs``,
-  * cone residues, generated nondecreasing within runs of equal order so
+  * cone residues, one multiset of units per run of equal cone order, so
     each class appears exactly once.
 
-Residue assignment is pruned on suffix gcds: positions i.. contribute a
-multiple of gcd(n, n/n_i, ...), so a partial sum not divisible by that
-gcd can never reach 0 mod n.  Both searches keep explicit stacks, so the
-number of cones is not bounded by the recursion limit.
+The last residue is solved from (IV).  At each run boundary the runs after
+it add a multiple of gcd(n, n/n_i, ...), so a remainder that is not one is
+dropped.  The residue search recurses once per run, at most 11 deep for odd
+n <= 801; the cone-order multisets keep an explicit stack.
 
 Existence (``has_root``, ``root_degrees``, ``genus_set``) is decided by the
 lcm rule in ``_root_genera``, without twist pairs or the residue search.
@@ -28,11 +28,11 @@ independent cross-check of the search above.
 """
 
 import os
-from itertools import product
+from itertools import combinations_with_replacement, groupby, product
 from math import lcm
 
 from .dataset import DataSet, RangeExceeded, validate
-from .numtheory import _check_ceiling, divisors, gcd, mod_inverse
+from .numtheory import _check_ceiling, _show, divisors, gcd, mod_inverse
 
 __all__ = [
     "ClassCapExceeded",
@@ -51,7 +51,7 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 4 s and 200 MB;
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 2.5 s and 202 MB;
 # genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 1.0-1.5 s (2-core VM).
 DATASETS_MAX_GENUS = 400
 GENUS_SET_MAX_GENUS = 10**4
@@ -84,7 +84,10 @@ def class_cap_from_env():
 
 
 def cone_weight(n, order):
-    """Genus contribution (n/order)(order - 1)/2 of one cone of the given order."""
+    """Genus contribution (n/order)(order - 1)/2 of a cone whose order divides n."""
+    if order < 2 or n % order:
+        raise RangeExceeded("cone order must be a divisor >= 2 of %s, got %s"
+                            % (_show(n), _show(order)))
     twice = (n // order) * (order - 1)
     if twice % 2:
         raise ValueError("order %d has non-integral weight in degree %d" % (order, n))
@@ -149,43 +152,31 @@ def twist_pairs(n, power=1):
     return pairs
 
 
-def _cone_assignments(n, orders, target, unit_cones):
-    """Yield the cone tuples ((c_1, n_1), ..., (c_m, n_m)) for the sorted
-    cone orders with sum (n/n_i)*c_i = target mod n, residues nondecreasing
-    within runs of equal order; ``unit_cones[order]`` lists the unit cones.
-
-    Position i tries ``choices[i][pos[i]]`` with ``need[i]`` still owed;
-    positions i.. contribute a multiple of suffix[i].
-    """
-    m = len(orders)
-    steps = [n // order for order in orders]
-    suffix = [n] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = gcd(suffix[i + 1], steps[i])
-    need = [target % n] + [0] * m
-    if need[0] % suffix[0]:
+def _cone_assignments(n, runs, target, unit_cones):
+    """Yield the cone tuples ((c_1, n_1), ...) for the cone-order runs [(order,
+    count), ...] with sum (n/n_i)*c_i = target mod n.  Each run takes one multiset
+    of the shared ``unit_cones[order]`` pairs; the last run takes count - 1 and
+    solves the last residue, kept if a unit not below the one before it."""
+    if not runs:  # no cones: (IV) reads a + b = 0
+        if target % n == 0:
+            yield ()
         return
-    choices = [unit_cones[order] for order in orders]
-    acc = [None] * m
-    pos = [0] * (m + 1)
-    i = 0
-    while i >= 0:
-        if i == m:
-            yield tuple(acc)
-            i -= 1
-            continue
-        j = pos[i]
-        if j == len(choices[i]):
-            i -= 1
-            continue
-        pos[i] = j + 1
-        cone = choices[i][j]
-        rest = (need[i] - steps[i] * cone[0]) % n
-        if rest % suffix[i + 1] == 0:
-            acc[i] = cone
-            i += 1
-            need[i] = rest
-            pos[i] = j if i < m and orders[i] == orders[i - 1] else 0
+    order, count = runs[0]
+    step = n // order
+    cones = unit_cones[order]
+    if len(runs) == 1:
+        for combo in combinations_with_replacement(cones.values(), count - 1):
+            need = (target - step * sum(c for c, _ in combo)) % n
+            last = cones.get(need // step)
+            if last and need % step == 0 and (not combo or combo[-1] <= last):
+                yield combo + (last,)
+        return
+    later = gcd(n, *(n // o for o, _ in runs[1:]))
+    for combo in combinations_with_replacement(cones.values(), count):
+        need = (target - step * sum(c for c, _ in combo)) % n
+        if need % later == 0:
+            for rest in _cone_assignments(n, runs[1:], need, unit_cones):
+                yield combo + rest
 
 
 def _search(g, n, pairs, class_cap=None):
@@ -196,11 +187,12 @@ def _search(g, n, pairs, class_cap=None):
     """
     cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
     count = 0
-    unit_cones = {d: [(c, d) for c in range(1, d) if gcd(c, d) == 1] for d in divisors(n)}
+    unit_cones = {d: {c: (c, d) for c in range(1, d) if gcd(c, d) == 1} for d in divisors(n)}
     for g0 in range(g // n + 1):
         for orders in _order_multisets(n, 2 * (g - g0 * n)):
+            runs = [(order, len(list(same))) for order, same in groupby(orders)]
             for a, b in pairs:
-                for cones in _cone_assignments(n, orders, -(a + b), unit_cones):
+                for cones in _cone_assignments(n, runs, -(a + b), unit_cones):
                     count += 1
                     if count > cap:
                         raise ClassCapExceeded("more than %d classes of genus %d, degree %d"
@@ -301,8 +293,14 @@ def oracle_datasets(g, n):
 
 
 def has_root(g, n):
-    """True when the genus-(g+1) twist has a degree-n root, by the lcm rule."""
-    return _degree_occurs(g, n) and bool(_root_genera(n, g) >> g & 1)
+    """True when the genus-(g+1) twist has a degree-n root, by the lcm rule; at once
+    if g >= (n-2)(n-1)/2 (the abstract's bound), else g must be <= 10**4."""
+    if not _degree_occurs(g, n):
+        return False
+    if 2 * g >= (n - 2) * (n - 1):
+        return True
+    _check_ceiling(g, GENUS_SET_MAX_GENUS, "has_root is supported up to g")
+    return bool(_root_genera(n, g) >> g & 1)
 
 
 def root_degrees(g):

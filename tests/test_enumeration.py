@@ -27,6 +27,9 @@ def test_cone_weight():
     assert cone_weight(9, 3) == 3
     assert cone_weight(9, 9) == 4
     assert cone_weight(3, 3) == 1
+    for n, order in ((9, 4), (15, 7), (9, -3), (9, 0)):  # orders that do not divide n
+        with pytest.raises(RangeExceeded, match="^cone order must be a divisor >= 2 of"):
+            cone_weight(n, order)
 
 
 def test_cone_multisets_examples():
@@ -231,6 +234,75 @@ def test_existence_at_the_ceiling_answers_quickly():
     message = "^root_degrees is supported up to g = 10000, got 10001$"
     with pytest.raises(RangeExceeded, match=message):
         root_degrees(GENUS_SET_MAX_GENUS + 1)
+
+
+def test_has_root_past_the_abstract_bound_and_at_its_ceiling():
+    start = perf_counter()
+    assert has_root(10**10, 3) is True  # g >= (n-2)(n-1)/2 answers without a bitset
+    assert perf_counter() - start < 1.0
+    assert has_root(GENUS_SET_MAX_GENUS, 2 * GENUS_SET_MAX_GENUS + 1) is True
+    with pytest.raises(RangeExceeded, match="^has_root is supported up to g = 10000, got 10001$"):
+        has_root(GENUS_SET_MAX_GENUS + 1, 2 * GENUS_SET_MAX_GENUS + 3)
+
+
+def _units(d):
+    return [u for u in range(1, d) if gcd(u, d) == 1]
+
+
+def _order_counts(divs, twice):
+    """Each list [(order, count), ...], one count per (order, doubled weight) in
+    divs, whose doubled weights sum to twice."""
+    if not divs:
+        if twice == 0:
+            yield []
+        return
+    (order, weight), rest = divs[0], divs[1:]
+    for count in range(twice // weight + 1):
+        for tail in _order_counts(rest, twice - count * weight):
+            yield [(order, count)] + tail
+
+
+def _multisets_by_sum(d, k):
+    """How many size-k multisets of units of Z/d have each residue sum mod d."""
+    table = [[1] + [0] * (d - 1)] + [[0] * d for _ in range(k)]  # table[size][sum]
+    for u in _units(d):
+        for size in range(1, k + 1):  # ascending sizes, so u may repeat
+            for r in range(d):
+                table[size][(r + u) % d] += table[size - 1][r]
+    return table[k]
+
+
+def _independent_count(g, n):
+    """The number of classes of genus g and degree n, counted by residue sums."""
+    wanted = [0] * n  # twist pairs a <= b by -(a + b) mod n, from a brute-force scan
+    for a in _units(n):
+        for b in _units(n):
+            if a <= b and (a + b - a * b) % n == 0:
+                wanted[-(a + b) % n] += 1
+    divs = [(d, n - n // d) for d in range(2, n + 1) if n % d == 0]
+    total = 0
+    for g0 in range(g // n + 1):
+        for runs in _order_counts(divs, 2 * (g - g0 * n)):
+            sums = [1] + [0] * (n - 1)  # cone assignments by sum (n/n_i)*c_i mod n
+            for d, k in runs:
+                grown = [0] * n
+                for s, ways in enumerate(_multisets_by_sum(d, k)):
+                    for r in range(n):
+                        grown[(r + n // d * s) % n] += sums[r] * ways
+                sums = grown
+            total += sum(w * c for w, c in zip(wanted, sums))
+    return total
+
+
+def test_listing_matches_an_independent_count_past_the_oracle():
+    # distinct, valid classes of genus g, as many as the count: the listing is exact
+    for g in range(13, 31):
+        for n in range(3, 2 * g + 2, 2):
+            classes = datasets(g, n)
+            assert len(classes) == _independent_count(g, n), (g, n)
+            assert len(set(classes)) == len(classes), (g, n)
+            for ds in classes:
+                assert validate(ds).valid and ds.genus == g, ds
 
 
 def test_has_root_matches_the_residue_search():

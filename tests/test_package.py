@@ -1,4 +1,6 @@
+import doctest
 import sys
+from pathlib import Path
 
 import dehnroots
 from dehnroots import dataset, enumeration, fractional, numtheory, special_roots
@@ -26,3 +28,10 @@ def test_package_surface():
         defining = sys.modules[value.__module__]
         assert getattr(defining, name) is value, name
     assert not hasattr(dataset, "equivalent")
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False,
+                              optionflags=doctest.NORMALIZE_WHITESPACE)
+    assert (result.failed, result.attempted) == (0, 4)
