@@ -13,7 +13,7 @@ and ``validate`` checks them in the power-l form of (III).
 """
 
 from .dataset import FractionalDataSet, RangeExceeded
-from .enumeration import _search, twist_pairs
+from .enumeration import _check_class_cap, _search, _shape_counts, twist_pairs
 from .numtheory import _show
 
 __all__ = ["fractional_datasets"]
@@ -37,9 +37,6 @@ def fractional_datasets(g, n, power):
         )
     if power < 1:
         raise RangeExceeded("power must be >= 1, got %s" % _show(power))
-    found = [
-        FractionalDataSet(n, g0, a, b, cones, power)
-        for g0, a, b, cones in _search(g, n, twist_pairs(n, power))
-    ]
-    found.sort()
-    return found
+    _check_class_cap(g, n, sum(count for *_, count in _shape_counts(g, n, power)))
+    pairs = twist_pairs(n, power)
+    return sorted(FractionalDataSet(n, *found, power) for found in _search(g, n, pairs))

@@ -23,17 +23,22 @@ to genus 10**6 by factoring a window of candidates.
 
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
-the genus-4 surface).  ``pair_table`` tags every class of a (genus,
-degree) range this way, straight from the search core's tuples without
-building a data set; it is the table behind the paper's pair plot.
+the genus-4 surface).  A tag depends only on the cone-order shape of a
+class, except for that cube root, so ``class_count`` counts the classes
+of one (genus, degree) per tag from ``enumeration._shape_counts`` without
+listing any.  ``pair_table``, the table behind the paper's pair plot,
+reads those counts, checks each cell against the class cap and only then
+spells out its tag multiset; it never runs the residue search.
 """
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .dataset import DataSet
-from .enumeration import DATASETS_MAX_GENUS, _search, twist_pairs
+from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _shape_counts,
+                          twist_pairs)
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
@@ -56,6 +61,7 @@ __all__ = [
     "de_roots",
     "de_construct",
     "classify",
+    "class_count",
     "pair_table",
 ]
 
@@ -242,13 +248,32 @@ class PairRow:
     tags: tuple  # one tag per class, sorted
 
 
+def class_count(g, n):
+    """{RootTag: number of classes} of genus g <= 400 and degree n, nonzero entries
+    only, counted per cone-order shape without building a class."""
+    if not _degree_occurs(g, n):
+        return {}
+    _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
+    counts = Counter()
+    for g0, orders, count in _shape_counts(g, n):
+        counts[_tag(n, g, g0, 0, 0, tuple((0, order) for order in orders))] += count
+    if (g, n) == (3, 3):  # the one cell whose tags read the residues: one class is the cube
+        counts[RootTag.PRIMARY] -= 1
+        counts[RootTag.CUBE_OF_T4] += 1
+    return {tag: count for tag, count in counts.items() if count}
+
+
 def pair_table(g_max, n_max, class_cap=None):
-    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max <= 400, n <= n_max."""
+    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max <= 400, n <= n_max;
+    each cell's count is checked against the class cap before its tags are spelled out."""
     _check_ceiling(g_max, DATASETS_MAX_GENUS, "pair_table is supported up to g")
     rows = []
     for g in range(g_max + 1):
         for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
-            tags = sorted(_tag(n, g, *c).value for c in _search(g, n, twist_pairs(n), class_cap))
-            if tags:
-                rows.append(PairRow(g, n, len(tags), tuple(tags)))
+            counts = class_count(g, n)
+            total = sum(counts.values())
+            _check_class_cap(g, n, total, class_cap)
+            if total:
+                tags = tuple(tag.value for tag in sorted(counts) for _ in range(counts[tag]))
+                rows.append(PairRow(g, n, total, tags))
     return rows

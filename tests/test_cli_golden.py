@@ -530,6 +530,14 @@ CASES = [
         '',
         'error: root_degrees is supported up to g = 10000, got 10001\n',
     ),
+    # the cap is checked on the count, so a cell of 7.99e12 classes stops at once
+    (
+        ['roots', '--genus', '400', '--degree', '15'],
+        None,
+        3,
+        '',
+        'class cap exceeded: more than 10000000 classes of genus 400, degree 15\n',
+    ),
 ]
 
 FIGURE1 = [

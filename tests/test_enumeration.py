@@ -20,7 +20,7 @@ from dehnroots.enumeration import (
     root_degrees,
     twist_pairs,
 )
-from dehnroots.special_roots import ms_count, ms_roots, pair_table, t_set
+from dehnroots.special_roots import class_count, ms_count, ms_roots, pair_table, t_set
 
 
 def test_cone_weight():
@@ -245,6 +245,32 @@ def test_has_root_past_the_abstract_bound_and_at_its_ceiling():
         has_root(GENUS_SET_MAX_GENUS + 1, 2 * GENUS_SET_MAX_GENUS + 3)
 
 
+def test_class_cap_is_checked_on_the_count_before_listing():
+    # 7,992,576,330,344 classes: listing them would exhaust memory before the cap tripped
+    start = perf_counter()
+    message = "^more than 10000000 classes of genus 400, degree 15$"
+    with pytest.raises(ClassCapExceeded, match=message):
+        datasets(400, 15)
+    assert perf_counter() - start < 2.0
+    assert sum(class_count(400, 15).values()) == 7992576330344
+
+
+def test_class_count_is_nonempty_exactly_where_a_root_exists():
+    # the count and the lcm rule share no code
+    for g in range(101):
+        for n in range(3, 2 * g + 2, 2):
+            counts = class_count(g, n)
+            assert bool(counts) == has_root(g, n), (g, n)
+            assert all(counts.values()), (g, n)
+
+
+def test_class_count_grows_under_stabilization():
+    # adding a handle to the quotient (g0 + 1) maps the classes of (g, n) into (g + n, n)
+    for n in range(3, 34, 2):
+        for g in range(61):
+            assert sum(class_count(g + n, n).values()) >= sum(class_count(g, n).values()), (g, n)
+
+
 def _units(d):
     return [u for u in range(1, d) if gcd(u, d) == 1]
 
@@ -300,13 +326,14 @@ def test_listing_matches_an_independent_count_past_the_oracle():
         for n in range(3, 2 * g + 2, 2):
             classes = datasets(g, n)
             assert len(classes) == _independent_count(g, n), (g, n)
+            assert sum(class_count(g, n).values()) == len(classes), (g, n)
             assert len(set(classes)) == len(classes), (g, n)
             for ds in classes:
                 assert validate(ds).valid and ds.genus == g, ds
 
 
 def test_has_root_matches_the_residue_search():
-    # the lcm rule shares no code with the search that lists pair_table's rows
+    # the lcm rule shares no code with the count behind pair_table's rows
     rows = {(row.genus, row.degree) for row in pair_table(36, 73)}
     for g in range(37):
         for n in range(1, 74, 2):

@@ -10,7 +10,7 @@ from dehnroots import dataset, enumeration, fractional, numtheory, special_roots
 PUBLIC_NAMES = """
 BezoutWitness ClassCapExceeded DataSet FractionalDataSet ModuliNotCoprime
 NotAUnit OracleRangeExceeded PairRow ParseError PreconditionViolated RangeExceeded
-RootTag ValidationReport Violation bezout_avoiding_primes classify cone_multisets
+RootTag ValidationReport Violation bezout_avoiding_primes class_count classify cone_multisets
 cone_weight coprime_divisor_pairs crt datasets de_construct de_root_genera de_roots divisors
 ext_gcd factorize format_dataset fractional_datasets gcd genus_set has_root is_prime mod_inverse
 ms_count ms_roots oracle_datasets pair_table parse_dataset primary_datasets root_degrees

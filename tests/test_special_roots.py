@@ -9,6 +9,7 @@ from dehnroots.special_roots import (
     MS_ROOTS_MAX_GENUS,
     T_SET_MAX_DEGREE,
     RootTag,
+    class_count,
     classify,
     de_construct,
     de_root_genera,
@@ -229,3 +230,30 @@ def test_empty_band_between_de_roots_and_maximal():
             if 5 * n >= 6 * (g + 2):
                 assert datasets(g, n) == [], (g, n)
             n += 2
+
+
+def test_class_count_examples_and_ceiling():
+    assert class_count(3, 3) == {RootTag.CUBE_OF_T4: 1}
+    assert class_count(7, 9) == {RootTag.DE_ROOT: 4}
+    assert class_count(2, 3) == {RootTag.DE_ROOT: 1}
+    assert class_count(13, 9) == {RootTag.OTHER: 8, RootTag.PRIMARY: 2}
+    assert class_count(10, 4) == {} and class_count(0, 3) == {} and class_count(401, 805) == {}
+    with pytest.raises(RangeExceeded, match="^class_count is supported up to g = 400, got 401$"):
+        class_count(401, 3)
+
+
+def test_class_count_of_large_degree_is_ms_de_or_the_cube():
+    # every class of degree n >= g is maximal, a (d,e)-root or the cube root at genus 3,
+    # and 6(g+2)/5 <= n <= 2g holds none
+    allowed = {RootTag.MARGALIT_SCHLEIMER, RootTag.DE_ROOT, RootTag.CUBE_OF_T4}
+    for g in range(1, 301):
+        for n in range(max(3, g | 1), 2 * g + 2, 2):
+            counts = class_count(g, n)
+            assert set(counts) <= allowed and all(counts.values()), (g, n, counts)
+            if 5 * n >= 6 * (g + 2) and n <= 2 * g:
+                assert counts == {}, (g, n)
+
+
+def test_class_count_at_maximal_degree_is_ms_count():
+    for g in range(1, 201):
+        assert class_count(g, 2 * g + 1) == {RootTag.MARGALIT_SCHLEIMER: ms_count(2 * g + 1)}, g
