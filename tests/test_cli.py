@@ -298,6 +298,22 @@ def test_bench_hooks_resolve():
     assert callable(cli.build_parser) and cli.build_parser().prog == "dehn-roots"
 
 
+def test_bench_smoke_passes():
+    # the benchmark's own smoke test drives the CLI and the tracer hooks; a change
+    # under src/ that breaks a workload's answer check or a hook fails it
+    repo = Path(__file__).resolve().parent.parent
+    package_root = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "bench" / "smoke.py")],
+        cwd=repo,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_class_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "1")
     code, _, err = run_cli(capsys, "roots", "--genus", "10", "--degree", "21")

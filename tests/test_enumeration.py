@@ -9,6 +9,7 @@ from dehnroots.enumeration import (
     GENUS_SET_MAX_GENUS,
     ClassCapExceeded,
     OracleRangeExceeded,
+    _root_genera,
     class_cap_from_env,
     cone_multisets,
     cone_weight,
@@ -352,6 +353,23 @@ def test_abstract_bound_is_sharp_exactly_at_primes():
         assert (b - 1 not in got) == prime, n
         if prime:
             assert got == set(range(1, g_max + 1)) - set(t_set(n)), n
+
+
+def test_abstract_bound_is_sharp_past_the_genus_set_ceiling():
+    # the invariants above for odd 141 < n <= 401, where b + 2n is past genus_set's
+    # ceiling: read the lcm-rule bitset directly, bit g at index g of the string
+    for n in range(143, 402, 2):
+        b = (n - 2) * (n - 1) // 2
+        length = b + 2 * n + 1
+        bits = format(_root_genera(n, length - 1), "b").zfill(length)[::-1]
+        assert len(bits) == length and bits[b:] == "1" * (2 * n + 1), n
+        prime = all(n % d for d in range(3, n, 2))
+        assert (bits[b - 1] == "0") == prime, n
+        if prime:
+            expected = bytearray(b"1") * length
+            for t in t_set(n):
+                expected[t] = ord("0")
+            assert bits == expected.decode(), n
 
 
 def test_genus_set_contains_triangular_complement():

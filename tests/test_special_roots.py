@@ -133,7 +133,9 @@ def test_de_roots_examples():
 
 
 def test_de_roots_consistent_with_genera():
-    for g in range(1, 200):
+    # de_root_genera goes through coprime_divisor_pairs, not the genus equation
+    # that de_roots solves; the three large genera cross-check the two at scale
+    for g in (*range(1, 200), 10**4, 99_999, 10**5):
         for n in de_roots(g):
             assert g in de_root_genera(n)
         # and conversely within the window
@@ -142,6 +144,18 @@ def test_de_roots_consistent_with_genera():
             n for n in range(lo | 1, hi + 1, 2) if n % 2 and g in de_root_genera(n)
         ]
         assert de_roots(g) == expected
+
+
+def test_de_roots_are_the_de_root_cells_of_the_count():
+    # de_roots(g) is the count restricted to g0 = 0 and two cones: the odd n whose
+    # class_count(g, n) has a DE_ROOT entry.  For g <= 120 every odd n <= 2g is
+    # checked, which also tests the window g+1 <= n <= 6(g + 3/2)/5; past that
+    # only the window g+1 <= n < 6(g+2)/5
+    for g in range(1, 401):
+        window = range(g + 1 | 1, (6 * (g + 2) - 1) // 5 + 1, 2)
+        degrees = range(3, 2 * g + 1, 2) if g <= 120 else window
+        tagged = [n for n in degrees if RootTag.DE_ROOT in class_count(g, n)]
+        assert de_roots(g) == tagged, g
 
 
 def test_de_roots_subset_of_root_degrees():
