@@ -3,13 +3,16 @@
 Each row of ``COMMANDS`` is a subcommand: name, help text, arguments (name
 or flag and ``add_argument`` keywords), the library query run on the parsed
 arguments, and the printer for the query's output shape.  ``build_parser``
-adds one subparser per row; ``main`` runs the query, then the printer.
+adds one subparser per row, and ``main`` parses with one such parser built
+once per process, then runs the query and the printer.
 Queries call the library through module attributes looked up at call time
 (``special_roots.de_roots``), so a wrapper set on one sees every call.
 
 Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
 empty ``[  ]``) and class lists one data set per line; ``--format json``
 switches every query except ``figure1``, which writes the pair table as CSV.
+Multi-line JSON comes from ``_indented``, which writes the bytes of
+``json.dumps(value, indent=2)`` in one pass.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 4 output I/O failure.  DEHN_ROOTS_CLASS_CAP overrides the enumeration cap.
@@ -18,6 +21,8 @@ ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 import argparse
 import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import enumeration, fractional, numtheory, special_roots
 from .dataset import ParseError, RangeExceeded, format_dataset, parse_dataset, validate
@@ -30,6 +35,25 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_IO = 4
+
+
+def _indented(value, indent="\n"):
+    """``json.dumps(value, indent=2)`` for a value built of dicts with string keys,
+    lists, tuples, ints, bools, None and strings.  With ``indent`` set, ``json`` runs
+    its pure-Python encoder, which takes about twice as long.  Ints, the commonest
+    leaves, go first."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value)  # a bool, None, [] or {}
 
 
 def _dataset_json(ds, **extra):
@@ -51,10 +75,9 @@ def _print_int_list(values, args):
 
 def _print_classes(classes, args):
     if args.format == "json":
-        print(json.dumps([_tagged_json(ds) for ds in classes], indent=2))
+        print(_indented([_tagged_json(ds) for ds in classes]))
     else:
-        for ds in classes:
-            print(format_dataset(ds))
+        sys.stdout.write("".join([format_dataset(ds) + "\n" for ds in classes]))
 
 
 def _print_count(count, args):
@@ -62,14 +85,14 @@ def _print_count(count, args):
 
 
 def _print_dataset(ds, args):
-    print(json.dumps(_tagged_json(ds), indent=2) if args.format == "json" else format_dataset(ds))
+    print(_indented(_tagged_json(ds)) if args.format == "json" else format_dataset(ds))
 
 
 def _print_candidates(candidates, args):
     if args.format == "json":  # candidates are not classified: no tag
         docs = [_dataset_json(ds, power=ds.power, power_shares_factor=ds.power_shares_factor)
                 for ds in candidates]
-        print(json.dumps(docs, indent=2))
+        print(_indented(docs))
     else:
         for ds in candidates:
             caveat = "yes" if ds.power_shares_factor else "no"
@@ -88,7 +111,7 @@ def _print_report(checked, args):
         doc = {"valid": report.valid, "violations": violations}
         if report.valid:
             doc.update(genus=ds.genus, degree=ds.degree)
-        print(json.dumps(doc, indent=2))
+        print(_indented(doc))
     elif report.valid:
         print("valid; genus %d; degree %d" % (ds.genus, ds.degree))
     else:
@@ -187,10 +210,15 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser ``main`` uses, built on the first call; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

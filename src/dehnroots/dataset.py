@@ -70,7 +70,10 @@ class DataSet:
     are sorted by (order, residue).  Construction enforces only ranges
     (degree >= 2, orders >= 2, quotient_genus >= 0); the arithmetic
     conditions are ``validate``'s job, so invalid candidates can be built
-    and inspected.
+    and inspected.  ``_canonical`` is the one path that skips the range
+    checks and the reduction; only ``enumeration.datasets`` and
+    ``special_roots.ms_roots`` may call it, with tuples they build in
+    canonical form.
     """
 
     degree: int
@@ -113,6 +116,16 @@ class DataSet:
 
     def __str__(self):
         return format_dataset(self)
+
+
+def _canonical(degree, g0, a, b, cones, cls=DataSet):
+    """The DataSet (degree, g0, (a,b); cones) of a tuple already in canonical form
+    (in range, a <= b reduced mod degree, cones reduced and sorted), unchecked.
+    ``cls`` is bound here, so a wrapper set later on the name ``DataSet`` is not
+    called; the cone pairs are kept as given, so shared pairs stay shared."""
+    ds = object.__new__(cls)
+    ds.__dict__.update(degree=degree, quotient_genus=g0, a=a, b=b, cones=cones)
+    return ds
 
 
 @dataclass(frozen=True, order=True)

@@ -40,7 +40,7 @@ from functools import cache
 from itertools import combinations_with_replacement, groupby, product
 from math import lcm
 
-from .dataset import DataSet, RangeExceeded, validate
+from .dataset import DataSet, RangeExceeded, _canonical, validate
 from .numtheory import _check_ceiling, _show, divisors, factorize, gcd, mod_inverse
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 2.5 s and 202 MB;
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 0.5 s and 37 MB;
 # genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 1.0-1.5 s (2-core VM).
 DATASETS_MAX_GENUS = 400
 GENUS_SET_MAX_GENUS = 10**4
@@ -316,7 +316,7 @@ def datasets(g, n, class_cap=None):
         return []
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
     _check_class_cap(g, n, sum(count for *_, count in _shape_counts(g, n)), class_cap)
-    return [DataSet(n, *found) for found in sorted(_search(g, n, twist_pairs(n)))]
+    return [_canonical(n, *found) for found in sorted(_search(g, n, twist_pairs(n)))]
 
 
 def oracle_datasets(g, n):

@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
-from .dataset import DataSet
+from .dataset import DataSet, _canonical
 from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _shape_counts,
                           twist_pairs)
 from .numtheory import (
@@ -104,7 +104,7 @@ def ms_roots(g):
         return []
     _check_ceiling(g, MS_ROOTS_MAX_GENUS, "ms_roots is supported up to g")
     n = 2 * g + 1
-    return [DataSet(n, 0, a, b, ((-(a + b), n),)) for a, b in twist_pairs(n)]
+    return [_canonical(n, 0, a, b, ((-(a + b) % n, n),)) for a, b in twist_pairs(n)]
 
 
 def ms_count(n):

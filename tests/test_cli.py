@@ -65,6 +65,32 @@ def test_roots_json_schema(capsys):
         assert all(doc["tag"] for doc in docs)
 
 
+def test_indented_is_json_dumps(capsys):
+    # every multi-line JSON printer writes the bytes json.dumps(doc, indent=2) would
+    argvs = [["roots", "--genus", str(g), "--format", "json"] for g in range(13)]
+    argvs += [
+        ["ms-roots", "--genus", "10", "--format", "json"],
+        ["fractional", "--genus", "1", "--degree", "4", "--power", "2", "--format", "json"],
+        ["fractional", "--genus", "2", "--degree", "5", "--power", "2", "--format", "json"],
+        ["validate", "(9, 0, (2,2); (2,9),(1,3))", "--format", "json"],
+        ["validate", "(4, 0, (1,1); (1,2))", "--format", "json"],
+        ["de-construct", "--d", "7", "--e", "9", "--format", "json"],
+    ]
+    docs = []
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        docs.append(json.loads(out))
+        assert out == json.dumps(docs[-1], indent=2) + "\n"
+    assert {doc["power_shares_factor"] for doc in docs[14] + docs[15]} == {True, False}
+    assert [doc["valid"] for doc in docs[16:18]] == [True, False]
+    edges = [[], {}, [[]], [{}], {"k": []}, {"k": {}}, [[], [[], {}]], True, False, None,
+             0, -7, 10**40, "", 'quote " and backslash \\', "n\u00e4ive \u2203 \U0001f600\t\n",
+             {"\u00e9\"\\": [None, True, "x"]}, (1, ((), [2]))]
+    for value in docs + edges:
+        assert cli._indented(value) == json.dumps(value, indent=2)
+
+
 def test_round_trip_of_printed_datasets(capsys):
     for argv in (
         ["roots", "--genus", "7", "--degree", "9"],
@@ -263,6 +289,17 @@ def test_documented_ceilings_exit_promptly(capsys):
     code, out, _ = run_cli(capsys, "genus-set", "--degree", "4", "--max-genus", "1000000000000")
     assert (code, out) == (0, "[  ]\n")
     assert perf_counter() - start < 1.0
+
+
+def test_cached_parser_acts_as_a_fresh_one(capsys, monkeypatch):
+    # main reuses one parser per process; an argparse error must leave nothing behind
+    sequence = (["roots", "--genus", "x"], ["roots", "--genus", "2"], ["no-such-command"],
+                ["ms-count", "--degree", "21"], ["--help"], ["fractional", "--genus", "1"])
+    cached = [run_cli(capsys, *argv) for argv in sequence]
+    assert cli._parser() is cli._parser()
+    assert [code for code, _, _ in cached] == [2, 0, 2, 0, 0, 2]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run_cli(capsys, *argv) for argv in sequence] == cached
 
 
 def test_primes_option_is_parsed_by_argparse(capsys):

@@ -14,6 +14,7 @@ from dehnroots.dataset import (
     validate,
 )
 from dehnroots.enumeration import datasets, twist_pairs
+from dehnroots.special_roots import ms_roots
 
 
 def test_validate_golden_examples():
@@ -186,3 +187,19 @@ def test_random_round_trip_via_enumeration():
     pool = datasets(7, 9) + datasets(10, 21) + datasets(11, 15) + datasets(6, 3)
     for ds in rng.sample(pool, min(10, len(pool))):
         assert parse_dataset(format_dataset(ds)) == ds
+
+
+def test_unchecked_listing_matches_the_checked_constructor():
+    # datasets and ms_roots build their classes through dataset._canonical, unchecked
+    listings = [datasets(g, n) for g in range(1, 31) for n in range(3, 2 * g + 2, 2)]
+    listings += [ms_roots(g) for g in range(1, 301)]
+    for listed in listings:
+        checked = [DataSet(ds.degree, ds.quotient_genus, ds.a, ds.b, ds.cones) for ds in listed]
+        assert checked == listed
+        assert all(type(ds) is DataSet for ds in listed)
+        assert [hash(ds) for ds in listed] == [hash(ds) for ds in checked]
+        assert [repr(ds) for ds in listed] == [repr(ds) for ds in checked]
+        assert sorted(reversed(listed)) == listed
+        for ds in listed:
+            stable = stabilize(ds)
+            assert validate(stable).valid and stable.genus == ds.genus + ds.degree
