@@ -186,7 +186,8 @@ COMMANDS = (
      lambda a: special_roots.de_construct(a.d, a.e), _print_dataset),
     ("fractional", "candidates for roots of twist powers",
      (_int("--genus"), _int("--degree"), _int("--power"), _FORMAT),
-     lambda a: fractional.fractional_datasets(a.genus, a.degree, a.power), _print_candidates),
+     lambda a: fractional.fractional_datasets(a.genus, a.degree, a.power, class_cap_from_env()),
+     _print_candidates),
     ("bezout-avoid", "Bezout coefficients avoiding primes",
      (_int("--d1"), _int("--d2"), ("--primes", {"type": _primes, "default": ""}), _FORMAT),
      lambda a: numtheory.bezout_avoiding_primes(a.d1, a.d2, a.primes), _print_witness),

@@ -13,18 +13,19 @@ twist pair and cone residues satisfying (I)-(IV); the pieces run over
   * cone residues, one multiset of units per run of equal cone order, so
     each class appears exactly once.
 
-Two paths share the first three.  ``_shape_counts`` counts the classes of
-each cone-order shape without building one (a product of per-run residue-sum
-transforms, see its docstring); ``special_roots.class_count`` and
-``pair_table`` read only these counts.  The per-(genus, degree) class cap is
-checked on the counted total, in ``_check_class_cap``, before anything is
-listed, so a cell past the cap fails at once and in bounded memory.
-
-``_search`` lists the classes for ``datasets`` and the fractional candidates.
-The last residue is solved from (IV).  At each run boundary the runs after
-it add a multiple of gcd(n, n/n_i, ...), so a remainder that is not one is
-dropped.  The residue search recurses once per run, at most 11 deep for odd
-n <= 801; the cone-order multisets keep an explicit stack.
+``_shapes`` walks the first two once per cell: one (g0, runs) per cone-order
+multiset, with the runs of equal order.  ``_shape_counts`` counts each shape's
+classes without building one (a product of per-run residue-sum transforms,
+see its docstring); ``special_roots.class_count`` and ``pair_table`` read only
+these counts.  ``_search`` lists the classes of the shapes it is given, for
+``datasets`` (every shape), ``primary_datasets`` (the all-n shape of each g0)
+and the fractional candidates, after it checks their counted total against
+the per-(genus, degree) class cap, so a cell past the cap fails at once and
+in bounded memory.  The last residue is solved from (IV).  At each run
+boundary the runs after it add a multiple of gcd(n, n/n_i, ...), so a
+remainder that is not one is dropped.  The residue search recurses once per
+run, at most 11 deep for odd n <= 801; the cone-order multisets keep an
+explicit stack.
 
 Existence (``has_root``, ``root_degrees``, ``genus_set``) is decided by the
 lcm rule in ``_root_genera``, without twist pairs, counts or the search.
@@ -62,8 +63,10 @@ CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
 # Documented ceilings: datasets(400, 3) lists 9,045 classes in about 0.5 s and 37 MB;
 # genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 1.0-1.5 s (2-core VM).
+# twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.
 DATASETS_MAX_GENUS = 400
 GENUS_SET_MAX_GENUS = 10**4
+TWIST_PAIRS_MAX_DEGREE = 2 * 10**5 + 1
 
 # Hard bounds for the brute-force oracle; beyond them it is exponential noise.
 ORACLE_MAX_DEGREE = 15
@@ -149,9 +152,11 @@ def twist_pairs(n, power=1):
     exactly when power*a - 1 is a unit, and then b = a*(power*a - 1)^-1.
     One inverse per unit a, keeping a <= b.  An even n with an odd power
     has no pairs: units are odd, so a + b is even while power*a*b is odd.
+    The list grows with n, so n must not exceed TWIST_PAIRS_MAX_DEGREE.
     """
     if n < 2 or power < 1:
         raise ValueError("need degree >= 2 and power >= 1, got %r, %r" % (n, power))
+    _check_ceiling(n, TWIST_PAIRS_MAX_DEGREE, "twist_pairs is supported up to n")
     pairs = []
     for a in range(1, n):
         if gcd(a, n) == 1 and gcd(power * a - 1, n) == 1:
@@ -188,18 +193,20 @@ def _cone_assignments(n, runs, target, unit_cones):
                 yield combo + rest
 
 
-def _search(g, n, pairs):
-    """Yield canonical (g0, a, b, cones), one per data set of genus g and degree
-    n with (a, b) in ``pairs``.  The empty cone multiset is kept: for power 1
-    it fails (IV), as a + b = a*b is a unit, but higher powers allow it.
-    """
+def _shapes(g, n):
+    """[(g0, runs)] for genus g, degree n: the cone-order multisets as runs [(order, count)]."""
+    return [(g0, [(order, len(list(same))) for order, same in groupby(orders)])
+            for g0 in range(g // n + 1) for orders in _order_multisets(n, 2 * (g - g0 * n))]
+
+
+def _search(g, n, shapes, power=1, class_cap=None):
+    """Sorted canonical (g0, a, b, cones) of genus g, degree n: the classes of ``shapes`` with
+    power-l twist pairs, once their count is within the class cap.  The empty cone multiset is
+    kept: for power 1 it fails (IV), as a + b = a*b is a unit, but higher powers allow it."""
+    _check_class_cap(g, n, sum(_shape_counts(n, shapes, power)), class_cap)
     unit_cones = {d: {c: (c, d) for c in range(1, d) if gcd(c, d) == 1} for d in divisors(n)}
-    for g0 in range(g // n + 1):
-        for orders in _order_multisets(n, 2 * (g - g0 * n)):
-            runs = [(order, len(list(same))) for order, same in groupby(orders)]
-            for a, b in pairs:
-                for cones in _cone_assignments(n, runs, -(a + b), unit_cones):
-                    yield g0, a, b, cones
+    return sorted((g0, a, b, cones) for a, b in twist_pairs(n, power) for g0, runs in shapes
+                  for cones in _cone_assignments(n, runs, -(a + b), unit_cones))
 
 
 @cache
@@ -228,10 +235,9 @@ def _run_transform(order, k):
                    for i in range(1, k + 1)) // k for e in rows[0]}
 
 
-def _shape_counts(g, n, power=1):
-    """Yield (g0, orders, count) for each cone-order multiset of genus g and degree
-    n: count is the number of classes ``_search`` lists for that shape with the
-    power-l twist pairs, without building one.
+def _shape_counts(n, shapes, power=1):
+    """Yield, for each (g0, runs) of ``shapes``, the number of classes ``_search``
+    lists for that shape with the power-l twist pairs of degree n, without building one.
 
     A run of k cones of order d adds (n/d) times a size-k multiset of units of
     Z/d; the runs' sums convolve over Z/n, and a class needs the total to meet
@@ -246,21 +252,19 @@ def _shape_counts(g, n, power=1):
     ceiling, takes 0.15-0.2 s over its 3,825 shapes, and all odd n <= 801 at
     g = 400 take 0.5-0.6 s together (2-core VM).
     """
-    shapes = [(g0, orders) for g0 in range(g // n + 1)
-              for orders in _order_multisets(n, 2 * (g - g0 * n))]
     if not shapes:
         return
     pair_sums = Counter((a + b) % n for a, b in twist_pairs(n, power))
     weights = {e: sum(_ramanujan(n // e, gcd(n // e, s)) * m for s, m in pair_sums.items())
                for e in divisors(n)}  # e -> V(e)
-    for g0, orders in shapes:
-        runs = [(order, _run_transform(order, len(list(same)))) for order, same in groupby(orders)]
+    for _, runs in shapes:
+        transforms = [(order, _run_transform(order, count)) for order, count in runs]
         total = 0
         for e, weight in weights.items():
-            for order, transform in runs:
+            for order, transform in transforms:
                 weight *= transform[gcd(e, order)]
             total += weight
-        yield g0, orders, total // n
+        yield total // n
 
 
 def _check_class_cap(g, n, total, class_cap=None):
@@ -315,8 +319,7 @@ def datasets(g, n, class_cap=None):
     if not _degree_occurs(g, n):
         return []
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    _check_class_cap(g, n, sum(count for *_, count in _shape_counts(g, n)), class_cap)
-    return [_canonical(n, *found) for found in sorted(_search(g, n, twist_pairs(n)))]
+    return [_canonical(n, *found) for found in _search(g, n, _shapes(g, n), class_cap=class_cap)]
 
 
 def oracle_datasets(g, n):
@@ -391,9 +394,10 @@ def genus_set(n, g_max):
 
 
 def primary_datasets(g, n, class_cap=None):
-    """The classes of genus g, degree n in which every cone has order n."""
-    return [
-        ds
-        for ds in datasets(g, n, class_cap)
-        if all(order == n for _, order in ds.cones)
-    ]
+    """The classes of ``datasets(g, n)`` whose cones all have order n.  Only the all-n
+    shapes, one per g0, are counted against the class cap and listed."""
+    if not _degree_occurs(g, n):
+        return []
+    _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
+    shapes = [(g0, runs) for g0, runs in _shapes(g, n) if all(order == n for order, _ in runs)]
+    return [_canonical(n, *found) for found in _search(g, n, shapes, class_cap=class_cap)]

@@ -8,12 +8,14 @@ twist power (``FractionalDataSet.power_shares_factor`` flags this), and
 roots of powers can also exchange the two sides of the curve, which this
 module does not model.  Treat the enumeration as a source of candidates,
 not a classification, which is why it is capped at small degree and
-genus.  They come from the ordinary search core fed ``twist_pairs(n, l)``,
-and ``validate`` checks them in the power-l form of (III).
+genus.  They come from the ordinary search core: the shapes of the cell,
+counted with the power-l twist pairs against the class cap, then listed
+with ``twist_pairs(n, l)``; ``validate`` checks them in the power-l form
+of (III).
 """
 
-from .dataset import FractionalDataSet, RangeExceeded
-from .enumeration import _check_class_cap, _search, _shape_counts, twist_pairs
+from .dataset import FractionalDataSet, RangeExceeded, _check_range
+from .enumeration import _search, _shapes
 from .numtheory import _show
 
 __all__ = ["fractional_datasets"]
@@ -22,13 +24,15 @@ MAX_DEGREE = 30
 MAX_GENUS = 12
 
 
-def fractional_datasets(g, n, power):
+def fractional_datasets(g, n, power, class_cap=None):
     """Canonical candidates of genus g and degree n for the power-l twist.
 
     Same search as the ordinary enumeration, with the power-l pairs and
     division-free doubled cone weights, so even degrees work.
     Each candidate appears once up to the usual syntactic equivalence
     (swap a and b, reduce residues, reorder cones); the output is sorted.
+    Raises ClassCapExceeded, before any candidate is built, when the cell
+    counts more than ``class_cap`` candidates (default 10**7).
     """
     if g < 1 or g > MAX_GENUS or n < 2 or n > MAX_DEGREE:
         raise RangeExceeded(
@@ -37,6 +41,6 @@ def fractional_datasets(g, n, power):
         )
     if power < 1:
         raise RangeExceeded("power must be >= 1, got %s" % _show(power))
-    _check_class_cap(g, n, sum(count for *_, count in _shape_counts(g, n, power)))
-    pairs = twist_pairs(n, power)
-    return sorted(FractionalDataSet(n, *found, power) for found in _search(g, n, pairs))
+    _check_range("power", power, 1)  # the candidates' own bound, even where none is built
+    return [FractionalDataSet(n, *found, power)
+            for found in _search(g, n, _shapes(g, n), power, class_cap)]

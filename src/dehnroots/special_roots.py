@@ -40,7 +40,7 @@ from math import lcm
 
 from .dataset import DataSet, _canonical
 from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _shape_counts,
-                          twist_pairs)
+                          _shapes, twist_pairs)
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
@@ -197,10 +197,12 @@ def de_construct(d, e):
 _CUBE_OF_T4 = (3, 0, 2, 2, ((1, 3), (2, 3), (2, 3)))
 
 
-def _tag(n, g, g0, a, b, cones):
-    """The tag of the canonical class (n, g0, (a,b); cones) of genus g, by precedence
-    MARGALIT_SCHLEIMER > CUBE_OF_T4 > DE_ROOT > PRIMARY > OTHER."""
-    if n == 2 * g + 1:
+def _tag(n, g0, a, b, cones):
+    """The tag of the canonical class (n, g0, (a,b); cones), by precedence
+    MARGALIT_SCHLEIMER > CUBE_OF_T4 > DE_ROOT > PRIMARY > OTHER.  The genus is not needed:
+    n = 2g+1 exactly when g0 = 0 and there is one cone, of order n, as g0 >= 1 gives g >= n,
+    a cone of order n_i adds (n - n/n_i)/2 <= (n-1)/2 to g, and two or more add >= 2n/3."""
+    if g0 == 0 and len(cones) == 1 and cones[0][1] == n:
         return RootTag.MARGALIT_SCHLEIMER
     if (n, g0, a, b, cones) == _CUBE_OF_T4:
         return RootTag.CUBE_OF_T4
@@ -213,7 +215,7 @@ def _tag(n, g, g0, a, b, cones):
 
 def classify(ds):
     """The RootTag of a valid data set."""
-    return _tag(ds.degree, ds.genus, ds.quotient_genus, ds.a, ds.b, ds.cones)
+    return _tag(ds.degree, ds.quotient_genus, ds.a, ds.b, ds.cones)
 
 
 @dataclass(frozen=True)
@@ -233,8 +235,9 @@ def class_count(g, n):
         return {}
     _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
     counts = Counter()
-    for g0, orders, count in _shape_counts(g, n):
-        counts[_tag(n, g, g0, 0, 0, tuple((0, order) for order in orders))] += count
+    shapes = _shapes(g, n)
+    for (g0, runs), count in zip(shapes, _shape_counts(n, shapes)):
+        counts[_tag(n, g0, 0, 0, tuple((0, d) for d, k in runs for _ in range(k)))] += count
     if (g, n) == (3, 3):  # the one cell whose tags read the residues: one class is the cube
         counts[RootTag.PRIMARY] -= 1
         counts[RootTag.CUBE_OF_T4] += 1

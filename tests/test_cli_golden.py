@@ -538,6 +538,29 @@ CASES = [
         '',
         'class cap exceeded: more than 10000000 classes of genus 400, degree 15\n',
     ),
+    # fractional obeys the same per-(genus, degree) cap: this cell has 54 candidates
+    (
+        ['fractional', '--genus', '12', '--degree', '7', '--power', '4'],
+        {'DEHN_ROOTS_CLASS_CAP': '53'},
+        3,
+        '',
+        'class cap exceeded: more than 53 classes of genus 12, degree 7\n',
+    ),
+    (
+        ['fractional', '--genus', '12', '--degree', '7', '--power', '4'],
+        {'DEHN_ROOTS_CLASS_CAP': '54'},
+        0,
+        'sha256:e57e8110baa15eff22238421290311157da438a9a42dc0a18231eae224f93298',
+        '',
+    ),
+    # the power ceiling holds where no candidate is built
+    (
+        ['fractional', '--genus', '1', '--degree', '2', '--power', '10000000000001'],
+        None,
+        2,
+        '',
+        'error: power must lie in [1, 1000000000000], got 10000000000001\n',
+    ),
 ]
 
 FIGURE1 = [

@@ -7,6 +7,7 @@ from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset, stab
 from dehnroots.enumeration import (
     DATASETS_MAX_GENUS,
     GENUS_SET_MAX_GENUS,
+    TWIST_PAIRS_MAX_DEGREE,
     ClassCapExceeded,
     OracleRangeExceeded,
     _root_genera,
@@ -79,10 +80,23 @@ def test_twist_pairs_match_brute_force():
 
 
 def test_twist_pairs_rejects_only_tiny_degree_or_power():
-    # every n >= 2 and power >= 1 is answered by the brute-force comparison above
+    # every 2 <= n <= TWIST_PAIRS_MAX_DEGREE and power >= 1 is answered; the brute-force
+    # comparison above checks n <= 60, and the ceiling has its own test below
     for n, power in [(1, 1), (0, 2), (5, 0), (5, -1)]:
         with pytest.raises(ValueError):
             twist_pairs(n, power)
+
+
+def test_twist_pairs_ceiling():
+    # the ceiling is the maximal degree 2g+1 of ms_roots's genus ceiling g = 10**5
+    assert TWIST_PAIRS_MAX_DEGREE == 2 * 10**5 + 1
+    assert len(twist_pairs(TWIST_PAIRS_MAX_DEGREE)) == ms_count(TWIST_PAIRS_MAX_DEGREE) == 32764
+    message = r"^twist_pairs is supported up to n = 200001, got 200003$"
+    start = perf_counter()
+    for power in (1, 2):
+        with pytest.raises(RangeExceeded, match=message):
+            twist_pairs(TWIST_PAIRS_MAX_DEGREE + 2, power)
+    assert perf_counter() - start < 0.1
 
 
 def test_cone_multisets_deeper_than_recursion_limit():
@@ -390,6 +404,19 @@ def test_primary_datasets():
     assert primary_datasets(7, 9) == []
     ms = primary_datasets(10, 21)
     assert len(ms) == 3 and ms == datasets(10, 21)
+
+
+def test_primary_datasets_is_the_all_n_filter_of_datasets():
+    for g in range(1, 31):
+        for n in range(-1, 2 * g + 5):
+            expected = [ds for ds in datasets(g, n) if all(o == n for _, o in ds.cones)]
+            assert primary_datasets(g, n) == expected, (g, n)
+    # only the all-n shapes are counted, capped and built: 102 of the cell's 196,736 classes
+    start = perf_counter()
+    assert len(primary_datasets(80, 15, class_cap=102)) == 102
+    assert perf_counter() - start < 0.5
+    with pytest.raises(ClassCapExceeded, match="^more than 101 classes of genus 80, degree 15$"):
+        primary_datasets(80, 15, class_cap=101)
 
 
 def test_stabilization_is_monotone():

@@ -217,6 +217,22 @@ def test_classify_precedence():
     assert classify(parse_dataset("(9,0,(5,8);(1,3),(1,3),(1,9))")) == RootTag.OTHER
 
 
+def test_maximal_tag_is_read_off_the_shape():
+    # classify tags MARGALIT_SCHLEIMER by g0 = 0 and one cone of order n, without the
+    # genus; that is n = 2g+1 on every class listed, and on any cone shape of odd degree
+    for g in range(1, 21):
+        for n in range(3, 2 * g + 2, 2):
+            for ds in datasets(g, n):
+                assert (classify(ds) == RootTag.MARGALIT_SCHLEIMER) == (n == 2 * g + 1), ds
+    for n in range(3, 46, 2):
+        orders = [d for d in range(2, n + 1) if n % d == 0]
+        shapes = [()] + [(d,) for d in orders] + [(d, e) for d in orders for e in orders]
+        for g0 in (0, 1):
+            for shape in shapes:
+                ds = DataSet(n, g0, 2, 2, tuple((1, d) for d in shape))
+                assert (classify(ds) == RootTag.MARGALIT_SCHLEIMER) == (n == 2 * ds.genus + 1)
+
+
 def test_large_degree_classification():
     # every class of degree >= genus is maximal, a (d,e)-root, or the
     # single degree-3 class at genus 3
