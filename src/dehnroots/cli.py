@@ -11,8 +11,11 @@ Queries call the library through module attributes looked up at call time
 Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
 empty ``[  ]``) and class lists one data set per line; ``--format json``
 switches every query except ``figure1``, which writes the pair table as CSV.
-Multi-line JSON comes from ``_indented``, which writes the bytes of
-``json.dumps(value, indent=2)`` in one pass.
+Class listings (``roots``, ``ms-roots``) write each class with one %-format of a
+fixed template, ``_CLASS_JSON`` or the text form ``format_dataset`` uses, and
+make each cone pair's form once per listing.  The other multi-line JSON
+(``de-construct``, ``fractional``, ``validate``) comes from ``_indented``.  Both
+write the bytes of ``json.dumps(value, indent=2)``.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 4 output I/O failure.  DEHN_ROOTS_CLASS_CAP overrides the enumeration cap.
@@ -23,9 +26,11 @@ import json
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from . import enumeration, fractional, numtheory, special_roots
-from .dataset import ParseError, RangeExceeded, format_dataset, parse_dataset, validate
+from .dataset import (_CONE_TEXT_FORM, _TEXT_FORM, ParseError, RangeExceeded, format_dataset,
+                      parse_dataset, validate)
 from .enumeration import ClassCapExceeded, class_cap_from_env
 from .numtheory import PreconditionViolated
 
@@ -41,7 +46,8 @@ def _indented(value, indent="\n"):
     """``json.dumps(value, indent=2)`` for a value built of dicts with string keys,
     lists, tuples, ints, bools, None and strings.  With ``indent`` set, ``json`` runs
     its pure-Python encoder, which takes about twice as long.  Ints, the commonest
-    leaves, go first."""
+    leaves, go first.  Used by every JSON printer but the class listings, which
+    fill the ``_CLASS_JSON`` template instead."""
     if type(value) is int:
         return int.__repr__(value)
     if isinstance(value, str):
@@ -73,11 +79,38 @@ def _print_int_list(values, args):
         print("[ " + ", ".join(str(v) for v in values) + " ]" if values else "[  ]")
 
 
+# json.dumps(docs, indent=2) of one class document inside the top-level list, and of
+# one cone pair inside its "cones"; a listed class has at least one cone (condition IV)
+# and its tag is a plain identifier
+_CLASS_JSON = ('\n  {\n    "degree": %d,\n    "g0": %d,\n    "a": %d,\n    "b": %d,'
+               '\n    "cones": [%s\n    ],\n    "genus": %d,\n    "tag": "%s"\n  }')
+_CONE_JSON = "\n      [\n        %d,\n        %d\n      ]"
+_fields = attrgetter("degree", "quotient_genus", "a", "b", "cones")
+
+
+class _Forms(dict):
+    """pair -> ``form % pair``, made once per distinct pair of a listing."""
+
+    def __init__(self, form):
+        self.form = form
+
+    def __missing__(self, pair):
+        self[pair] = text = self.form % pair
+        return text
+
+
 def _print_classes(classes, args):
+    """One template per class: ``json.dumps(docs, indent=2)`` or ``format_dataset`` lines."""
     if args.format == "json":
-        print(_indented([_tagged_json(ds) for ds in classes]))
+        cone, tag = _Forms(_CONE_JSON).__getitem__, special_roots.classify
+        docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), ds.genus, tag(ds))
+                for ds, (n, g0, a, b, cones) in zip(classes, map(_fields, classes))]
+        # one write of one copy of the documents: the listing's largest allocation
+        sys.stdout.write("[%s\n]\n" % ",".join(docs) if docs else "[]\n")
     else:
-        sys.stdout.write("".join([format_dataset(ds) + "\n" for ds in classes]))
+        cone = _Forms(_CONE_TEXT_FORM).__getitem__
+        sys.stdout.write("".join([_TEXT_FORM % (n, g0, a, b, ", ".join(map(cone, cones))) + "\n"
+                                  for n, g0, a, b, cones in map(_fields, classes)]))
 
 
 def _print_count(count, args):

@@ -213,10 +213,16 @@ def stabilize(ds):
     return replace(ds, quotient_genus=ds.quotient_genus + 1)
 
 
+# The text form: degree, quotient genus, a, b, then the cone pairs joined by ", ";
+# the class listings of cli fill the same two templates
+_TEXT_FORM = "(%d, %d, (%d,%d); %s)"
+_CONE_TEXT_FORM = "(%d,%d)"
+
+
 def format_dataset(ds):
     """Canonical text form, e.g. ``(21, 0, (2,2); (17,21))``."""
-    cones = ", ".join("(%d,%d)" % pair for pair in ds.cones)
-    return "(%d, %d, (%d,%d); %s)" % (ds.degree, ds.quotient_genus, ds.a, ds.b, cones)
+    cones = ", ".join([_CONE_TEXT_FORM % pair for pair in ds.cones])
+    return _TEXT_FORM % (ds.degree, ds.quotient_genus, ds.a, ds.b, cones)
 
 
 _TOKEN = re.compile(r"-?\d+|[(),;]")

@@ -61,7 +61,7 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in about 0.5 s and 37 MB;
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.3-0.4 s and 37 MB;
 # genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 1.0-1.5 s (2-core VM).
 # twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.
 DATASETS_MAX_GENUS = 400
@@ -155,7 +155,7 @@ def twist_pairs(n, power=1):
     The list grows with n, so n must not exceed TWIST_PAIRS_MAX_DEGREE.
     """
     if n < 2 or power < 1:
-        raise ValueError("need degree >= 2 and power >= 1, got %r, %r" % (n, power))
+        raise ValueError("need degree >= 2 and power >= 1, got %s, %s" % (_show(n), _show(power)))
     _check_ceiling(n, TWIST_PAIRS_MAX_DEGREE, "twist_pairs is supported up to n")
     pairs = []
     for a in range(1, n):
@@ -169,8 +169,10 @@ def twist_pairs(n, power=1):
 def _cone_assignments(n, runs, target, unit_cones):
     """Yield the cone tuples ((c_1, n_1), ...) for the cone-order runs [(order,
     count), ...] with sum (n/n_i)*c_i = target mod n.  Each run takes one multiset
-    of the shared ``unit_cones[order]`` pairs; the last run takes count - 1 and
-    solves the last residue, kept if a unit not below the one before it."""
+    of the unit residues of its order, walked as plain integers (the keys of
+    ``unit_cones[order]``); the last run takes count - 1 and solves the last
+    residue, kept if a unit not below the one before it.  Only a multiset that
+    passes is mapped to the shared ``unit_cones[order]`` pairs."""
     if not runs:  # no cones: (IV) reads a + b = 0
         if target % n == 0:
             yield ()
@@ -178,19 +180,21 @@ def _cone_assignments(n, runs, target, unit_cones):
     order, count = runs[0]
     step = n // order
     cones = unit_cones[order]
+    pair = cones.__getitem__
     if len(runs) == 1:
-        for combo in combinations_with_replacement(cones.values(), count - 1):
-            need = (target - step * sum(c for c, _ in combo)) % n
-            last = cones.get(need // step)
-            if last and need % step == 0 and (not combo or combo[-1] <= last):
-                yield combo + (last,)
+        for combo in combinations_with_replacement(cones, count - 1):
+            need = (target - step * sum(combo)) % n
+            last = need // step
+            if need % step == 0 and last in cones and (not combo or combo[-1] <= last):
+                yield tuple(map(pair, combo)) + (cones[last],)
         return
     later = gcd(n, *(n // o for o, _ in runs[1:]))
-    for combo in combinations_with_replacement(cones.values(), count):
-        need = (target - step * sum(c for c, _ in combo)) % n
+    for combo in combinations_with_replacement(cones, count):
+        need = (target - step * sum(combo)) % n
         if need % later == 0:
+            head = tuple(map(pair, combo))
             for rest in _cone_assignments(n, runs[1:], need, unit_cones):
-                yield combo + rest
+                yield head + rest
 
 
 def _shapes(g, n):
@@ -201,11 +205,15 @@ def _shapes(g, n):
 
 def _search(g, n, shapes, power=1, class_cap=None):
     """Sorted canonical (g0, a, b, cones) of genus g, degree n: the classes of ``shapes`` with
-    power-l twist pairs, once their count is within the class cap.  The empty cone multiset is
+    power-l twist pairs, once their count is within the class cap.  The pairs are solved once,
+    for the count and the walk, and not at all without a shape.  The empty cone multiset is
     kept: for power 1 it fails (IV), as a + b = a*b is a unit, but higher powers allow it."""
-    _check_class_cap(g, n, sum(_shape_counts(n, shapes, power)), class_cap)
+    if not shapes:
+        return []
+    pairs = twist_pairs(n, power)
+    _check_class_cap(g, n, sum(_shape_counts(n, shapes, pairs)), class_cap)
     unit_cones = {d: {c: (c, d) for c in range(1, d) if gcd(c, d) == 1} for d in divisors(n)}
-    return sorted((g0, a, b, cones) for a, b in twist_pairs(n, power) for g0, runs in shapes
+    return sorted((g0, a, b, cones) for a, b in pairs for g0, runs in shapes
                   for cones in _cone_assignments(n, runs, -(a + b), unit_cones))
 
 
@@ -235,9 +243,9 @@ def _run_transform(order, k):
                    for i in range(1, k + 1)) // k for e in rows[0]}
 
 
-def _shape_counts(n, shapes, power=1):
+def _shape_counts(n, shapes, pairs):
     """Yield, for each (g0, runs) of ``shapes``, the number of classes ``_search``
-    lists for that shape with the power-l twist pairs of degree n, without building one.
+    lists for that shape with the twist pairs ``pairs`` of degree n, without building one.
 
     A run of k cones of order d adds (n/d) times a size-k multiset of units of
     Z/d; the runs' sums convolve over Z/n, and a class needs the total to meet
@@ -247,14 +255,12 @@ def _shape_counts(n, shapes, power=1):
         count = (1/n) * sum over e | n of V(e) * prod over runs of H_k(gcd(e, d)),
 
     with V(e) the sum of c_(n/e)(a + b) over the pairs.  That is tau(n) products
-    per shape, and twist pairs are solved only for a cell with a shape.  The cost
+    per shape; callers solve the pairs only for a cell with a shape.  The cost
     follows the number of shapes: (400, 15), the slowest cell inside the g <= 400
     ceiling, takes 0.15-0.2 s over its 3,825 shapes, and all odd n <= 801 at
     g = 400 take 0.5-0.6 s together (2-core VM).
     """
-    if not shapes:
-        return
-    pair_sums = Counter((a + b) % n for a, b in twist_pairs(n, power))
+    pair_sums = Counter((a + b) % n for a, b in pairs)
     weights = {e: sum(_ramanujan(n // e, gcd(n // e, s)) * m for s, m in pair_sums.items())
                for e in divisors(n)}  # e -> V(e)
     for _, runs in shapes:

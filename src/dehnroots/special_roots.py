@@ -234,9 +234,11 @@ def class_count(g, n):
     if not _degree_occurs(g, n):
         return {}
     _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
-    counts = Counter()
     shapes = _shapes(g, n)
-    for (g0, runs), count in zip(shapes, _shape_counts(n, shapes)):
+    if not shapes:  # no twist pairs solved for an empty cell
+        return {}
+    counts = Counter()
+    for (g0, runs), count in zip(shapes, _shape_counts(n, shapes, twist_pairs(n))):
         counts[_tag(n, g0, 0, 0, tuple((0, d) for d, k in runs for _ in range(k)))] += count
     if (g, n) == (3, 3):  # the one cell whose tags read the residues: one class is the cube
         counts[RootTag.PRIMARY] -= 1

@@ -12,6 +12,7 @@ import pytest
 from dehnroots import cli, special_roots
 from dehnroots.cli import main
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset
+from dehnroots.enumeration import datasets
 from dehnroots.special_roots import PairRow, pair_table
 
 
@@ -89,6 +90,31 @@ def test_indented_is_json_dumps(capsys):
              {"\u00e9\"\\": [None, True, "x"]}, (1, ((), [2]))]
     for value in docs + edges:
         assert cli._indented(value) == json.dumps(value, indent=2)
+
+
+def test_class_listings_are_json_dumps_and_format_dataset(capsys):
+    # roots and ms-roots write each class from one template; the JSON must be the bytes
+    # json.dumps(docs, indent=2) gives for the tagged documents, the text format_dataset
+    cases = [
+        (["roots", "--genus", "3", "--degree", "3"], datasets(3, 3)),  # the cube of T4
+        (["roots", "--genus", "12", "--degree", "5"], datasets(12, 5)),  # g0 = 0 and 2
+        (["roots", "--genus", "15", "--degree", "9"], datasets(15, 9)),  # multi-cone runs
+        (["roots", "--genus", "0"], []),
+        (["ms-roots", "--genus", "0"], special_roots.ms_roots(0)),
+        (["ms-roots", "--genus", "10"], special_roots.ms_roots(10)),
+        (["roots", "--genus", "36"], [ds for n in range(3, 74, 2) for ds in datasets(36, n)]),
+    ]
+    for argv, classes in cases:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == "".join(format_dataset(ds) + "\n" for ds in classes)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        docs = [cli._tagged_json(ds) for ds in classes]
+        assert code == 0 and out == json.dumps(docs, indent=2) + "\n"
+    tags = {doc["tag"] for doc in docs}
+    assert {"CUBE_OF_T4"} == {str(special_roots.classify(ds)) for ds in cases[0][1]} - {"PRIMARY"}
+    assert {ds.quotient_genus for ds in cases[1][1]} == {0, 2}
+    assert any(len(ds.cones) > len({order for _, order in ds.cones}) > 1 for ds in cases[2][1])
+    assert len(docs) == 15788 and tags == {"PRIMARY", "MARGALIT_SCHLEIMER", "DE_ROOT", "OTHER"}
 
 
 def test_round_trip_of_printed_datasets(capsys):

@@ -1,8 +1,10 @@
+from collections import Counter
 from math import gcd
 from time import perf_counter
 
 import pytest
 
+from dehnroots import enumeration
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset, stabilize, validate
 from dehnroots.enumeration import (
     DATASETS_MAX_GENUS,
@@ -11,6 +13,7 @@ from dehnroots.enumeration import (
     ClassCapExceeded,
     OracleRangeExceeded,
     _root_genera,
+    _shapes,
     class_cap_from_env,
     cone_multisets,
     cone_weight,
@@ -97,6 +100,41 @@ def test_twist_pairs_ceiling():
         with pytest.raises(RangeExceeded, match=message):
             twist_pairs(TWIST_PAIRS_MAX_DEGREE + 2, power)
     assert perf_counter() - start < 0.1
+
+
+def test_twist_pairs_error_names_an_abbreviated_power():
+    # a power too long for decimal conversion shows as its bit length, so the message
+    # itself cannot raise
+    message = r"^need degree >= 2 and power >= 1, got 1, <16610-bit integer>$"
+    with pytest.raises(ValueError, match=message):
+        twist_pairs(1, 10**5000)
+
+
+def test_twist_pairs_are_solved_once_per_listed_cell(monkeypatch):
+    # the count behind the class cap and the residue walk share one solve, and a cell
+    # without a cone-order shape solves none
+    calls = Counter()
+    solve = enumeration.twist_pairs
+
+    def counted(n, power=1):
+        calls[n] += 1
+        return solve(n, power)
+
+    monkeypatch.setattr(enumeration, "twist_pairs", counted)
+    for n in range(3, 62, 2):
+        datasets(30, n)
+    shaped = {n for n in range(3, 62, 2) if _shapes(30, n)}
+    assert len(shaped) == 15 and calls == dict.fromkeys(shaped, 1)
+
+
+def test_listed_classes_share_their_cone_pairs():
+    # the residue walk maps each surviving residue multiset back to the shared (c, order)
+    # tuples, so a listing holds one tuple per distinct pair
+    first = {}
+    pairs = [pair for ds in datasets(30, 9) for pair in ds.cones]
+    for pair in pairs:
+        assert first.setdefault(pair, pair) is pair
+    assert len(pairs) > 10 * len(first)
 
 
 def test_cone_multisets_deeper_than_recursion_limit():
