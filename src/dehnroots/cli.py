@@ -152,13 +152,23 @@ def _print_report(checked, args):
         print("invalid; " + details)
 
 
+_CSV_CHUNK = 1 << 16
+
+
 def _write_csv(rows, args):
+    """The pair table as CSV from its tag runs: each run goes out in writes of at most
+    ``_CSV_CHUNK`` tags, so no string grows with a cell's class count."""
     try:
         with open(args.output, "w", newline="") as handle:
-            handle.write("g,n,classes,tags\n")
-            for row in rows:
-                tags = "+".join(row.tags)
-                handle.write("%d,%d,%d,%s\n" % (row.genus, row.degree, row.class_count, tags))
+            write = handle.write
+            write("g,n,classes,tags\n")
+            for g, n, total, runs in rows:
+                write("%d,%d,%d,%s" % (g, n, total, runs[0][0]))  # then "+tag" for the rest
+                for i, (tag, k) in enumerate(runs):
+                    more = "+" + tag
+                    for left in range(k - (i == 0), 0, -_CSV_CHUNK):
+                        write(more * min(left, _CSV_CHUNK))
+                write("\n")
     except OSError as exc:
         print("cannot write %s: %s" % (args.output, exc), file=sys.stderr)
         return EXIT_IO
@@ -202,7 +212,7 @@ COMMANDS = (
      lambda a: special_roots.de_root_genera(a.degree), _print_int_list),
     ("figure1", "export the populated (g, n) table as CSV",
      (_int("--max-genus"), _int("--max-degree"), ("--output", {"required": True})),
-     lambda a: special_roots.pair_table(a.max_genus, a.max_degree, class_cap_from_env()),
+     lambda a: special_roots._pair_runs(a.max_genus, a.max_degree, class_cap_from_env()),
      _write_csv),
     ("t-set", "genera excluded from primary-root existence", (_int("--degree"), _FORMAT),
      lambda a: special_roots.t_set(a.degree), _print_int_list),

@@ -197,9 +197,14 @@ def _cone_assignments(n, runs, target, unit_cones):
                 yield head + rest
 
 
+def _runs(orders):
+    """The runs [(order, count)] of equal order in a sorted cone-order multiset."""
+    return [(order, len(list(same))) for order, same in groupby(orders)]
+
+
 def _shapes(g, n):
-    """[(g0, runs)] for genus g, degree n: the cone-order multisets as runs [(order, count)]."""
-    return [(g0, [(order, len(list(same))) for order, same in groupby(orders)])
+    """[(g0, runs)] for genus g, degree n: the cone-order multisets as runs."""
+    return [(g0, _runs(orders))
             for g0 in range(g // n + 1) for orders in _order_multisets(n, 2 * (g - g0 * n))]
 
 

@@ -26,11 +26,19 @@ g+1 <= n <= 6(g + 3/2)/5.
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
 the genus-4 surface).  A tag depends only on the cone-order shape of a
-class, except for that cube root, so ``class_count`` counts the classes
-of one (genus, degree) per tag from ``enumeration._shape_counts`` without
-listing any.  ``pair_table``, the table behind the paper's pair plot,
-reads those counts, checks each cell against the class cap and only then
-spells out its tag multiset; it never runs the residue search.
+class (``_shape_tag``), except for that cube root, so ``class_count``
+counts the classes of one (genus, degree) per tag from
+``enumeration._shape_counts`` without listing any.
+
+The table behind the paper's pair plot is counted once per (degree,
+remainder): a shape of rest r = g - g0*n counts the same classes for every
+g0, and its tag only depends on whether g0 = 0, so each degree lists and
+counts the shapes of each rest once and sums them per residue of r mod n.
+Every cell is checked against the class cap before a row is returned.  A
+row holds its tags as sorted (tag, classes) runs, so the table's memory
+follows its cells, not its classes; ``figure1`` writes the runs in bounded
+chunks, and ``pair_table`` spells them out one tag per class.  Neither
+runs the residue search.
 """
 
 import enum
@@ -39,8 +47,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .dataset import DataSet, _canonical
-from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _shape_counts,
-                          _shapes, twist_pairs)
+from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _order_multisets,
+                          _runs, _shape_counts, _shapes, twist_pairs)
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
@@ -195,22 +203,30 @@ def de_construct(d, e):
 
 
 _CUBE_OF_T4 = (3, 0, 2, 2, ((1, 3), (2, 3), (2, 3)))
+_TAGS = sorted(RootTag)  # the order a row spells its tags in
+
+
+def _shape_tag(g0, cones, primary):
+    """The tag of every class of quotient genus g0 with ``cones`` cones, all of order n
+    exactly when ``primary``, but the cube root: MARGALIT_SCHLEIMER > DE_ROOT > PRIMARY >
+    OTHER.  The genus is not needed: n = 2g+1 exactly when g0 = 0 and there is one cone, of
+    order n, as g0 >= 1 gives g >= n, a cone of order n_i adds (n - n/n_i)/2 <= (n-1)/2 to
+    g, and two or more add >= 2n/3."""
+    if g0 == 0 and cones == 2:
+        return RootTag.DE_ROOT
+    if g0 == 0 and cones == 1 and primary:
+        return RootTag.MARGALIT_SCHLEIMER
+    return RootTag.PRIMARY if primary else RootTag.OTHER
 
 
 def _tag(n, g0, a, b, cones):
-    """The tag of the canonical class (n, g0, (a,b); cones), by precedence
-    MARGALIT_SCHLEIMER > CUBE_OF_T4 > DE_ROOT > PRIMARY > OTHER.  The genus is not needed:
-    n = 2g+1 exactly when g0 = 0 and there is one cone, of order n, as g0 >= 1 gives g >= n,
-    a cone of order n_i adds (n - n/n_i)/2 <= (n-1)/2 to g, and two or more add >= 2n/3."""
-    if g0 == 0 and len(cones) == 1 and cones[0][1] == n:
-        return RootTag.MARGALIT_SCHLEIMER
-    if (n, g0, a, b, cones) == _CUBE_OF_T4:
+    """The tag of the canonical class (n, g0, (a,b); cones), cones sorted by order: its
+    shape's tag, or CUBE_OF_T4 for the cube root, the one class whose tag reads its
+    residues (its shape is PRIMARY)."""
+    tag = _shape_tag(g0, len(cones), not cones or cones[0][1] == n == cones[-1][1])
+    if tag is RootTag.PRIMARY and (n, g0, a, b, cones) == _CUBE_OF_T4:
         return RootTag.CUBE_OF_T4
-    if g0 == 0 and len(cones) == 2:
-        return RootTag.DE_ROOT
-    if all(order == n for _, order in cones):
-        return RootTag.PRIMARY
-    return RootTag.OTHER
+    return tag
 
 
 def classify(ds):
@@ -228,6 +244,25 @@ class PairRow:
     tags: tuple  # one tag per class, sorted
 
 
+def _tally(n, shapes, pairs):
+    """Yield (classes, tag as g0 = 0, tag as g0 >= 1) for each (_, runs) of ``shapes``
+    with the degree-n twist pairs ``pairs``: a shape's count does not depend on g0, and
+    its tag only on whether g0 = 0.  The runs rise to n, so all cones have order n exactly
+    when the first run does."""
+    for (_, runs), count in zip(shapes, _shape_counts(n, shapes, pairs)):
+        cones, primary = sum(k for _, k in runs), not runs or runs[0][0] == n
+        yield count, _shape_tag(0, cones, primary), _shape_tag(1, cones, primary)
+
+
+def _cell(g, n, counts):
+    """{tag: classes} of cell (g, n), nonzero and in tag order, from the Counter ``counts``
+    of its shape tags; in cell (3, 3) one PRIMARY class is the cube root."""
+    if (g, n) == (3, 3):
+        counts[RootTag.PRIMARY] -= 1
+        counts[RootTag.CUBE_OF_T4] += 1
+    return {tag: counts[tag] for tag in _TAGS if counts[tag]}
+
+
 def class_count(g, n):
     """{RootTag: number of classes} of genus g <= 400 and degree n, nonzero entries
     only, counted per cone-order shape without building a class."""
@@ -235,28 +270,61 @@ def class_count(g, n):
         return {}
     _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
     shapes = _shapes(g, n)
-    if not shapes:  # no twist pairs solved for an empty cell
-        return {}
     counts = Counter()
-    for (g0, runs), count in zip(shapes, _shape_counts(n, shapes, twist_pairs(n))):
-        counts[_tag(n, g0, 0, 0, tuple((0, d) for d, k in runs for _ in range(k)))] += count
-    if (g, n) == (3, 3):  # the one cell whose tags read the residues: one class is the cube
-        counts[RootTag.PRIMARY] -= 1
-        counts[RootTag.CUBE_OF_T4] += 1
-    return {tag: count for tag, count in counts.items() if count}
+    if shapes:  # no twist pairs solved for an empty cell
+        for (g0, _), (count, *tags) in zip(shapes, _tally(n, shapes, twist_pairs(n))):
+            counts[tags[g0 > 0]] += count
+    return _cell(g, n, counts)
 
 
-def pair_table(g_max, n_max, class_cap=None):
-    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max <= 400, n <= n_max;
-    each cell's count is checked against the class cap before its tags are spelled out."""
+def _degree_cells(g_max, n):
+    """The tag runs ((tag, classes), ...) of each cell (g, n), indexed by g <= g_max
+    (None below (n-1)/2, the first genus with degree n).
+
+    Cell g holds the shapes of rest g - g0*n for each g0 >= 0.  The shapes of rest g are
+    listed and counted once: with g0 = 0 they join cell g, with g0 >= 1 the running
+    Counter of g mod n, which cells g + n, g + 2n, ... add to theirs.  Only rests some
+    cell reads are listed, and the twist pairs are solved only once one has a shape."""
+    low, pairs = (n - 1) // 2, None
+    cells, running = [None] * low, [Counter() for _ in range(n)]
+    for g in range(g_max + 1):
+        later = running[g % n]
+        counts = Counter(later)  # the classes of cell g with g0 >= 1
+        shapes = []
+        if g >= low or g + n <= g_max:  # cell g or g + n reads rest g
+            shapes = [(g, _runs(orders)) for orders in _order_multisets(n, 2 * g)]
+        if shapes:
+            pairs = twist_pairs(n) if pairs is None else pairs
+            for count, at_zero, at_more in _tally(n, shapes, pairs):
+                counts[at_zero] += count
+                later[at_more] += count
+        if g >= low:
+            cells.append(tuple((tag.value, k) for tag, k in _cell(g, n, counts).items()))
+    return cells
+
+
+def _pair_runs(g_max, n_max, class_cap=None):
+    """Rows (g, n, #classes, ((tag, classes), ...)) for every pair with a root,
+    g <= g_max <= 400, n <= n_max, each with its tags as sorted runs.  The table is
+    counted degree by degree (``_degree_cells``); then every cell is checked against
+    the class cap in (g, n) order, so the first cell past it fails, before any row is
+    returned.  Memory follows the cells, not the classes."""
     _check_ceiling(g_max, DATASETS_MAX_GENUS, "pair_table is supported up to g")
+    columns = {n: _degree_cells(g_max, n) for n in range(3, min(n_max, 2 * g_max + 1) + 1, 2)}
     rows = []
     for g in range(g_max + 1):
         for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
-            counts = class_count(g, n)
-            total = sum(counts.values())
+            runs = columns[n][g]
+            total = sum(k for _, k in runs)
             _check_class_cap(g, n, total, class_cap)
             if total:
-                tags = tuple(tag.value for tag in sorted(counts) for _ in range(counts[tag]))
-                rows.append(PairRow(g, n, total, tags))
+                rows.append((g, n, total, runs))
     return rows
+
+
+def pair_table(g_max, n_max, class_cap=None):
+    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max <= 400,
+    n <= n_max: the rows of ``_pair_runs`` with each run spelled out, one tag per class,
+    so unlike the runs the list grows with the table's classes."""
+    return [PairRow(g, n, total, sum(((tag,) * k for tag, k in runs), ()))
+            for g, n, total, runs in _pair_runs(g_max, n_max, class_cap)]

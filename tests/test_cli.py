@@ -1,9 +1,11 @@
 import ast
+import hashlib
 import importlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -248,6 +250,30 @@ def test_pair_table_genus_ceiling():
         pair_table(401, 3)
     assert pair_table(400, 2) == []
     assert perf_counter() - start < 1.0
+
+
+def test_figure1_writes_tag_runs_in_bounded_memory(tmp_path, capsys):
+    # 16,723,612 classes, every cell under the cap; its longest row is 12.3 MB.  The table
+    # is counted per cell and each tag run written in bounded chunks, so neither the table
+    # nor any string follows the class count
+    path = tmp_path / "pairs.csv"
+    argv = ["figure1", "--max-genus", "80", "--max-degree", "33", "--output", str(path)]
+    start = perf_counter()
+    assert main(argv) == 0
+    assert perf_counter() - start < 3.0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", "")
+    assert peak < 16 * 2**20, peak
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    assert digest.hexdigest() == "b815a3be11af0ca6ed0cfb7321af9891d654b30e58d22f48debd7a165f042d52"
 
 
 def test_exit_codes(monkeypatch):

@@ -5,7 +5,7 @@ text of the form ``sha256:<hex>`` stands for any text with that digest;
 it is used for multi-line JSON and long help or usage texts.  The cases
 cover every subcommand in both output formats, the empty answers, the
 usage errors with their stderr, the class cap and an unwritable
-``figure1`` output; ``FIGURE1`` holds the digests of three CSV exports.
+``figure1`` output; ``FIGURE1`` holds the digests of five CSV exports.
 Help and usage texts are rendered at a fixed terminal width of 80.
 """
 
@@ -561,12 +561,23 @@ CASES = [
         '',
         'error: power must lie in [1, 1000000000000], got 10000000000001\n',
     ),
+    # figure1 checks its cells in (g, n) order: (5, 11) fails before (7, 3), the first
+    # cell past the cap in degree order
+    (
+        ['figure1', '--max-genus', '10', '--max-degree', '21', '--output', '/nonexistent-dir/out.csv'],
+        {'DEHN_ROOTS_CLASS_CAP': '4'},
+        3,
+        '',
+        'class cap exceeded: more than 4 classes of genus 5, degree 11\n',
+    ),
 ]
 
 FIGURE1 = [
     (0, 33, '2194f84f9e99a26c9cabd686125d1c3ee3ad43b761cbb7759cb9b1e11601da66'),
     (12, 9, '124197ebb235cd7c66c5de1f222e13621441697f85b4dd7cd3449d23b43612b9'),
     (20, 15, 'b1da1391ebc146122de0a8df2e2598eef68e9576b2a16432b876d88787d51a4b'),
+    (48, 33, '3dcd1be58b38d6eb4c29c5b567f571705d4d44ae79f7269f2f1ef448082557db'),
+    (36, 73, 'c622939157758cc0ce77eeaf31ba7c2a73c8719e4a46d2034e84d0fa5788ace3'),
 ]
 
 

@@ -1,13 +1,16 @@
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
 
+from dehnroots import special_roots
 from dehnroots.dataset import DataSet, RangeExceeded, format_dataset, parse_dataset, validate
 from dehnroots.enumeration import datasets, has_root, root_degrees
 from dehnroots.special_roots import (
     DE_ROOTS_MAX_GENUS,
     MS_ROOTS_MAX_GENUS,
     T_SET_MAX_DEGREE,
+    PairRow,
     RootTag,
     class_count,
     classify,
@@ -16,6 +19,7 @@ from dehnroots.special_roots import (
     de_roots,
     ms_count,
     ms_roots,
+    pair_table,
     t_set,
 )
 
@@ -231,6 +235,51 @@ def test_maximal_tag_is_read_off_the_shape():
             for shape in shapes:
                 ds = DataSet(n, g0, 2, 2, tuple((1, d) for d in shape))
                 assert (classify(ds) == RootTag.MARGALIT_SCHLEIMER) == (n == 2 * ds.genus + 1)
+
+
+def test_pair_table_matches_class_count_cell_by_cell():
+    # the table lists and counts each (degree, rest) once and sums the rests of one residue
+    # mod n; class_count walks each cell's own shapes.  (36, 73) reaches past 2*g_max + 1
+    for g_max, n_max in ((60, 61), (36, 73)):
+        rows = {(row.genus, row.degree): row for row in pair_table(g_max, n_max)}
+        for g in range(g_max + 1):
+            for n in range(3, n_max + 1, 2):
+                counts = class_count(g, n)
+                row = rows.pop((g, n), None)
+                if not counts:
+                    assert row is None, (g, n)
+                    continue
+                tags = tuple(sorted(str(tag) for tag, k in counts.items() for _ in range(k)))
+                assert row == PairRow(g, n, sum(counts.values()), tags), (g, n)
+        assert not rows
+
+
+def test_pair_table_tags_the_cube_root():
+    assert PairRow(3, 3, 1, ("CUBE_OF_T4",)) in pair_table(3, 3)
+    assert class_count(3, 3) == {RootTag.CUBE_OF_T4: 1}
+
+
+def test_pair_table_lists_each_rest_once(monkeypatch):
+    # the table walks degree by degree: one cone-order list per (degree, rest) and at most
+    # one twist-pair solve per degree, however many cells read them
+    lists, solves = Counter(), Counter()
+    order_multisets, solve = special_roots._order_multisets, special_roots.twist_pairs
+
+    def listed(n, twice_target):
+        lists[n, twice_target] += 1
+        return order_multisets(n, twice_target)
+
+    def solved(n, power=1):
+        solves[n] += 1
+        return solve(n, power)
+
+    monkeypatch.setattr(special_roots, "_order_multisets", listed)
+    monkeypatch.setattr(special_roots, "twist_pairs", solved)
+    pair_table(48, 33)
+    degrees = set(range(3, 34, 2))
+    assert set(lists.values()) == {1} and {n for n, _ in lists} == degrees
+    assert all(twice % 2 == 0 and twice <= 96 for _, twice in lists)
+    assert set(solves.values()) == {1} and set(solves) <= degrees
 
 
 def test_large_degree_classification():
