@@ -86,6 +86,7 @@ _CLASS_JSON = ('\n  {\n    "degree": %d,\n    "g0": %d,\n    "a": %d,\n    "b": 
                '\n    "cones": [%s\n    ],\n    "genus": %d,\n    "tag": "%s"\n  }')
 _CONE_JSON = "\n      [\n        %d,\n        %d\n      ]"
 _fields = attrgetter("degree", "quotient_genus", "a", "b", "cones")
+_TAG_TEXT = {tag: tag.value for tag in special_roots.RootTag}  # cheaper than RootTag.__str__
 
 
 class _Forms(dict):
@@ -101,9 +102,10 @@ class _Forms(dict):
 
 def _print_classes(classes, args):
     """One template per class: ``json.dumps(docs, indent=2)`` or ``format_dataset`` lines."""
-    if args.format == "json":
+    if args.format == "json":  # every class listed has the asked genus
         cone, tag = _Forms(_CONE_JSON).__getitem__, special_roots.classify
-        docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), ds.genus, tag(ds))
+        docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), args.genus,
+                               _TAG_TEXT[tag(ds)])
                 for ds, (n, g0, a, b, cones) in zip(classes, map(_fields, classes))]
         # one write of one copy of the documents: the listing's largest allocation
         sys.stdout.write("[%s\n]\n" % ",".join(docs) if docs else "[]\n")

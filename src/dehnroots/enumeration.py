@@ -24,8 +24,10 @@ the per-(genus, degree) class cap, so a cell past the cap fails at once and
 in bounded memory.  The last residue is solved from (IV).  At each run
 boundary the runs after it add a multiple of gcd(n, n/n_i, ...), so a
 remainder that is not one is dropped.  The residue search recurses once per
-run, at most 11 deep for odd n <= 801; the cone-order multisets keep an
-explicit stack.
+run, at most 11 deep for odd n <= 801.  ``_order_runs`` walks the cone-order
+multisets of many weights at once, one divisor count at a time on an explicit
+stack, and keeps a count only if the later divisors can still reach a wanted
+weight, so it never backs out of a dead end.
 
 Existence (``has_root``, ``root_degrees``, ``genus_set``) is decided by the
 lcm rule in ``_root_genera``, without twist pairs, counts or the search.
@@ -37,8 +39,8 @@ independent cross-check of the search above.
 
 import os
 from collections import Counter
-from functools import cache
-from itertools import combinations_with_replacement, groupby, product
+from functools import cache, lru_cache
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 from .dataset import DataSet, RangeExceeded, _canonical, validate
@@ -63,8 +65,10 @@ CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
 # Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.3-0.4 s and 37 MB;
 # genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 1.0-1.5 s (2-core VM).
-# twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.
+# twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.  cone_multisets
+# stops at target 10**4 (callers inside reach 400): its walk's bitsets are 2*target wide.
 DATASETS_MAX_GENUS = 400
+CONE_MULTISETS_MAX_TARGET = 10**4
 GENUS_SET_MAX_GENUS = 10**4
 TWIST_PAIRS_MAX_DEGREE = 2 * 10**5 + 1
 
@@ -106,43 +110,58 @@ def cone_weight(n, order):
     return twice // 2
 
 
-def _order_multisets(n, twice_target):
-    """Multisets of divisors > 1 of n whose doubled weights sum to twice_target.
+@lru_cache(maxsize=1 << 10)
+def _divisors(n):
+    """divisors(n) as a tuple, kept for the last 1,024 degrees: a cell's walk, count and
+    search each read them, and factoring again costs more than a small cell's walk."""
+    return tuple(divisors(n))
 
-    Doubled weights keep everything integral for even n (the fractional
-    candidates need that); each multiset comes out sorted ascending and
-    the list is in lexicographic order.
+
+def _order_runs(n, wanted):
+    """{doubled weight: [runs, ...]} for each bit of ``wanted`` that a multiset of divisors
+    > 1 of n reaches, runs being ((order, count), ...) with rising order.  Doubled weights
+    n - n/d stay integral for even n, as the fractional candidates need.  A node of the walk
+    is a run prefix; its children take a later divisor, rising, with its count, highest
+    first, so each list is in lexicographic order.  A child is kept only if the divisors
+    after its own reach a wanted weight (``need``), so every node leads to a listed multiset.
     """
-    divs = [d for d in divisors(n) if d > 1]
-    # (n/d)(d - 1) = n - n/d grows with d, so the first weight that does
-    # not fit ends the scan at that depth
-    weights = [(n // d) * (d - 1) for d in divs]
-    out = []
-    picked = []  # indices into divs
-    remaining = twice_target
-    j = 0
-    while True:
-        if remaining == 0:
-            out.append(tuple([divs[i] for i in picked]))
-        elif j < len(divs) and weights[j] <= remaining:
-            picked.append(j)
-            remaining -= weights[j]
-            continue
-        if not picked:
-            return out
-        j = picked.pop()
-        remaining += weights[j]
-        j += 1
+    top = wanted.bit_length() - 1
+    # n - n/d grows with d, so the divisors that fit under top are a prefix
+    divs = [(d, n - n // d) for d in _divisors(n) if 1 < d and n - n // d <= top]
+    # need[j]: the partial weights from which divisors j, j+1, ... reach a wanted weight
+    need = [wanted] * (len(divs) + 1)
+    for j in reversed(range(len(divs))):
+        bits, shift = need[j + 1], divs[j][1]
+        while shift <= top:  # closed under taking divisor j once more: doubling shifts
+            bits |= bits >> shift
+            shift *= 2
+        need[j] = bits
+    found = {}
+    stack = [(0, 0, ())]  # (weight so far, first divisor still free, runs)
+    while stack:
+        total, first, runs = stack.pop()
+        if wanted >> total & 1:
+            found.setdefault(total, []).append(runs)
+        for j in reversed(range(first, len(divs))):  # pushed in reverse, popped in order
+            order, weight = divs[j]
+            after = need[j + 1]
+            for count in range(1, (top - total) // weight + 1):
+                if after >> (total + count * weight) & 1:
+                    stack.append((total + count * weight, j + 1, runs + ((order, count),)))
+    return found
 
 
 def cone_multisets(n, target):
-    """All multisets of cone orders for degree n with weights summing to target.
-
-    target = 0 yields the single empty multiset.
-    """
+    """All multisets of cone orders for degree n with weights summing to target, each
+    ascending, in lexicographic order: () alone for target 0, none for a negative one.
+    The target must not exceed CONE_MULTISETS_MAX_TARGET."""
     if n < 3 or n % 2 == 0:
         raise ValueError("degree must be odd and >= 3, got %r" % (n,))
-    return _order_multisets(n, 2 * target)  # empty for a negative target
+    _check_ceiling(target, CONE_MULTISETS_MAX_TARGET, "cone_multisets is supported up to target")
+    if target < 0:
+        return []
+    return [sum(((order,) * count for order, count in runs), ())
+            for runs in _order_runs(n, 1 << 2 * target).get(2 * target, [])]
 
 
 def twist_pairs(n, power=1):
@@ -197,15 +216,11 @@ def _cone_assignments(n, runs, target, unit_cones):
                 yield head + rest
 
 
-def _runs(orders):
-    """The runs [(order, count)] of equal order in a sorted cone-order multiset."""
-    return [(order, len(list(same))) for order, same in groupby(orders)]
-
-
 def _shapes(g, n):
-    """[(g0, runs)] for genus g, degree n: the cone-order multisets as runs."""
-    return [(g0, _runs(orders))
-            for g0 in range(g // n + 1) for orders in _order_multisets(n, 2 * (g - g0 * n))]
+    """[(g0, runs)] for genus g, degree n: the cone-order multisets as runs, in one walk."""
+    doubled = [2 * (g - g0 * n) for g0 in range(g // n + 1)]  # twice the rest of each g0
+    found = _order_runs(n, sum(1 << twice for twice in doubled))
+    return [(g0, runs) for g0, twice in enumerate(doubled) for runs in found.get(twice, [])]
 
 
 def _search(g, n, shapes, power=1, class_cap=None):
@@ -217,7 +232,7 @@ def _search(g, n, shapes, power=1, class_cap=None):
         return []
     pairs = twist_pairs(n, power)
     _check_class_cap(g, n, sum(_shape_counts(n, shapes, pairs)), class_cap)
-    unit_cones = {d: {c: (c, d) for c in range(1, d) if gcd(c, d) == 1} for d in divisors(n)}
+    unit_cones = {d: {c: (c, d) for c in range(1, d) if gcd(c, d) == 1} for d in _divisors(n)}
     return sorted((g0, a, b, cones) for a, b in pairs for g0, runs in shapes
                   for cones in _cone_assignments(n, runs, -(a + b), unit_cones))
 
@@ -267,7 +282,7 @@ def _shape_counts(n, shapes, pairs):
     """
     pair_sums = Counter((a + b) % n for a, b in pairs)
     weights = {e: sum(_ramanujan(n // e, gcd(n // e, s)) * m for s, m in pair_sums.items())
-               for e in divisors(n)}  # e -> V(e)
+               for e in _divisors(n)}  # e -> V(e)
     for _, runs in shapes:
         transforms = [(order, _run_transform(order, count)) for order, count in runs]
         total = 0

@@ -30,10 +30,11 @@ class (``_shape_tag``), except for that cube root, so ``class_count``
 counts the classes of one (genus, degree) per tag from
 ``enumeration._shape_counts`` without listing any.
 
-The table behind the paper's pair plot is counted once per (degree,
-remainder): a shape of rest r = g - g0*n counts the same classes for every
-g0, and its tag only depends on whether g0 = 0, so each degree lists and
-counts the shapes of each rest once and sums them per residue of r mod n.
+The table behind the paper's pair plot is counted with one walk and one
+count per degree: a shape of rest r = g - g0*n counts the same classes for
+every g0, and its tag only depends on whether g0 = 0, so each degree lists
+the shapes of all its rests in one walk, counts them in one pass and sums
+them per residue of r mod n.
 Every cell is checked against the class cap before a row is returned.  A
 row holds its tags as sorted (tag, classes) runs, so the table's memory
 follows its cells, not its classes; ``figure1`` writes the runs in bounded
@@ -47,8 +48,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .dataset import DataSet, _canonical
-from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _order_multisets,
-                          _runs, _shape_counts, _shapes, twist_pairs)
+from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _order_runs,
+                          _shape_counts, _shapes, twist_pairs)
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
@@ -281,25 +282,29 @@ def _degree_cells(g_max, n):
     """The tag runs ((tag, classes), ...) of each cell (g, n), indexed by g <= g_max
     (None below (n-1)/2, the first genus with degree n).
 
-    Cell g holds the shapes of rest g - g0*n for each g0 >= 0.  The shapes of rest g are
-    listed and counted once: with g0 = 0 they join cell g, with g0 >= 1 the running
-    Counter of g mod n, which cells g + n, g + 2n, ... add to theirs.  Only rests some
-    cell reads are listed, and the twist pairs are solved only once one has a shape."""
-    low, pairs = (n - 1) // 2, None
-    cells, running = [None] * low, [Counter() for _ in range(n)]
-    for g in range(g_max + 1):
-        later = running[g % n]
-        counts = Counter(later)  # the classes of cell g with g0 >= 1
-        shapes = []
-        if g >= low or g + n <= g_max:  # cell g or g + n reads rest g
-            shapes = [(g, _runs(orders)) for orders in _order_multisets(n, 2 * g)]
-        if shapes:
-            pairs = twist_pairs(n) if pairs is None else pairs
-            for count, at_zero, at_more in _tally(n, shapes, pairs):
-                counts[at_zero] += count
-                later[at_more] += count
-        if g >= low:
-            cells.append(tuple((tag.value, k) for tag, k in _cell(g, n, counts).items()))
+    Cell g holds the shapes of rest g - g0*n for each g0 >= 0.  One walk lists the shapes
+    of every rest some cell reads, and one count pass counts them all, so the twist pairs
+    and V(e) are computed once per degree, and not at all without a shape.  Per tag, the
+    shapes of rest r add to ``zero[r]`` with g0 = 0 and to ``more[r + n]`` with g0 >= 1;
+    summing ``more`` along each residue mod n then leaves in ``more[g]`` the g0 >= 1
+    classes of cell g, from rests g - n, g - 2n and so on."""
+    low = (n - 1) // 2
+    rests = [r for r in range(g_max + 1) if r >= low or r + n <= g_max]  # read by r or r + n
+    found = _order_runs(n, sum(1 << 2 * r for r in rests))
+    shapes = [(r, runs) for r in rests for runs in found.get(2 * r, [])]
+    zero = {tag: [0] * (g_max + 1) for tag in _TAGS}
+    more = {tag: [0] * (g_max + 1 + n) for tag in _TAGS}
+    pairs = twist_pairs(n) if shapes else []
+    for (r, _), (count, tag_zero, tag_more) in zip(shapes, _tally(n, shapes, pairs)):
+        zero[tag_zero][r] += count
+        more[tag_more][r + n] += count
+    for sums in more.values():
+        for i in range(n, g_max + 1):
+            sums[i] += sums[i - n]
+    cells = [None] * low
+    for g in range(low, g_max + 1):
+        counts = {tag: zero[tag][g] + more[tag][g] for tag in _TAGS}
+        cells.append(tuple((tag.value, k) for tag, k in _cell(g, n, counts).items()))
     return cells
 
 

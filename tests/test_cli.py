@@ -276,6 +276,17 @@ def test_figure1_writes_tag_runs_in_bounded_memory(tmp_path, capsys):
     assert digest.hexdigest() == "b815a3be11af0ca6ed0cfb7321af9891d654b30e58d22f48debd7a165f042d52"
 
 
+def test_figure1_past_the_class_cap_writes_nothing(tmp_path, capsys, monkeypatch):
+    # every cell is counted and checked in (g, n) order before the output is opened;
+    # (99, 19) is the first cell past the default cap of 10**7
+    monkeypatch.delenv("DEHN_ROOTS_CLASS_CAP", raising=False)
+    path = tmp_path / "pairs.csv"
+    argv = ("figure1", "--max-genus", "400", "--max-degree", "801", "--output", str(path))
+    assert run_cli(capsys, *argv) == (
+        3, "", "class cap exceeded: more than 10000000 classes of genus 99, degree 19\n")
+    assert not path.exists()
+
+
 def test_exit_codes(monkeypatch):
     # usage errors
     assert main(["roots"]) == 2

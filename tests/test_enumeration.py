@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 from math import gcd
 from time import perf_counter
 
@@ -7,11 +8,13 @@ import pytest
 from dehnroots import enumeration
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset, stabilize, validate
 from dehnroots.enumeration import (
+    CONE_MULTISETS_MAX_TARGET,
     DATASETS_MAX_GENUS,
     GENUS_SET_MAX_GENUS,
     TWIST_PAIRS_MAX_DEGREE,
     ClassCapExceeded,
     OracleRangeExceeded,
+    _order_runs,
     _root_genera,
     _shapes,
     class_cap_from_env,
@@ -139,6 +142,44 @@ def test_listed_classes_share_their_cone_pairs():
 
 def test_cone_multisets_deeper_than_recursion_limit():
     assert cone_multisets(3, 3000) == [(3,) * 3000]
+
+
+def test_cone_multisets_with_many_divisors_and_past_the_ceiling():
+    n = 436704293025  # 3**4 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23 * 29: 1,920 divisors
+    assert cone_multisets(n, 0) == [()]
+    assert cone_multisets(n, 1) == []
+    assert cone_multisets(n, -1) == []
+    assert cone_multisets(3, CONE_MULTISETS_MAX_TARGET) == [(3,) * CONE_MULTISETS_MAX_TARGET]
+    for target in (CONE_MULTISETS_MAX_TARGET + 1, n // 3):  # n // 3 is one cone of order 3
+        with pytest.raises(RangeExceeded, match="^cone_multisets is supported up to target"):
+            cone_multisets(n, target)
+
+
+def _brute_order_runs(n, top):
+    """{doubled weight <= top: [runs, ...]} from every tuple of per-divisor counts, each
+    weight's multisets sorted as spelled-out tuples."""
+    divs = [d for d in range(2, n + 1) if n % d == 0]
+    weights = [n - n // d for d in divs]
+    found = {}
+    for counts in product(*(range(top // w + 1) for w in weights)):
+        total = sum(c * w for c, w in zip(counts, weights))
+        if total <= top:
+            found.setdefault(total, []).append(tuple((d, c) for d, c in zip(divs, counts) if c))
+    return {total: sorted(lists, key=lambda runs: sum(((d,) * c for d, c in runs), ()))
+            for total, lists in found.items()}
+
+
+def test_order_runs_match_a_brute_force_over_counts():
+    # even n serve the fractional candidates, whose doubled weights may be odd
+    top = 120
+    for n in range(2, 61):
+        brute = _brute_order_runs(n, top)
+        for twice in range(top + 1):
+            assert _order_runs(n, 1 << twice).get(twice, []) == brute.get(twice, []), (n, twice)
+        for wanted in ((1 << top + 1) - 1, sum(1 << t for t in range(0, top + 1, 3))):
+            found = _order_runs(n, wanted)
+            assert set(found) == {t for t in brute if wanted >> t & 1}, n
+            assert all(found[t] == brute[t] for t in found), n
 
 
 def test_has_root_deeper_than_recursion_limit():

@@ -260,26 +260,33 @@ def test_pair_table_tags_the_cube_root():
 
 
 def test_pair_table_lists_each_rest_once(monkeypatch):
-    # the table walks degree by degree: one cone-order list per (degree, rest) and at most
-    # one twist-pair solve per degree, however many cells read them
-    lists, solves = Counter(), Counter()
-    order_multisets, solve = special_roots._order_multisets, special_roots.twist_pairs
+    # the table walks degree by degree: one cone-order walk over every rest a cell reads,
+    # one count pass over all of its shapes and at most one twist-pair solve per degree
+    walks, counts, solves = Counter(), Counter(), Counter()
+    order_runs, shape_counts, solve = (special_roots._order_runs, special_roots._shape_counts,
+                                       special_roots.twist_pairs)
 
-    def listed(n, twice_target):
-        lists[n, twice_target] += 1
-        return order_multisets(n, twice_target)
+    def walked(n, wanted):
+        walks[n] += 1
+        # only doubled rests 2r with r <= 48
+        assert wanted.bit_length() <= 97 and not any(wanted >> t & 1 for t in range(1, 97, 2))
+        return order_runs(n, wanted)
+
+    def counted(n, shapes, pairs):
+        counts[n] += 1
+        return shape_counts(n, shapes, pairs)
 
     def solved(n, power=1):
         solves[n] += 1
         return solve(n, power)
 
-    monkeypatch.setattr(special_roots, "_order_multisets", listed)
+    monkeypatch.setattr(special_roots, "_order_runs", walked)
+    monkeypatch.setattr(special_roots, "_shape_counts", counted)
     monkeypatch.setattr(special_roots, "twist_pairs", solved)
     pair_table(48, 33)
-    degrees = set(range(3, 34, 2))
-    assert set(lists.values()) == {1} and {n for n, _ in lists} == degrees
-    assert all(twice % 2 == 0 and twice <= 96 for _, twice in lists)
-    assert set(solves.values()) == {1} and set(solves) <= degrees
+    degrees = dict.fromkeys(range(3, 34, 2), 1)
+    assert walks == degrees and counts == degrees
+    assert set(solves.values()) == {1} and set(solves) <= set(degrees)
 
 
 def test_large_degree_classification():
