@@ -13,9 +13,9 @@ empty ``[  ]``) and class lists one data set per line; ``--format json``
 switches every query except ``figure1``, which writes the pair table as CSV.
 Class listings (``roots``, ``ms-roots``) write each class with one %-format of a
 fixed template, ``_CLASS_JSON`` or the text form ``format_dataset`` uses, and
-make each cone pair's form once per listing.  The other multi-line JSON
-(``de-construct``, ``fractional``, ``validate``) comes from ``_indented``.  Both
-write the bytes of ``json.dumps(value, indent=2)``.
+make each cone pair's form once per listing, writing the bytes
+``json.dumps(docs, indent=2)`` gives; the other multi-line JSON (``de-construct``,
+``fractional``, ``validate``) comes from ``json.dumps(value, indent=2)`` itself.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 4 output I/O failure.  DEHN_ROOTS_CLASS_CAP overrides the enumeration cap.
@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from . import enumeration, fractional, numtheory, special_roots
@@ -40,26 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_IO = 4
-
-
-def _indented(value, indent="\n"):
-    """``json.dumps(value, indent=2)`` for a value built of dicts with string keys,
-    lists, tuples, ints, bools, None and strings.  With ``indent`` set, ``json`` runs
-    its pure-Python encoder, which takes about twice as long.  Ints, the commonest
-    leaves, go first.  Used by every JSON printer but the class listings, which
-    fill the ``_CLASS_JSON`` template instead."""
-    if type(value) is int:
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in value]) + indent + "]"
-    if isinstance(value, dict) and value:
-        inner = indent + "  "
-        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return json.dumps(value)  # a bool, None, [] or {}
 
 
 def _dataset_json(ds, **extra):
@@ -120,14 +99,14 @@ def _print_count(count, args):
 
 
 def _print_dataset(ds, args):
-    print(_indented(_tagged_json(ds)) if args.format == "json" else format_dataset(ds))
+    print(json.dumps(_tagged_json(ds), indent=2) if args.format == "json" else format_dataset(ds))
 
 
 def _print_candidates(candidates, args):
     if args.format == "json":  # candidates are not classified: no tag
         docs = [_dataset_json(ds, power=ds.power, power_shares_factor=ds.power_shares_factor)
                 for ds in candidates]
-        print(_indented(docs))
+        print(json.dumps(docs, indent=2))
     else:
         for ds in candidates:
             caveat = "yes" if ds.power_shares_factor else "no"
@@ -146,7 +125,7 @@ def _print_report(checked, args):
         doc = {"valid": report.valid, "violations": violations}
         if report.valid:
             doc.update(genus=ds.genus, degree=ds.degree)
-        print(_indented(doc))
+        print(json.dumps(doc, indent=2))
     elif report.valid:
         print("valid; genus %d; degree %d" % (ds.genus, ds.degree))
     else:

@@ -100,7 +100,9 @@ def class_cap_from_env():
 
 
 def cone_weight(n, order):
-    """Genus contribution (n/order)(order - 1)/2 of a cone whose order divides n."""
+    """Genus contribution (n/order)(order - 1)/2 of a cone whose order divides n >= 2."""
+    if n < 2:
+        raise RangeExceeded("degree must be >= 2, got %s" % _show(n))
     if order < 2 or n % order:
         raise RangeExceeded("cone order must be a divisor >= 2 of %s, got %s"
                             % (_show(n), _show(order)))

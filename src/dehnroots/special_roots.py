@@ -26,30 +26,29 @@ g+1 <= n <= 6(g + 3/2)/5.
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
 the genus-4 surface).  A tag depends only on the cone-order shape of a
-class (``_shape_tag``), except for that cube root, so ``class_count``
-counts the classes of one (genus, degree) per tag from
-``enumeration._shape_counts`` without listing any.
+class (``_shape_tag``), except for that cube root, so classes are counted
+per tag from ``enumeration._shape_counts`` without listing any.
 
-The table behind the paper's pair plot is counted with one walk and one
-count per degree: a shape of rest r = g - g0*n counts the same classes for
-every g0, and its tag only depends on whether g0 = 0, so each degree lists
-the shapes of all its rests in one walk, counts them in one pass and sums
+One counter, ``_degree_cells``, serves one cell (``class_count``) and the
+whole table behind the paper's pair plot (``pair_table``, ``figure1``): a
+shape of rest r = g - g0*n counts the same classes for every g0, and its
+tag only depends on whether g0 = 0, so a degree lists the shapes of the
+rests its wanted cells read in one walk, counts them in one pass and sums
 them per residue of r mod n.
-Every cell is checked against the class cap before a row is returned.  A
-row holds its tags as sorted (tag, classes) runs, so the table's memory
-follows its cells, not its classes; ``figure1`` writes the runs in bounded
-chunks, and ``pair_table`` spells them out one tag per class.  Neither
-runs the residue search.
+Every cell of the table is checked against the class cap before a row is
+returned.  A row holds its tags as sorted (tag, classes) runs, so the
+table's memory follows its cells, not its classes; ``figure1`` writes the
+runs in bounded chunks, and ``pair_table`` spells them out one tag per
+class.  Neither runs the residue search.
 """
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
 from .dataset import DataSet, _canonical
 from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _order_runs,
-                          _shape_counts, _shapes, twist_pairs)
+                          _shape_counts, twist_pairs)
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
@@ -220,19 +219,14 @@ def _shape_tag(g0, cones, primary):
     return RootTag.PRIMARY if primary else RootTag.OTHER
 
 
-def _tag(n, g0, a, b, cones):
-    """The tag of the canonical class (n, g0, (a,b); cones), cones sorted by order: its
-    shape's tag, or CUBE_OF_T4 for the cube root, the one class whose tag reads its
-    residues (its shape is PRIMARY)."""
+def classify(ds):
+    """The RootTag of a valid data set: its shape's tag, or CUBE_OF_T4 for the cube root,
+    the one class whose tag reads its residues (its shape is PRIMARY)."""
+    n, g0, cones = ds.degree, ds.quotient_genus, ds.cones
     tag = _shape_tag(g0, len(cones), not cones or cones[0][1] == n == cones[-1][1])
-    if tag is RootTag.PRIMARY and (n, g0, a, b, cones) == _CUBE_OF_T4:
+    if tag is RootTag.PRIMARY and (n, g0, ds.a, ds.b, cones) == _CUBE_OF_T4:
         return RootTag.CUBE_OF_T4
     return tag
-
-
-def classify(ds):
-    """The RootTag of a valid data set."""
-    return _tag(ds.degree, ds.quotient_genus, ds.a, ds.b, ds.cones)
 
 
 @dataclass(frozen=True)
@@ -245,67 +239,48 @@ class PairRow:
     tags: tuple  # one tag per class, sorted
 
 
-def _tally(n, shapes, pairs):
-    """Yield (classes, tag as g0 = 0, tag as g0 >= 1) for each (_, runs) of ``shapes``
-    with the degree-n twist pairs ``pairs``: a shape's count does not depend on g0, and
-    its tag only on whether g0 = 0.  The runs rise to n, so all cones have order n exactly
-    when the first run does."""
-    for (_, runs), count in zip(shapes, _shape_counts(n, shapes, pairs)):
-        cones, primary = sum(k for _, k in runs), not runs or runs[0][0] == n
-        yield count, _shape_tag(0, cones, primary), _shape_tag(1, cones, primary)
-
-
-def _cell(g, n, counts):
-    """{tag: classes} of cell (g, n), nonzero and in tag order, from the Counter ``counts``
-    of its shape tags; in cell (3, 3) one PRIMARY class is the cube root."""
-    if (g, n) == (3, 3):
-        counts[RootTag.PRIMARY] -= 1
-        counts[RootTag.CUBE_OF_T4] += 1
-    return {tag: counts[tag] for tag in _TAGS if counts[tag]}
-
-
 def class_count(g, n):
     """{RootTag: number of classes} of genus g <= 400 and degree n, nonzero entries
     only, counted per cone-order shape without building a class."""
     if not _degree_occurs(g, n):
         return {}
     _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
-    shapes = _shapes(g, n)
-    counts = Counter()
-    if shapes:  # no twist pairs solved for an empty cell
-        for (g0, _), (count, *tags) in zip(shapes, _tally(n, shapes, twist_pairs(n))):
-            counts[tags[g0 > 0]] += count
-    return _cell(g, n, counts)
+    return _degree_cells(n, [g])[g]
 
 
-def _degree_cells(g_max, n):
-    """The tag runs ((tag, classes), ...) of each cell (g, n), indexed by g <= g_max
-    (None below (n-1)/2, the first genus with degree n).
+def _degree_cells(n, genera):
+    """{g: {tag: classes}} of the cells (g, n) for the rising ``genera``, nonzero entries
+    in tag order: the one tag counter, behind one cell (``class_count``) and behind a
+    whole column of the table (``_pair_runs``).
 
-    Cell g holds the shapes of rest g - g0*n for each g0 >= 0.  One walk lists the shapes
-    of every rest some cell reads, and one count pass counts them all, so the twist pairs
-    and V(e) are computed once per degree, and not at all without a shape.  Per tag, the
-    shapes of rest r add to ``zero[r]`` with g0 = 0 and to ``more[r + n]`` with g0 >= 1;
-    summing ``more`` along each residue mod n then leaves in ``more[g]`` the g0 >= 1
-    classes of cell g, from rests g - n, g - 2n and so on."""
-    low = (n - 1) // 2
-    rests = [r for r in range(g_max + 1) if r >= low or r + n <= g_max]  # read by r or r + n
+    Cell g holds the shapes of rest g - g0*n for each g0 >= 0, so the rests read are g,
+    g - n, ... down to g mod n.  One walk lists the shapes of all of them, and one count
+    pass counts them, so the twist pairs and V(e) are computed once per degree, and not
+    at all without a shape.  A shape's count does not depend on g0, and its tag only on
+    whether g0 = 0: per tag, the shapes of rest r add to ``zero[r]`` as g0 = 0 and to
+    ``more[r + n]`` as g0 >= 1.  Summing ``more`` along each wanted residue mod n, up to
+    its largest wanted genus, then leaves in ``more[g]`` the g0 >= 1 classes of cell g,
+    from rests g - n, g - 2n and so on."""
+    last = {g % n: g for g in genera}  # residue -> its largest wanted genus
+    rests = sorted(r for s, g in last.items() for r in range(s, g + 1, n))
     found = _order_runs(n, sum(1 << 2 * r for r in rests))
     shapes = [(r, runs) for r in rests for runs in found.get(2 * r, [])]
-    zero = {tag: [0] * (g_max + 1) for tag in _TAGS}
-    more = {tag: [0] * (g_max + 1 + n) for tag in _TAGS}
-    pairs = twist_pairs(n) if shapes else []
-    for (r, _), (count, tag_zero, tag_more) in zip(shapes, _tally(n, shapes, pairs)):
-        zero[tag_zero][r] += count
-        more[tag_more][r + n] += count
+    size = rests[-1] + 1
+    zero = {tag: [0] * size for tag in _TAGS}
+    more = {tag: [0] * (size + n) for tag in _TAGS}
+    if shapes:
+        for (r, runs), count in zip(shapes, _shape_counts(n, shapes, twist_pairs(n))):
+            # the runs rise to n, so all cones have order n exactly when the first run does
+            cones, primary = sum(k for _, k in runs), not runs or runs[0][0] == n
+            zero[_shape_tag(0, cones, primary)][r] += count
+            more[_shape_tag(1, cones, primary)][r + n] += count
     for sums in more.values():
-        for i in range(n, g_max + 1):
-            sums[i] += sums[i - n]
-    cells = [None] * low
-    for g in range(low, g_max + 1):
-        counts = {tag: zero[tag][g] + more[tag][g] for tag in _TAGS}
-        cells.append(tuple((tag.value, k) for tag, k in _cell(g, n, counts).items()))
-    return cells
+        for r in rests:  # rising, and r - n is a rest when r >= n (sums[r] is 0 below n)
+            sums[r + n] += sums[r]
+    if n == 3 and 3 in genera:  # in cell (3, 3) one PRIMARY class is the cube root
+        zero[RootTag.PRIMARY][3] -= 1
+        zero[RootTag.CUBE_OF_T4][3] += 1
+    return {g: {tag: k for tag in _TAGS if (k := zero[tag][g] + more[tag][g])} for g in genera}
 
 
 def _pair_runs(g_max, n_max, class_cap=None):
@@ -315,15 +290,16 @@ def _pair_runs(g_max, n_max, class_cap=None):
     the class cap in (g, n) order, so the first cell past it fails, before any row is
     returned.  Memory follows the cells, not the classes."""
     _check_ceiling(g_max, DATASETS_MAX_GENUS, "pair_table is supported up to g")
-    columns = {n: _degree_cells(g_max, n) for n in range(3, min(n_max, 2 * g_max + 1) + 1, 2)}
+    columns = {n: _degree_cells(n, range((n - 1) // 2, g_max + 1))
+               for n in range(3, min(n_max, 2 * g_max + 1) + 1, 2)}
     rows = []
     for g in range(g_max + 1):
         for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
-            runs = columns[n][g]
-            total = sum(k for _, k in runs)
+            cell = columns[n][g]
+            total = sum(cell.values())
             _check_class_cap(g, n, total, class_cap)
             if total:
-                rows.append((g, n, total, runs))
+                rows.append((g, n, total, tuple((tag.value, k) for tag, k in cell.items())))
     return rows
 
 

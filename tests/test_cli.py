@@ -87,11 +87,6 @@ def test_indented_is_json_dumps(capsys):
         assert out == json.dumps(docs[-1], indent=2) + "\n"
     assert {doc["power_shares_factor"] for doc in docs[14] + docs[15]} == {True, False}
     assert [doc["valid"] for doc in docs[16:18]] == [True, False]
-    edges = [[], {}, [[]], [{}], {"k": []}, {"k": {}}, [[], [[], {}]], True, False, None,
-             0, -7, 10**40, "", 'quote " and backslash \\', "n\u00e4ive \u2203 \U0001f600\t\n",
-             {"\u00e9\"\\": [None, True, "x"]}, (1, ((), [2]))]
-    for value in docs + edges:
-        assert cli._indented(value) == json.dumps(value, indent=2)
 
 
 def test_class_listings_are_json_dumps_and_format_dataset(capsys):

@@ -28,7 +28,8 @@ from dehnroots.enumeration import (
     root_degrees,
     twist_pairs,
 )
-from dehnroots.special_roots import class_count, ms_count, ms_roots, pair_table, t_set
+from dehnroots.special_roots import (class_count, classify, ms_count, ms_roots, pair_table,
+                                    t_set)
 
 
 def test_cone_weight():
@@ -38,6 +39,9 @@ def test_cone_weight():
     for n, order in ((9, 4), (15, 7), (9, -3), (9, 0)):  # orders that do not divide n
         with pytest.raises(RangeExceeded, match="^cone order must be a divisor >= 2 of"):
             cone_weight(n, order)
+    for n in (0, -9):  # every order divides 0, and -9 would give a negative weight
+        with pytest.raises(RangeExceeded, match="^degree must be >= 2"):
+            cone_weight(n, 3)
 
 
 def test_cone_multisets_examples():
@@ -420,7 +424,8 @@ def test_listing_matches_an_independent_count_past_the_oracle():
         for n in range(3, 2 * g + 2, 2):
             classes = datasets(g, n)
             assert len(classes) == _independent_count(g, n), (g, n)
-            assert sum(class_count(g, n).values()) == len(classes), (g, n)
+            # the residue walk and classify against the Fourier count and the shape rule
+            assert class_count(g, n) == dict(Counter(classify(ds) for ds in classes)), (g, n)
             assert len(set(classes)) == len(classes), (g, n)
             for ds in classes:
                 assert validate(ds).valid and ds.genus == g, ds

@@ -238,8 +238,10 @@ def test_maximal_tag_is_read_off_the_shape():
 
 
 def test_pair_table_matches_class_count_cell_by_cell():
-    # the table lists and counts each (degree, rest) once and sums the rests of one residue
-    # mod n; class_count walks each cell's own shapes.  (36, 73) reaches past 2*g_max + 1
+    # class_count and the table share one counter (_degree_cells), so this checks only the
+    # rests each call selects and the sums per residue mod n: one genus against a whole
+    # column.  The per-tag counts meet an independent check in test_enumeration's
+    # listing test.  (36, 73) reaches past 2*g_max + 1
     for g_max, n_max in ((60, 61), (36, 73)):
         rows = {(row.genus, row.degree): row for row in pair_table(g_max, n_max)}
         for g in range(g_max + 1):
@@ -287,6 +289,27 @@ def test_pair_table_lists_each_rest_once(monkeypatch):
     degrees = dict.fromkeys(range(3, 34, 2), 1)
     assert walks == degrees and counts == degrees
     assert set(solves.values()) == {1} and set(solves) <= set(degrees)
+
+
+def test_class_count_walks_only_its_own_rests(monkeypatch):
+    # one cell reads the rests g, g - n, ..., g mod n and no others: (400, 15) has 3,825
+    # shapes over its 27 rests, where every rest <= 400 would list 54,490
+    walks, passes = [], []
+    order_runs, shape_counts = special_roots._order_runs, special_roots._shape_counts
+
+    def walked(n, wanted):
+        walks.append((n, wanted))
+        return order_runs(n, wanted)
+
+    def counted(n, shapes, pairs):
+        passes.append(len(shapes))
+        return shape_counts(n, shapes, pairs)
+
+    monkeypatch.setattr(special_roots, "_order_runs", walked)
+    monkeypatch.setattr(special_roots, "_shape_counts", counted)
+    class_count(400, 15)
+    assert walks == [(15, sum(1 << 2 * (400 - 15 * g0) for g0 in range(27)))]
+    assert passes == [3825]
 
 
 def test_large_degree_classification():
