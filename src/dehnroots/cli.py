@@ -157,10 +157,12 @@ def _write_csv(rows, args):
 
 
 def _roots(args):
-    """The classes of one degree, or of each odd degree up to 2g+1 in turn."""
-    cap = class_cap_from_env()
-    degrees = range(3, 2 * args.genus + 2, 2) if args.degree is None else [args.degree]
-    return [ds for n in degrees for ds in enumeration.datasets(args.genus, n, cap)]
+    """The classes of one degree, or of each odd degree up to 2g+1, all counted first."""
+    g, cap = args.genus, class_cap_from_env()
+    degrees = range(3, 2 * g + 2, 2) if args.degree is None else [args.degree]
+    for n in degrees:
+        enumeration._cell(g, n, cap)
+    return [ds for n in degrees for ds in enumeration.datasets(g, n, cap)]
 
 
 def _validated(text):

@@ -71,9 +71,9 @@ class DataSet:
     (degree >= 2, orders >= 2, quotient_genus >= 0); the arithmetic
     conditions are ``validate``'s job, so invalid candidates can be built
     and inspected.  ``_canonical`` is the one path that skips the range
-    checks and the reduction; only ``enumeration.datasets`` and
-    ``special_roots.ms_roots`` may call it, with tuples they build in
-    canonical form.
+    checks and the reduction; only the listings of ``enumeration``
+    (``datasets``, ``primary_datasets``) and ``special_roots.ms_roots`` may
+    call it, with tuples they build in canonical form.
     """
 
     degree: int

@@ -13,21 +13,17 @@ twist pair and cone residues satisfying (I)-(IV); the pieces run over
   * cone residues, one multiset of units per run of equal cone order, so
     each class appears exactly once.
 
-``_shapes`` walks the first two once per cell: one (g0, runs) per cone-order
-multiset, with the runs of equal order.  ``_shape_counts`` counts each shape's
-classes without building one (a product of per-run residue-sum transforms,
-see its docstring); ``special_roots.class_count`` and ``pair_table`` read only
-these counts.  ``_search`` lists the classes of the shapes it is given, for
-``datasets`` (every shape), ``primary_datasets`` (the all-n shape of each g0)
-and the fractional candidates, after it checks their counted total against
-the per-(genus, degree) class cap, so a cell past the cap fails at once and
-in bounded memory.  The last residue is solved from (IV).  At each run
-boundary the runs after it add a multiple of gcd(n, n/n_i, ...), so a
-remainder that is not one is dropped.  The residue search recurses once per
-run, at most 11 deep for odd n <= 801.  ``_order_runs`` walks the cone-order
-multisets of many weights at once, one divisor count at a time on an explicit
-stack, and keeps a count only if the later divisors can still reach a wanted
-weight, so it never backs out of a dead end.
+``_order_runs`` walks the first two once per cell: the caller names the rests
+g - g0*n it reads and gets one (rest, runs) per cone-order multiset, with the
+runs of equal order.  ``_shape_counts`` counts each shape's classes without
+building one, for ``special_roots.class_count`` and ``pair_table`` and for the
+class cap: ``_counted`` checks a cell's total, and ``roots --genus g`` that of
+every degree (``_cell``), before ``_search`` lists a class of ``datasets``,
+``primary_datasets`` or the fractional candidates, so a cell past the cap
+fails at once and in bounded memory.  The residue search recurses once per
+run, at most 11 deep for odd n <= 801, and drops a remainder that the later
+runs cannot meet.  Each order's units (``_units``) and each degree's divisors
+(``_divisors``) are tabled once.
 
 Existence (``has_root``, ``root_degrees``, ``genus_set``) is decided by the
 lcm rule in ``_root_genera``, without twist pairs, counts or the search.
@@ -64,7 +60,7 @@ DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
 # Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.3-0.4 s and 37 MB;
-# genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 1.0-1.5 s (2-core VM).
+# genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 0.7-1.2 s (2-core VM).
 # twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.  cone_multisets
 # stops at target 10**4 (callers inside reach 400): its walk's bitsets are 2*target wide.
 DATASETS_MAX_GENUS = 400
@@ -114,19 +110,18 @@ def cone_weight(n, order):
 
 @lru_cache(maxsize=1 << 10)
 def _divisors(n):
-    """divisors(n) as a tuple, kept for the last 1,024 degrees: a cell's walk, count and
-    search each read them, and factoring again costs more than a small cell's walk."""
+    """divisors(n) as a tuple, kept for the last 1,024 degrees: the walk, the counts and
+    the lcm rule read them, and factoring again costs more than a small cell's walk."""
     return tuple(divisors(n))
 
 
-def _order_runs(n, wanted):
-    """{doubled weight: [runs, ...]} for each bit of ``wanted`` that a multiset of divisors
-    > 1 of n reaches, runs being ((order, count), ...) with rising order.  Doubled weights
-    n - n/d stay integral for even n, as the fractional candidates need.  A node of the walk
-    is a run prefix; its children take a later divisor, rising, with its count, highest
-    first, so each list is in lexicographic order.  A child is kept only if the divisors
-    after its own reach a wanted weight (``need``), so every node leads to a listed multiset.
-    """
+def _order_runs(n, rests):
+    """[(rest, runs)] for the rising ``rests``: each multiset of divisors > 1 of n whose cone
+    weights sum to a rest, as runs ((order, count), ...) with rising order, lexicographic
+    per rest.  The walk reads doubled weights n - n/d, integral for even n too.  A node is a
+    run prefix; its children take a later divisor, rising, with its count, highest first,
+    and are kept only if the divisors after theirs reach a wanted weight (``need``)."""
+    wanted = sum(1 << 2 * r for r in rests)
     top = wanted.bit_length() - 1
     # n - n/d grows with d, so the divisors that fit under top are a prefix
     divs = [(d, n - n // d) for d in _divisors(n) if 1 < d and n - n // d <= top]
@@ -150,7 +145,7 @@ def _order_runs(n, wanted):
             for count in range(1, (top - total) // weight + 1):
                 if after >> (total + count * weight) & 1:
                     stack.append((total + count * weight, j + 1, runs + ((order, count),)))
-    return found
+    return [(r, runs) for r in rests for runs in found.get(2 * r, [])]
 
 
 def cone_multisets(n, target):
@@ -163,7 +158,7 @@ def cone_multisets(n, target):
     if target < 0:
         return []
     return [sum(((order,) * count for order, count in runs), ())
-            for runs in _order_runs(n, 1 << 2 * target).get(2 * target, [])]
+            for _, runs in _order_runs(n, [target])]
 
 
 def twist_pairs(n, power=1):
@@ -187,56 +182,58 @@ def twist_pairs(n, power=1):
     return pairs
 
 
-def _cone_assignments(n, runs, target, unit_cones):
+@lru_cache(maxsize=1 << 10)
+def _units(d):
+    """(units, pairs) of Z/d: its rising units and {c: (c, d)}, the cone pairs all classes
+    share.  Kept for the last 1,024 orders; the 401 orders of odd n <= 801 retain 15.3 MB."""
+    pairs = {c: (c, d) for c in range(1, d) if gcd(c, d) == 1}
+    return tuple(pairs), pairs
+
+
+def _cone_assignments(n, runs, target):
     """Yield the cone tuples ((c_1, n_1), ...) for the cone-order runs [(order,
     count), ...] with sum (n/n_i)*c_i = target mod n.  Each run takes one multiset
-    of the unit residues of its order, walked as plain integers (the keys of
-    ``unit_cones[order]``); the last run takes count - 1 and solves the last
-    residue, kept if a unit not below the one before it.  Only a multiset that
-    passes is mapped to the shared ``unit_cones[order]`` pairs."""
+    of the units of its order (``_units``), walked as plain integers; the last run
+    takes count - 1 and solves the last residue, kept if a unit not below the one
+    before it.  Only a multiset that passes is mapped to the shared cone pairs."""
     if not runs:  # no cones: (IV) reads a + b = 0
         if target % n == 0:
             yield ()
         return
     order, count = runs[0]
     step = n // order
-    cones = unit_cones[order]
+    units, cones = _units(order)
     pair = cones.__getitem__
     if len(runs) == 1:
-        for combo in combinations_with_replacement(cones, count - 1):
+        for combo in combinations_with_replacement(units, count - 1):
             need = (target - step * sum(combo)) % n
             last = need // step
             if need % step == 0 and last in cones and (not combo or combo[-1] <= last):
                 yield tuple(map(pair, combo)) + (cones[last],)
         return
     later = gcd(n, *(n // o for o, _ in runs[1:]))
-    for combo in combinations_with_replacement(cones, count):
+    for combo in combinations_with_replacement(units, count):
         need = (target - step * sum(combo)) % n
         if need % later == 0:
             head = tuple(map(pair, combo))
-            for rest in _cone_assignments(n, runs[1:], need, unit_cones):
+            for rest in _cone_assignments(n, runs[1:], need):
                 yield head + rest
 
 
-def _shapes(g, n):
-    """[(g0, runs)] for genus g, degree n: the cone-order multisets as runs, in one walk."""
-    doubled = [2 * (g - g0 * n) for g0 in range(g // n + 1)]  # twice the rest of each g0
-    found = _order_runs(n, sum(1 << twice for twice in doubled))
-    return [(g0, runs) for g0, twice in enumerate(doubled) for runs in found.get(twice, [])]
+def _counted(g, n, shapes, power, class_cap):
+    """The cell (g, n, shapes, power-l twist pairs) ``_search`` lists, once its classes are
+    counted within the class cap; the pairs are solved once, and not without a shape."""
+    pairs = twist_pairs(n, power) if shapes else []
+    _check_class_cap(g, n, sum(_shape_counts(n, shapes, pairs)) if pairs else 0, class_cap)
+    return g, n, shapes, pairs
 
 
-def _search(g, n, shapes, power=1, class_cap=None):
-    """Sorted canonical (g0, a, b, cones) of genus g, degree n: the classes of ``shapes`` with
-    power-l twist pairs, once their count is within the class cap.  The pairs are solved once,
-    for the count and the walk, and not at all without a shape.  The empty cone multiset is
+def _search(g, n, shapes, pairs):
+    """Sorted canonical (g0, a, b, cones) of genus g, degree n: the classes of ``shapes``,
+    [(rest, runs)] with g0 = (g - rest)/n, and twist ``pairs``.  The empty cone multiset is
     kept: for power 1 it fails (IV), as a + b = a*b is a unit, but higher powers allow it."""
-    if not shapes:
-        return []
-    pairs = twist_pairs(n, power)
-    _check_class_cap(g, n, sum(_shape_counts(n, shapes, pairs)), class_cap)
-    unit_cones = {d: {c: (c, d) for c in range(1, d) if gcd(c, d) == 1} for d in _divisors(n)}
-    return sorted((g0, a, b, cones) for a, b in pairs for g0, runs in shapes
-                  for cones in _cone_assignments(n, runs, -(a + b), unit_cones))
+    return sorted(((g - r) // n, a, b, cones) for a, b in pairs for r, runs in shapes
+                  for cones in _cone_assignments(n, runs, -(a + b)))
 
 
 @cache
@@ -259,14 +256,14 @@ def _run_transform(order, k):
     counted by residue sum.  By Newton's identity k*H_k = sum_i c_d(i*e)*H_(k-i),
     as the i-th power sum of exp(2*pi*i*t*u/d) over the units u is c_d(t*i)."""
     if k == 0:
-        return dict.fromkeys(divisors(order), 1)
+        return dict.fromkeys(_divisors(order), 1)
     rows = [_run_transform(order, j) for j in range(k)]  # rising j: recursion stays 2 deep
     return {e: sum(_ramanujan(order, gcd(order, i * e)) * rows[k - i][e]
                    for i in range(1, k + 1)) // k for e in rows[0]}
 
 
 def _shape_counts(n, shapes, pairs):
-    """Yield, for each (g0, runs) of ``shapes``, the number of classes ``_search``
+    """Yield, for each (rest, runs) of ``shapes``, the number of classes ``_search``
     lists for that shape with the twist pairs ``pairs`` of degree n, without building one.
 
     A run of k cones of order d adds (n/d) times a size-k multiset of units of
@@ -322,7 +319,7 @@ def _root_genera(n, g_max):
     """
     mask = (1 << (g_max + 1)) - 1
     by_lcm = {1: 1}  # lcm of the cone orders so far -> bitset of their genera
-    for d in divisors(n):
+    for d in _divisors(n):
         weight = n if d == 1 else (n - n // d) // 2
         grown = dict(by_lcm)
         for reached, bits in by_lcm.items():
@@ -336,6 +333,15 @@ def _root_genera(n, g_max):
     return by_lcm[n]
 
 
+def _cell(g, n, class_cap):
+    """The cell (g, n, shapes, twist pairs) of ``datasets(g, n)``, once its classes are
+    counted within the class cap; no shapes when n is not a degree of genus g."""
+    if not _degree_occurs(g, n):
+        return g, n, [], []
+    _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
+    return _counted(g, n, _order_runs(n, range(g % n, g + 1, n)), 1, class_cap)
+
+
 def datasets(g, n, class_cap=None):
     """All root classes of genus g and degree n, canonical and sorted.
 
@@ -344,10 +350,7 @@ def datasets(g, n, class_cap=None):
     not exceed DATASETS_MAX_GENUS.  Raises ClassCapExceeded, before any class
     is built, when the cell counts more than ``class_cap`` classes (default 10**7).
     """
-    if not _degree_occurs(g, n):
-        return []
-    _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    return [_canonical(n, *found) for found in _search(g, n, _shapes(g, n), class_cap=class_cap)]
+    return [_canonical(n, *found) for found in _search(*_cell(g, n, class_cap))]
 
 
 def oracle_datasets(g, n):
@@ -427,5 +430,6 @@ def primary_datasets(g, n, class_cap=None):
     if not _degree_occurs(g, n):
         return []
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    shapes = [(g0, runs) for g0, runs in _shapes(g, n) if all(order == n for order, _ in runs)]
-    return [_canonical(n, *found) for found in _search(g, n, shapes, class_cap=class_cap)]
+    shapes = [(r, runs) for r, runs in _order_runs(n, range(g % n, g + 1, n))
+              if all(order == n for order, _ in runs)]
+    return [_canonical(n, *found) for found in _search(*_counted(g, n, shapes, 1, class_cap))]

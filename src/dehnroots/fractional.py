@@ -15,7 +15,7 @@ of (III).
 """
 
 from .dataset import FractionalDataSet, RangeExceeded, _check_range
-from .enumeration import _search, _shapes
+from .enumeration import _counted, _order_runs, _search
 from .numtheory import _show
 
 __all__ = ["fractional_datasets"]
@@ -42,5 +42,5 @@ def fractional_datasets(g, n, power, class_cap=None):
     if power < 1:
         raise RangeExceeded("power must be >= 1, got %s" % _show(power))
     _check_range("power", power, 1)  # the candidates' own bound, even where none is built
-    return [FractionalDataSet(n, *found, power)
-            for found in _search(g, n, _shapes(g, n), power, class_cap)]
+    cell = _counted(g, n, _order_runs(n, range(g % n, g + 1, n)), power, class_cap)
+    return [FractionalDataSet(n, *found, power) for found in _search(*cell)]

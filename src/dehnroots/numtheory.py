@@ -127,17 +127,12 @@ def factorize(n):
     return tuple(factors)
 
 
-def _divisors_from(factors):
-    """Sorted positive divisors of the number with these (prime, exponent) factors."""
-    divs = [1]
-    for p, e in factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def divisors(n):
     """All positive divisors of n, strictly increasing."""
-    return _divisors_from(factorize(n))
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def coprime_divisor_pairs(n):

@@ -263,8 +263,7 @@ def _degree_cells(n, genera):
     from rests g - n, g - 2n and so on."""
     last = {g % n: g for g in genera}  # residue -> its largest wanted genus
     rests = sorted(r for s, g in last.items() for r in range(s, g + 1, n))
-    found = _order_runs(n, sum(1 << 2 * r for r in rests))
-    shapes = [(r, runs) for r in rests for runs in found.get(2 * r, [])]
+    shapes = _order_runs(n, rests)
     size = rests[-1] + 1
     zero = {tag: [0] * size for tag in _TAGS}
     more = {tag: [0] * (size + n) for tag in _TAGS}

@@ -11,7 +11,7 @@ from time import perf_counter
 
 import pytest
 
-from dehnroots import cli, special_roots
+from dehnroots import cli, enumeration, special_roots
 from dehnroots.cli import main
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset
 from dehnroots.enumeration import datasets
@@ -280,6 +280,18 @@ def test_figure1_past_the_class_cap_writes_nothing(tmp_path, capsys, monkeypatch
     assert run_cli(capsys, *argv) == (
         3, "", "class cap exceeded: more than 10000000 classes of genus 99, degree 19\n")
     assert not path.exists()
+
+
+def test_roots_counts_every_degree_before_listing_one(capsys, monkeypatch):
+    # degrees 3 and 5 of genus 200 pass a cap of 500,000 with 399k classes between them;
+    # degree 7 does not, so the query stops before the residue search builds any class
+    def unreached(*args):
+        raise AssertionError("a class was built before every degree was counted")
+
+    monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "500000")
+    monkeypatch.setattr(enumeration, "_cone_assignments", unreached)
+    assert run_cli(capsys, "roots", "--genus", "200") == (
+        3, "", "class cap exceeded: more than 500000 classes of genus 200, degree 7\n")
 
 
 def test_exit_codes(monkeypatch):

@@ -16,7 +16,6 @@ from dehnroots.enumeration import (
     OracleRangeExceeded,
     _order_runs,
     _root_genera,
-    _shapes,
     class_cap_from_env,
     cone_multisets,
     cone_weight,
@@ -130,8 +129,15 @@ def test_twist_pairs_are_solved_once_per_listed_cell(monkeypatch):
     monkeypatch.setattr(enumeration, "twist_pairs", counted)
     for n in range(3, 62, 2):
         datasets(30, n)
-    shaped = {n for n in range(3, 62, 2) if _shapes(30, n)}
+    shaped = {n for n in range(3, 62, 2) if _order_runs(n, range(30 % n, 31, n))}
     assert len(shaped) == 15 and calls == dict.fromkeys(shaped, 1)
+
+
+def test_units_are_the_rising_units_of_each_order():
+    for d in range(2, 201):  # cone orders are >= 2, where 0 is no unit
+        units, pairs = enumeration._units(d)
+        assert units == tuple(c for c in range(d) if gcd(c, d) == 1), d
+        assert pairs == {c: (c, d) for c in units}, d
 
 
 def test_listed_classes_share_their_cone_pairs():
@@ -174,16 +180,15 @@ def _brute_order_runs(n, top):
 
 
 def test_order_runs_match_a_brute_force_over_counts():
-    # even n serve the fractional candidates, whose doubled weights may be odd
+    # even n serve the fractional candidates: a rest may mix divisors of odd doubled weight
     top = 120
     for n in range(2, 61):
         brute = _brute_order_runs(n, top)
-        for twice in range(top + 1):
-            assert _order_runs(n, 1 << twice).get(twice, []) == brute.get(twice, []), (n, twice)
-        for wanted in ((1 << top + 1) - 1, sum(1 << t for t in range(0, top + 1, 3))):
-            found = _order_runs(n, wanted)
-            assert set(found) == {t for t in brute if wanted >> t & 1}, n
-            assert all(found[t] == brute[t] for t in found), n
+        for rest in range(top // 2 + 1):
+            assert _order_runs(n, [rest]) == [(rest, runs) for runs in brute.get(2 * rest, [])]
+        for rests in (range(top // 2 + 1), range(n % 7, top // 2 + 1, 3)):
+            expected = [(r, runs) for r in rests for runs in brute.get(2 * r, [])]
+            assert _order_runs(n, rests) == expected, n
 
 
 def test_has_root_deeper_than_recursion_limit():

@@ -268,11 +268,11 @@ def test_pair_table_lists_each_rest_once(monkeypatch):
     order_runs, shape_counts, solve = (special_roots._order_runs, special_roots._shape_counts,
                                        special_roots.twist_pairs)
 
-    def walked(n, wanted):
+    def walked(n, rests):
         walks[n] += 1
-        # only doubled rests 2r with r <= 48
-        assert wanted.bit_length() <= 97 and not any(wanted >> t & 1 for t in range(1, 97, 2))
-        return order_runs(n, wanted)
+        # only rising rests r <= 48
+        assert list(rests) == sorted(set(rests)) and rests[-1] <= 48
+        return order_runs(n, rests)
 
     def counted(n, shapes, pairs):
         counts[n] += 1
@@ -297,9 +297,9 @@ def test_class_count_walks_only_its_own_rests(monkeypatch):
     walks, passes = [], []
     order_runs, shape_counts = special_roots._order_runs, special_roots._shape_counts
 
-    def walked(n, wanted):
-        walks.append((n, wanted))
-        return order_runs(n, wanted)
+    def walked(n, rests):
+        walks.append((n, list(rests)))
+        return order_runs(n, rests)
 
     def counted(n, shapes, pairs):
         passes.append(len(shapes))
@@ -308,7 +308,7 @@ def test_class_count_walks_only_its_own_rests(monkeypatch):
     monkeypatch.setattr(special_roots, "_order_runs", walked)
     monkeypatch.setattr(special_roots, "_shape_counts", counted)
     class_count(400, 15)
-    assert walks == [(15, sum(1 << 2 * (400 - 15 * g0) for g0 in range(27)))]
+    assert walks == [(15, [400 - 15 * g0 for g0 in reversed(range(27))])]
     assert passes == [3825]
 
 
