@@ -7,6 +7,9 @@ adds one subparser per row, and ``main`` parses with one such parser built
 once per process, then runs the query and the printer.
 Queries call the library through module attributes looked up at call time
 (``special_roots.de_roots``), so a wrapper set on one sees every call.
+``roots`` is ``enumeration.datasets`` itself: without ``--degree`` it lists
+every odd degree up to 2g+1, and counts each against the class cap before
+it builds a class, so a cap failure leaves stdout empty.
 
 Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
 empty ``[  ]``) and class lists one data set per line; ``--format json``
@@ -156,15 +159,6 @@ def _write_csv(rows, args):
     return EXIT_OK
 
 
-def _roots(args):
-    """The classes of one degree, or of each odd degree up to 2g+1, all counted first."""
-    g, cap = args.genus, class_cap_from_env()
-    degrees = range(3, 2 * g + 2, 2) if args.degree is None else [args.degree]
-    for n in degrees:
-        enumeration._cell(g, n, cap)
-    return [ds for n in degrees for ds in enumeration.datasets(g, n, cap)]
-
-
 def _validated(text):
     ds = parse_dataset(text)
     return ds, validate(ds)
@@ -188,7 +182,7 @@ _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 COMMANDS = (
     ("roots", "root classes for a genus (and optional degree)",
      (_int("--genus"), ("--degree", {"type": int, "default": None}), _FORMAT),
-     _roots, _print_classes),
+     lambda a: enumeration.datasets(a.genus, a.degree, class_cap_from_env()), _print_classes),
     ("de-roots", "degrees of (d,e)-roots for a genus", (_int("genus"), _FORMAT),
      lambda a: special_roots.de_roots(a.genus), _print_int_list),
     ("de-root-genera", "genera with a (d,e)-root of this degree", (_int("degree"), _FORMAT),

@@ -2,8 +2,9 @@
 
 ``datasets(g, n)`` lists every canonical data set of genus g and degree n,
 i.e. every conjugacy class of degree-n roots of the twist on the genus
-g+1 surface.  A class is a quotient genus g0, a multiset of cone orders, a
-twist pair and cone residues satisfying (I)-(IV); the pieces run over
+g+1 surface, and ``datasets(g)`` those of every odd degree 3..2g+1.  A
+class is a quotient genus g0, a multiset of cone orders, a twist pair and
+cone residues satisfying (I)-(IV); the pieces run over
 
   * the quotient genus g0 with g0*n <= g,
   * multisets of cone orders (divisors of n exceeding 1) whose weights
@@ -17,13 +18,14 @@ twist pair and cone residues satisfying (I)-(IV); the pieces run over
 g - g0*n it reads and gets one (rest, runs) per cone-order multiset, with the
 runs of equal order.  ``_shape_counts`` counts each shape's classes without
 building one, for ``special_roots.class_count`` and ``pair_table`` and for the
-class cap: ``_counted`` checks a cell's total, and ``roots --genus g`` that of
-every degree (``_cell``), before ``_search`` lists a class of ``datasets``,
-``primary_datasets`` or the fractional candidates, so a cell past the cap
-fails at once and in bounded memory.  The residue search recurses once per
-run, at most 11 deep for odd n <= 801, and drops a remainder that the later
-runs cannot meet.  Each order's units (``_units``) and each degree's divisors
-(``_divisors``) are tabled once.
+class cap.  ``_cell`` is the one counted cell behind every listing: it walks a
+cell's shapes, solves its twist pairs and checks its total against the cap,
+before ``_search`` lists a class of ``datasets`` (every degree first, for a
+whole genus), ``primary_datasets`` or the fractional candidates, so a cell
+past the cap fails at once and in bounded memory.  The residue search
+recurses once per run, at most 11 deep for odd n <= 801, and drops a
+remainder that the later runs cannot meet.  Each order's units (``_units``)
+and each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``root_degrees``, ``genus_set``) is decided by the
 lcm rule in ``_root_genera``, without twist pairs, counts or the search.
@@ -220,9 +222,13 @@ def _cone_assignments(n, runs, target):
                 yield head + rest
 
 
-def _counted(g, n, shapes, power, class_cap):
+def _cell(g, n, class_cap, power=1, primary=False):
     """The cell (g, n, shapes, power-l twist pairs) ``_search`` lists, once its classes are
-    counted within the class cap; the pairs are solved once, and not without a shape."""
+    counted within the class cap: the shapes of its rests g - g0*n, only the all-n ones if
+    ``primary``; the pairs are solved once, and not without a shape."""
+    shapes = _order_runs(n, range(g % n, g + 1, n))
+    if primary:
+        shapes = [(r, runs) for r, runs in shapes if all(order == n for order, _ in runs)]
     pairs = twist_pairs(n, power) if shapes else []
     _check_class_cap(g, n, sum(_shape_counts(n, shapes, pairs)) if pairs else 0, class_cap)
     return g, n, shapes, pairs
@@ -333,24 +339,20 @@ def _root_genera(n, g_max):
     return by_lcm[n]
 
 
-def _cell(g, n, class_cap):
-    """The cell (g, n, shapes, twist pairs) of ``datasets(g, n)``, once its classes are
-    counted within the class cap; no shapes when n is not a degree of genus g."""
-    if not _degree_occurs(g, n):
-        return g, n, [], []
-    _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    return _counted(g, n, _order_runs(n, range(g % n, g + 1, n)), 1, class_cap)
-
-
-def datasets(g, n, class_cap=None):
-    """All root classes of genus g and degree n, canonical and sorted.
+def datasets(g, n=None, class_cap=None):
+    """All root classes of genus g and degree n, canonical and sorted; with n None, those
+    of every odd degree 3..2g+1 in turn, each degree counted before any class is built.
 
     Nonpositive genus and even, tiny or above 2g+1 degree give an empty
     list at once (those cases are theorems, not errors).  Otherwise g must
     not exceed DATASETS_MAX_GENUS.  Raises ClassCapExceeded, before any class
-    is built, when the cell counts more than ``class_cap`` classes (default 10**7).
+    is built, when a cell counts more than ``class_cap`` classes (default 10**7).
     """
-    return [_canonical(n, *found) for found in _search(*_cell(g, n, class_cap))]
+    degrees = range(3, 2 * g + 2, 2) if n is None else [n] if _degree_occurs(g, n) else []
+    if degrees:  # checked before the range is walked, which a huge g makes endless
+        _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
+    cells = [_cell(g, d, class_cap) for d in degrees]  # all counted before one is listed
+    return [_canonical(d, *found) for d, cell in zip(degrees, cells) for found in _search(*cell)]
 
 
 def oracle_datasets(g, n):
@@ -430,6 +432,4 @@ def primary_datasets(g, n, class_cap=None):
     if not _degree_occurs(g, n):
         return []
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    shapes = [(r, runs) for r, runs in _order_runs(n, range(g % n, g + 1, n))
-              if all(order == n for order, _ in runs)]
-    return [_canonical(n, *found) for found in _search(*_counted(g, n, shapes, 1, class_cap))]
+    return [_canonical(n, *found) for found in _search(*_cell(g, n, class_cap, primary=True))]

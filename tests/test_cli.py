@@ -14,7 +14,7 @@ import pytest
 from dehnroots import cli, enumeration, special_roots
 from dehnroots.cli import main
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset
-from dehnroots.enumeration import datasets
+from dehnroots.enumeration import ClassCapExceeded, datasets
 from dehnroots.special_roots import PairRow, pair_table
 
 
@@ -292,6 +292,8 @@ def test_roots_counts_every_degree_before_listing_one(capsys, monkeypatch):
     monkeypatch.setattr(enumeration, "_cone_assignments", unreached)
     assert run_cli(capsys, "roots", "--genus", "200") == (
         3, "", "class cap exceeded: more than 500000 classes of genus 200, degree 7\n")
+    with pytest.raises(ClassCapExceeded, match="of genus 200, degree 7$"):
+        datasets(200, class_cap=500_000)
 
 
 def test_exit_codes(monkeypatch):
@@ -338,6 +340,7 @@ def test_documented_ceilings_exit_promptly(capsys):
         ["ms-roots", "--genus", "100001"],
         ["roots", "--genus", "401"],
         ["roots", "--genus", "401", "--degree", "3"],
+        ["roots", "--genus", "1000000000000"],  # the ceiling comes before the degree range
         ["genus-set", "--degree", "3", "--max-genus", "10001"],
         ["root-set", "--genus", "10001"],
         ["figure1", "--max-genus", "401", "--max-degree", "3",

@@ -6,6 +6,7 @@ from time import perf_counter
 import pytest
 
 from dehnroots import enumeration
+from dehnroots.cli import main
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset, stabilize, validate
 from dehnroots.enumeration import (
     CONE_MULTISETS_MAX_TARGET,
@@ -117,20 +118,37 @@ def test_twist_pairs_error_names_an_abbreviated_power():
 
 
 def test_twist_pairs_are_solved_once_per_listed_cell(monkeypatch):
-    # the count behind the class cap and the residue walk share one solve, and a cell
-    # without a cone-order shape solves none
-    calls = Counter()
-    solve = enumeration.twist_pairs
+    # the count behind the class cap and the residue walk share one walk and one solve,
+    # degree by degree, for a whole genus and through the CLI; a cell without a cone-order
+    # shape solves none
+    degrees = range(3, 62, 2)
+    shaped = {n for n in degrees if _order_runs(n, range(30 % n, 31, n))}
+    assert len(shaped) == 15
+    solves, walks = Counter(), Counter()
+    solve, walk = enumeration.twist_pairs, enumeration._order_runs
 
-    def counted(n, power=1):
-        calls[n] += 1
+    def solved(n, power=1):
+        solves[n] += 1
         return solve(n, power)
 
-    monkeypatch.setattr(enumeration, "twist_pairs", counted)
-    for n in range(3, 62, 2):
-        datasets(30, n)
-    shaped = {n for n in range(3, 62, 2) if _order_runs(n, range(30 % n, 31, n))}
-    assert len(shaped) == 15 and calls == dict.fromkeys(shaped, 1)
+    def walked(n, rests):
+        walks[n] += 1
+        return walk(n, rests)
+
+    monkeypatch.setattr(enumeration, "twist_pairs", solved)
+    monkeypatch.setattr(enumeration, "_order_runs", walked)
+    for listing in (lambda: [datasets(30, n) for n in degrees], lambda: datasets(30),
+                    lambda: main(["roots", "--genus", "30"])):
+        solves.clear()
+        walks.clear()
+        listing()
+        assert solves == dict.fromkeys(shaped, 1) and walks == dict.fromkeys(degrees, 1)
+
+
+def test_a_whole_genus_lists_each_degree_in_turn():
+    for g in range(1, 21):
+        assert datasets(g) == [ds for n in range(3, 2 * g + 2, 2) for ds in datasets(g, n)], g
+    assert datasets(0) == datasets(-3) == []
 
 
 def test_units_are_the_rising_units_of_each_order():

@@ -246,6 +246,7 @@ HUGE_INTEGER_CALLS = [
     (RangeExceeded, lambda: dehnroots.root_degrees(BIG)),
     (RangeExceeded, lambda: dehnroots.pair_table(BIG, 3)),
     (RangeExceeded, lambda: dehnroots.has_root(BIG, BIG + 1)),
+    (RangeExceeded, lambda: dehnroots.datasets(BIG)),  # before its range of degrees
     (PreconditionViolated, lambda: bezout_avoiding_primes(3, 5, {BIG})),
     (NotAUnit, lambda: mod_inverse(3 * BIG, 3)),
 ]

@@ -34,4 +34,4 @@ def test_readme_quick_start():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     result = doctest.testfile(str(readme), module_relative=False,
                               optionflags=doctest.NORMALIZE_WHITESPACE)
-    assert (result.failed, result.attempted) == (0, 4)
+    assert (result.failed, result.attempted) == (0, 5)
