@@ -140,15 +140,16 @@ _CSV_CHUNK = 1 << 16
 
 
 def _write_csv(rows, args):
-    """The pair table as CSV from its tag runs: each run goes out in writes of at most
-    ``_CSV_CHUNK`` tags, so no string grows with a cell's class count."""
+    """The pair table as CSV, one tag per class: each row's (tag, classes) pairs go out
+    in writes of at most ``_CSV_CHUNK`` tags, so no string grows with a cell's class count."""
     try:
         with open(args.output, "w", newline="") as handle:
             write = handle.write
             write("g,n,classes,tags\n")
-            for g, n, total, runs in rows:
-                write("%d,%d,%d,%s" % (g, n, total, runs[0][0]))  # then "+tag" for the rest
-                for i, (tag, k) in enumerate(runs):
+            for row in rows:  # the first tag, then "+tag" for every further class
+                # str + tag reads the RootTag's text without calling RootTag.__str__
+                write("%d,%d,%d," % (row.genus, row.degree, row.class_count) + row.tags[0][0])
+                for i, (tag, k) in enumerate(row.tags):
                     more = "+" + tag
                     for left in range(k - (i == 0), 0, -_CSV_CHUNK):
                         write(more * min(left, _CSV_CHUNK))
@@ -189,7 +190,7 @@ COMMANDS = (
      lambda a: special_roots.de_root_genera(a.degree), _print_int_list),
     ("figure1", "export the populated (g, n) table as CSV",
      (_int("--max-genus"), _int("--max-degree"), ("--output", {"required": True})),
-     lambda a: special_roots._pair_runs(a.max_genus, a.max_degree, class_cap_from_env()),
+     lambda a: special_roots.pair_table(a.max_genus, a.max_degree, class_cap_from_env()),
      _write_csv),
     ("t-set", "genera excluded from primary-root existence", (_int("--degree"), _FORMAT),
      lambda a: special_roots.t_set(a.degree), _print_int_list),

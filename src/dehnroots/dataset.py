@@ -276,7 +276,7 @@ def parse_dataset(text):
     expect(",")
     a, b = pair()
     expect(";")
-    cones = [pair()]
+    cones = [] if tokens and tokens[-1] == ")" else [pair()]  # "; )": no cone pair
     while tokens and tokens[-1] == ",":
         tokens.pop()
         cones.append(pair())

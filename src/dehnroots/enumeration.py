@@ -17,8 +17,9 @@ cone residues satisfying (I)-(IV); the pieces run over
 ``_order_runs`` walks the first two once per cell: the caller names the rests
 g - g0*n it reads and gets one (rest, runs) per cone-order multiset, with the
 runs of equal order.  ``_shape_counts`` counts each shape's classes without
-building one, for ``special_roots.class_count`` and ``pair_table`` and for the
-class cap.  ``_cell`` is the one counted cell behind every listing: it walks a
+building one, for the class cap and for ``special_roots.class_count`` and the
+pair table ``figure1`` writes (``pair_table``, one row of tag counts per
+cell).  ``_cell`` is the one counted cell behind every listing: it walks a
 cell's shapes, solves its twist pairs and checks its total against the cap,
 before ``_search`` lists a class of ``datasets`` (every degree first, for a
 whole genus), ``primary_datasets`` or the fractional candidates, so a cell

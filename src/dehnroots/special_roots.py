@@ -36,10 +36,9 @@ tag only depends on whether g0 = 0, so a degree lists the shapes of the
 rests its wanted cells read in one walk, counts them in one pass and sums
 them per residue of r mod n.
 Every cell of the table is checked against the class cap before a row is
-returned.  A row holds its tags as sorted (tag, classes) runs, so the
-table's memory follows its cells, not its classes; ``figure1`` writes the
-runs in bounded chunks, and ``pair_table`` spells them out one tag per
-class.  Neither runs the residue search.
+returned.  A row holds its tags as (tag, classes) pairs in tag order, so
+the table's memory follows its cells, not its classes; ``figure1`` writes
+each pair in bounded chunks.  Neither runs the residue search.
 """
 
 import enum
@@ -203,7 +202,7 @@ def de_construct(d, e):
 
 
 _CUBE_OF_T4 = (3, 0, 2, 2, ((1, 3), (2, 3), (2, 3)))
-_TAGS = sorted(RootTag)  # the order a row spells its tags in
+_TAGS = sorted(RootTag)  # the order a row holds its tags in
 
 
 def _shape_tag(g0, cones, primary):
@@ -236,7 +235,7 @@ class PairRow:
     genus: int
     degree: int
     class_count: int
-    tags: tuple  # one tag per class, sorted
+    tags: tuple  # (RootTag, classes) pairs, nonzero, in tag order
 
 
 def class_count(g, n):
@@ -251,7 +250,7 @@ def class_count(g, n):
 def _degree_cells(n, genera):
     """{g: {tag: classes}} of the cells (g, n) for the rising ``genera``, nonzero entries
     in tag order: the one tag counter, behind one cell (``class_count``) and behind a
-    whole column of the table (``_pair_runs``).
+    whole column of the table (``pair_table``).
 
     Cell g holds the shapes of rest g - g0*n for each g0 >= 0, so the rests read are g,
     g - n, ... down to g mod n.  One walk lists the shapes of all of them, and one count
@@ -282,12 +281,12 @@ def _degree_cells(n, genera):
     return {g: {tag: k for tag in _TAGS if (k := zero[tag][g] + more[tag][g])} for g in genera}
 
 
-def _pair_runs(g_max, n_max, class_cap=None):
-    """Rows (g, n, #classes, ((tag, classes), ...)) for every pair with a root,
-    g <= g_max <= 400, n <= n_max, each with its tags as sorted runs.  The table is
-    counted degree by degree (``_degree_cells``); then every cell is checked against
-    the class cap in (g, n) order, so the first cell past it fails, before any row is
-    returned.  Memory follows the cells, not the classes."""
+def pair_table(g_max, n_max, class_cap=None):
+    """``PairRow``s (g, n, #classes, ((tag, classes), ...)) for every pair with a root,
+    g <= g_max <= 400, n <= n_max, with the nonzero counts of ``class_count(g, n)`` in
+    tag order.  The table is counted degree by degree (``_degree_cells``); then every
+    cell is checked against the class cap in (g, n) order, so the first cell past it
+    fails, before any row is returned.  Memory follows the cells, not the classes."""
     _check_ceiling(g_max, DATASETS_MAX_GENUS, "pair_table is supported up to g")
     columns = {n: _degree_cells(n, range((n - 1) // 2, g_max + 1))
                for n in range(3, min(n_max, 2 * g_max + 1) + 1, 2)}
@@ -298,13 +297,5 @@ def _pair_runs(g_max, n_max, class_cap=None):
             total = sum(cell.values())
             _check_class_cap(g, n, total, class_cap)
             if total:
-                rows.append((g, n, total, tuple((tag.value, k) for tag, k in cell.items())))
+                rows.append(PairRow(g, n, total, tuple(cell.items())))
     return rows
-
-
-def pair_table(g_max, n_max, class_cap=None):
-    """Rows (g, n, #classes, tags) for every pair with a root, g <= g_max <= 400,
-    n <= n_max: the rows of ``_pair_runs`` with each run spelled out, one tag per class,
-    so unlike the runs the list grows with the table's classes."""
-    return [PairRow(g, n, total, sum(((tag,) * k for tag, k in runs), ()))
-            for g, n, total, runs in _pair_runs(g_max, n_max, class_cap)]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -142,6 +143,18 @@ def test_fractional_rows_round_trip(capsys):
         assert caveat == "gcd_caveat=yes"  # gcd(2, 4) = 2
 
 
+def test_fractional_cone_free_candidate_round_trips(capsys):
+    # genus 2, degree 2, power 2 has a candidate with no cone pair: it prints as "; )", and
+    # validate reads it back and reports it under (III) and the cone-pair rule of (IV)
+    code, out, _ = run_cli(capsys, "fractional", "--genus", "2", "--degree", "2", "--power", "2")
+    assert code == 0
+    text = out.splitlines()[-1].split("\t")[0]
+    assert text == "(2, 1, (1,1); )"
+    code, out, err = run_cli(capsys, "validate", text)
+    assert (code, err) == (0, "")
+    assert out == "invalid; III: a + b != a*b mod n; IV: at least one cone pair is required\n"
+
+
 def test_gap_transcripts(capsys):
     code, out, _ = run_cli(capsys, "de-root-genera", "54573")
     assert code == 0 and out == "[ 45476, 45477, 54571, 54572 ]\n"
@@ -222,12 +235,13 @@ def test_pair_table_counts():
 
     rows = pair_table(8, 9)
     for row in rows:
-        assert row.class_count == len(datasets(row.genus, row.degree))
-        assert len(row.tags) == row.class_count
-        # the table tags the search core's tuples; classify tags the built classes
         classes = datasets(row.genus, row.degree)
-        assert row.tags == tuple(sorted(str(special_roots.classify(ds)) for ds in classes))
-    assert PairRow(1, 3, 1, ("MARGALIT_SCHLEIMER",)) in rows
+        assert row.class_count == len(classes)
+        assert sum(k for _, k in row.tags) == row.class_count
+        # the table counts tags per cone-order shape; classify tags the built classes
+        assert dict(row.tags) == Counter(special_roots.classify(ds) for ds in classes)
+        assert [tag for tag, _ in row.tags] == sorted(tag for tag, _ in row.tags)
+    assert PairRow(1, 3, 1, (("MARGALIT_SCHLEIMER", 1),)) in rows
 
 
 def test_pair_table_stable_region_is_full():
@@ -328,6 +342,19 @@ def test_exit_codes(monkeypatch):
         )
         == 4
     )
+
+
+def test_failed_stdout_write_exits_4(capsys, monkeypatch):
+    class Broken:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Broken())
+    assert main(["t-set", "--degree", "9"]) == 4
+    assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
 
 
 def test_documented_ceilings_exit_promptly(capsys):

@@ -67,6 +67,8 @@ def test_genus_examples():
     assert parse_dataset("(9, 0, (2,2); (2,9),(1,3))").genus == 7
     assert parse_dataset("(3, 0, (2,2); (2,3))").genus == 1
     assert parse_dataset("(21, 0, (2,2); (17,21))").genus == 10
+    with pytest.raises(ValueError, match="do not sum to an integer genus"):
+        DataSet(6, 0, 1, 1, ((1, 2),)).genus  # one cone of order 2 in degree 6 adds 3/2
 
 
 def test_constructor_canonicalizes():
@@ -146,6 +148,8 @@ def test_range_errors():
         DataSet(10**13, 0, 1, 1, ((1, 2),))
     with pytest.raises(RangeExceeded):
         FractionalDataSet(9, 0, 2, 2, ((2, 9),), power=0)
+    with pytest.raises(RangeExceeded, match="^degree must be an integer, got 2.5$"):
+        DataSet(2.5, 0, 1, 1, ((1, 3),))
 
 
 def test_text_round_trip():
@@ -173,13 +177,22 @@ def test_parser_rejects_garbage():
     for text in [
         "",
         "(21, 0, (2,2))",
-        "(21, 0, (2,2); )",
+        "(,",
+        "(21, 0, (2,2); (17,21)))",
         "(21, 0, (2,2); (17,21)) extra",
         "(21; 0, (2,2); (17,21))",
         "(a, 0, (2,2); (17,21))",
     ]:
         with pytest.raises(ParseError):
             parse_dataset(text)
+
+
+def test_parser_accepts_an_empty_cone_list():
+    # format_dataset writes a cone-free candidate as "; )", so parsing must take it back;
+    # validate then rejects it under condition IV
+    ds = parse_dataset("(21, 0, (2,2); )")
+    assert ds.cones == () and format_dataset(ds) == "(21, 0, (2,2); )"
+    assert validate(ds).conditions() == {"IV"}
 
 
 def test_random_round_trip_via_enumeration():

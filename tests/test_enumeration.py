@@ -42,6 +42,8 @@ def test_cone_weight():
     for n in (0, -9):  # every order divides 0, and -9 would give a negative weight
         with pytest.raises(RangeExceeded, match="^degree must be >= 2"):
             cone_weight(n, 3)
+    with pytest.raises(ValueError, match="^order 2 has non-integral weight in degree 6$"):
+        cone_weight(6, 2)  # (6/2)(2 - 1)/2 = 3/2
 
 
 def test_cone_multisets_examples():
@@ -49,6 +51,8 @@ def test_cone_multisets_examples():
     assert cone_multisets(3, 2) == [(3, 3)]
     assert cone_multisets(5, 3) == []
     assert cone_multisets(5, 0) == [()]
+    with pytest.raises(ValueError, match="^degree must be odd and >= 3, got 4$"):
+        cone_multisets(4, 1)
 
 
 def test_cone_multisets_sorted_and_complete():

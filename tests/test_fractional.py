@@ -31,6 +31,8 @@ def test_enumeration_finds_golden_candidates():
         2, 3, 2
     )
     assert fractional_datasets(1, 4, 1) == []
+    # with no cone pair, (IV) reads a + b = 0 mod n: (2, 1, (1,1); ) at power 2
+    assert FractionalDataSet(2, 1, 1, 1, (), power=2) in fractional_datasets(2, 2, 2)
 
 
 def test_power_one_agrees_with_plain_validate_on_random_candidates():

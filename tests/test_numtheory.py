@@ -141,6 +141,9 @@ def test_crt():
     assert crt([(0, 7)]) == 0
     assert crt([]) == 0
     assert crt([(2, 3), (3, 5), (2, 7)]) == 23
+    assert crt([(0, 1), (2, 5)]) == 2  # a modulus of 1 adds no condition
+    with pytest.raises(ValueError, match="^moduli must be >= 1, got 0$"):
+        crt([(0, 0)])
     with pytest.raises(ModuliNotCoprime):
         crt([(1, 2), (1, 4)])
 
@@ -163,6 +166,8 @@ def test_bezout_avoiding_primes_examples():
         bezout_avoiding_primes(3, 5, {2})  # both odd with 2 in the avoided set
     with pytest.raises(PreconditionViolated):
         bezout_avoiding_primes(3, 5, {4})  # 4 is not prime
+    with pytest.raises(PreconditionViolated, match="^d1 and d2 must be positive$"):
+        bezout_avoiding_primes(0, 1, ())
 
 
 def test_bezout_avoided_primes_are_bounded():
@@ -212,6 +217,7 @@ def test_bezout_deterministic():
 
 
 def test_is_prime_and_sieve_agree():
+    assert primes_up_to(1) == []
     sieve = set(primes_up_to(2000))
     for n in range(2001):
         assert is_prime(n) == (n in sieve)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from math import gcd, lcm
 
@@ -251,14 +252,27 @@ def test_pair_table_matches_class_count_cell_by_cell():
                 if not counts:
                     assert row is None, (g, n)
                     continue
-                tags = tuple(sorted(str(tag) for tag, k in counts.items() for _ in range(k)))
-                assert row == PairRow(g, n, sum(counts.values()), tags), (g, n)
+                assert dict(row.tags) == counts, (g, n)
+                assert row == PairRow(g, n, sum(counts.values()), tuple(counts.items())), (g, n)
         assert not rows
 
 
 def test_pair_table_tags_the_cube_root():
-    assert PairRow(3, 3, 1, ("CUBE_OF_T4",)) in pair_table(3, 3)
+    assert PairRow(3, 3, 1, (("CUBE_OF_T4", 1),)) in pair_table(3, 3)
     assert class_count(3, 3) == {RootTag.CUBE_OF_T4: 1}
+
+
+def test_pair_table_memory_follows_its_cells():
+    # 742 rows for 16,723,612 classes: each row holds one (tag, classes) pair per tag, so
+    # the table's peak does not follow the class count (one tag per class is about 128 MB)
+    tracemalloc.start()
+    try:
+        rows = pair_table(80, 33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 742 and sum(row.class_count for row in rows) == 16_723_612
+    assert peak < 8 * 2**20, peak
 
 
 def test_pair_table_lists_each_rest_once(monkeypatch):
