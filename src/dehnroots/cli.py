@@ -68,7 +68,6 @@ _CLASS_JSON = ('\n  {\n    "degree": %d,\n    "g0": %d,\n    "a": %d,\n    "b": 
                '\n    "cones": [%s\n    ],\n    "genus": %d,\n    "tag": "%s"\n  }')
 _CONE_JSON = "\n      [\n        %d,\n        %d\n      ]"
 _fields = attrgetter("degree", "quotient_genus", "a", "b", "cones")
-_TAG_TEXT = {tag: tag.value for tag in special_roots.RootTag}  # cheaper than RootTag.__str__
 
 
 class _Forms(dict):
@@ -86,8 +85,7 @@ def _print_classes(classes, args):
     """One template per class: ``json.dumps(docs, indent=2)`` or ``format_dataset`` lines."""
     if args.format == "json":  # every class listed has the asked genus
         cone, tag = _Forms(_CONE_JSON).__getitem__, special_roots.classify
-        docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), args.genus,
-                               _TAG_TEXT[tag(ds)])
+        docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), args.genus, tag(ds))
                 for ds, (n, g0, a, b, cones) in zip(classes, map(_fields, classes))]
         # one write of one copy of the documents: the listing's largest allocation
         sys.stdout.write("[%s\n]\n" % ",".join(docs) if docs else "[]\n")
@@ -147,8 +145,7 @@ def _write_csv(rows, args):
             write = handle.write
             write("g,n,classes,tags\n")
             for row in rows:  # the first tag, then "+tag" for every further class
-                # str + tag reads the RootTag's text without calling RootTag.__str__
-                write("%d,%d,%d," % (row.genus, row.degree, row.class_count) + row.tags[0][0])
+                write("%d,%d,%d,%s" % (row.genus, row.degree, row.class_count, row.tags[0][0]))
                 for i, (tag, k) in enumerate(row.tags):
                     more = "+" + tag
                     for left in range(k - (i == 0), 0, -_CSV_CHUNK):

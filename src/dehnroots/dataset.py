@@ -25,6 +25,13 @@ one cone pair; ``validate`` reports these as violations of III and IV.
 Replacing (III) by a + b = l*a*b (mod n) for an integer power l >= 1
 yields candidate data sets for roots of the l-th power of the twist
 (``FractionalDataSet``); even degrees become possible once l is even.
+
+The text form ``(n, g0, (a,b); (c1,n1), ...)`` is printed by ``format_dataset``
+and read by ``parse_dataset`` in three steps: ``_TOKEN`` splits the text into
+integers and the punctuation ``(),;`` (anything else but whitespace is an
+error), the one pattern ``_FORM`` matches the token kinds with every integer
+read as ``i``, and the integers then fill the ``DataSet`` constructor, which
+checks their ranges.  The grammar is regular, so no parser state is kept.
 """
 
 import re
@@ -226,6 +233,8 @@ def format_dataset(ds):
 
 
 _TOKEN = re.compile(r"-?\d+|[(),;]")
+# The text form over its tokens, each integer read as "i"; the cone list may be empty
+_FORM = re.compile(r"\(i,i,\(i,i\);(\(i,i\)(,\(i,i\))*)?\)")
 
 
 def parse_dataset(text):
@@ -244,43 +253,17 @@ def parse_dataset(text):
         pos = match.end()
     if text[pos:].strip():
         raise ParseError("unexpected trailing %r" % text[pos:].strip())
-    tokens.reverse()  # consume via pop()
-
-    def expect(symbol):
-        if not tokens or tokens[-1] != symbol:
-            found = tokens[-1] if tokens else "end of input"
-            raise ParseError("expected %r, found %r" % (symbol, found))
-        tokens.pop()
-
-    def integer():
-        if not tokens or tokens[-1] in "(),;":
-            raise ParseError("expected an integer")
-        token = tokens.pop()
-        try:
-            return int(token)
-        except ValueError:  # longer than the interpreter's integer-string limit
-            raise ParseError("integer of %d digits is too long" % len(token)) from None
-
-    def pair():
-        expect("(")
-        first = integer()
-        expect(",")
-        second = integer()
-        expect(")")
-        return first, second
-
-    expect("(")
-    degree = integer()
-    expect(",")
-    quotient_genus = integer()
-    expect(",")
-    a, b = pair()
-    expect(";")
-    cones = [] if tokens and tokens[-1] == ")" else [pair()]  # "; )": no cone pair
-    while tokens and tokens[-1] == ",":
-        tokens.pop()
-        cones.append(pair())
-    expect(")")
-    if tokens:
-        raise ParseError("unexpected trailing %r" % tokens[-1])
-    return DataSet(degree, quotient_genus, a, b, tuple(cones))
+    form = _FORM.match("".join([t if t in "(),;" else "i" for t in tokens]))
+    if not form:
+        raise ParseError("expected the form (n, g0, (a,b); (c1,n1), ...)")
+    values = []
+    try:
+        for token in tokens[: form.end()]:
+            if token not in "(),;":
+                values.append(int(token))
+    except ValueError:  # longer than the interpreter's integer-string limit
+        raise ParseError("integer of %d digits is too long" % len(token)) from None
+    if form.end() < len(tokens):
+        raise ParseError("unexpected trailing %r" % tokens[form.end()])
+    degree, quotient_genus, a, b, *rest = values
+    return DataSet(degree, quotient_genus, a, b, tuple(zip(rest[::2], rest[1::2])))

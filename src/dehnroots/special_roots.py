@@ -88,8 +88,7 @@ class RootTag(str, enum.Enum):
     CUBE_OF_T4 = "CUBE_OF_T4"
     OTHER = "OTHER"
 
-    def __str__(self):
-        return self.value
+    __str__ = str.__str__  # str(tag), "%s" and f-strings give the value
 
 
 def _check_odd_degree(n, name="degree"):

@@ -182,9 +182,30 @@ def test_parser_rejects_garbage():
         "(21, 0, (2,2); (17,21)) extra",
         "(21; 0, (2,2); (17,21))",
         "(a, 0, (2,2); (17,21))",
+        "(21, 0, (2,2); (17,21),)",  # a trailing comma in the cone list
+        "(21, 0, (2,2);; (17,21))",
+        "(21, 0, (2,2), (17,21))",  # "," in place of ";"
+        "(21, 0, (2,2); (17,21)",  # unclosed
+        "((21, 0, (2,2); (17,21))",  # a doubled opener
+        "(21, 0, (2,2); (17,21)) (17,21)",  # tokens after a complete form
     ]:
         with pytest.raises(ParseError):
             parse_dataset(text)
+
+
+def test_parser_messages():
+    # a structural error names the form; stray text and tokens past the form are quoted
+    cases = {
+        "(9, 0, (2,2); (2,9) (1,3))": "expected the form (n, g0, (a,b); (c1,n1), ...)",
+        "(21, 0, (2,2); (17,21)) (17,21)": "unexpected trailing '('",
+        "(21, 0, (2,2); (17,21)) extra": "unexpected trailing 'extra'",
+        "(21, 0, (2,2); x (17,21))": "unexpected 'x' in data set text",
+        "(%s, 0, (2,2); (17,21))" % ("9" * 5000): "integer of 5000 digits is too long",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as caught:
+            parse_dataset(text)
+        assert str(caught.value) == message
 
 
 def test_parser_accepts_an_empty_cone_list():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -104,3 +105,42 @@ def test_candidates_sorted_and_unique():
     assert len(set(out)) == len(out)
     for ds in out:
         assert format_dataset(ds)  # renderable
+
+
+def _brute_candidates(g, n, power):
+    """Every a <= b, cone-order multiset and raw residue tuple of genus g and degree n,
+    kept when validate accepts it in the power-l form."""
+    orders = [d for d in range(2, n + 1) if n % d == 0]
+
+    def multisets(weight, low):  # nondecreasing cone orders of doubled weight ``weight``
+        if weight == 0:
+            yield ()
+        for i in range(low, len(orders)):
+            w = (n // orders[i]) * (orders[i] - 1)
+            if w <= weight:
+                for rest in multisets(weight - w, i):
+                    yield (orders[i],) + rest
+
+    found = set()
+    for g0 in range(g // n + 1):
+        for cone_orders in multisets(2 * (g - g0 * n), 0):
+            for a in range(n):
+                for b in range(a, n):
+                    for residues in itertools.product(*[range(d) for d in cone_orders]):
+                        ds = FractionalDataSet(n, g0, a, b, tuple(zip(residues, cone_orders)),
+                                               power)
+                        if validate(ds).valid:
+                            found.add(ds)
+    return sorted(found)
+
+
+def test_candidates_are_complete_against_brute_force():
+    # even degrees and powers above 1 included: every candidate validate accepts is listed
+    listed = 0
+    for g in range(1, 5):
+        for n in range(2, 13):
+            for power in range(1, 5):
+                expected = _brute_candidates(g, n, power)
+                assert fractional_datasets(g, n, power) == expected, (g, n, power)
+                listed += len(expected)
+    assert listed == 116

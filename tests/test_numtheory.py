@@ -90,6 +90,42 @@ def test_factorize_reassembles_exhaustive():
         assert total == n
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def _miller_rabin(n):
+    """Deterministic Miller-Rabin with bases 2..17, exact below 341,550,071,728,321;
+    it shares no code with factorize, which is_prime reads."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_miller_rabin_helper_matches_trial_division():
+    assert FACTOR_LIMIT < 341_550_071_728_321  # the helper is exact over the factoring range
+    trial = [n for n in range(2, 3000) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(3000) if _miller_rabin(n)] == trial
+    # the least strong pseudoprimes to bases 2, 2..3, ..., 2..13
+    pseudoprimes = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383)
+    assert not any(map(_miller_rabin, pseudoprimes))
+
+
 def test_factorize_reassembles_random_large():
     rng = random.Random(11)
     for _ in range(10**3):
@@ -99,7 +135,7 @@ def test_factorize_reassembles_random_large():
         for p, e in fac:
             total *= p**e
         assert total == n
-        assert all(is_prime(p) for p, _ in fac)
+        assert all(_miller_rabin(p) for p, _ in fac)
         primes = [p for p, _ in fac]
         assert primes == sorted(set(primes))  # strictly increasing
 
