@@ -28,10 +28,11 @@ yields candidate data sets for roots of the l-th power of the twist
 
 The text form ``(n, g0, (a,b); (c1,n1), ...)`` is printed by ``format_dataset``
 and read by ``parse_dataset`` in three steps: ``_TOKEN`` splits the text into
-integers and the punctuation ``(),;`` (anything else but whitespace is an
-error), the one pattern ``_FORM`` matches the token kinds with every integer
-read as ``i``, and the integers then fill the ``DataSet`` constructor, which
-checks their ranges.  The grammar is regular, so no parser state is kept.
+integers of ASCII digits and the punctuation ``(),;`` (anything else but
+whitespace is an error, which quotes at most 40 characters of it), the one
+pattern ``_FORM`` matches the token kinds with every integer read as ``i``,
+and the integers then fill the ``DataSet`` constructor, which checks their
+ranges.  The grammar is regular, so no parser state is kept.
 """
 
 import re
@@ -232,9 +233,16 @@ def format_dataset(ds):
     return _TEXT_FORM % (ds.degree, ds.quotient_genus, ds.a, ds.b, cones)
 
 
-_TOKEN = re.compile(r"-?\d+|[(),;]")
+_TOKEN = re.compile(r"-?[0-9]+|[(),;]")  # ASCII digits only: \d takes any Unicode digit
 # The text form over its tokens, each integer read as "i"; the cone list may be empty
 _FORM = re.compile(r"\(i,i,\(i,i\);(\(i,i\)(,\(i,i\))*)?\)")
+_QUOTE_LIMIT = 40
+
+
+def _quoted(text):
+    """repr(text) for an error message, cut to its first _QUOTE_LIMIT characters and
+    "...", so the message stays bounded however long the stray text is."""
+    return repr(text) if len(text) <= _QUOTE_LIMIT else repr(text[:_QUOTE_LIMIT]) + "..."
 
 
 def parse_dataset(text):
@@ -247,12 +255,12 @@ def parse_dataset(text):
     tokens = []
     pos = 0
     for match in _TOKEN.finditer(text):
-        if text[pos : match.start()].strip():
-            raise ParseError("unexpected %r in data set text" % text[pos : match.start()].strip())
+        if stray := text[pos : match.start()].strip():
+            raise ParseError("unexpected %s in data set text" % _quoted(stray))
         tokens.append(match.group())
         pos = match.end()
-    if text[pos:].strip():
-        raise ParseError("unexpected trailing %r" % text[pos:].strip())
+    if stray := text[pos:].strip():
+        raise ParseError("unexpected trailing %s" % _quoted(stray))
     form = _FORM.match("".join([t if t in "(),;" else "i" for t in tokens]))
     if not form:
         raise ParseError("expected the form (n, g0, (a,b); (c1,n1), ...)")
@@ -264,6 +272,6 @@ def parse_dataset(text):
     except ValueError:  # longer than the interpreter's integer-string limit
         raise ParseError("integer of %d digits is too long" % len(token)) from None
     if form.end() < len(tokens):
-        raise ParseError("unexpected trailing %r" % tokens[form.end()])
+        raise ParseError("unexpected trailing %s" % _quoted(tokens[form.end()]))
     degree, quotient_genus, a, b, *rest = values
     return DataSet(degree, quotient_genus, a, b, tuple(zip(rest[::2], rest[1::2])))

@@ -28,8 +28,10 @@ recurses once per run, at most 11 deep for odd n <= 801, and drops a
 remainder that the later runs cannot meet.  Each order's units (``_units``)
 and each degree's divisors (``_divisors``) are tabled once.
 
-Existence (``has_root``, ``root_degrees``, ``genus_set``) is decided by the
-lcm rule in ``_root_genera``, without twist pairs, counts or the search.
+Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
+``_root_genera``, without twist pairs, counts or the search.  ``root_degrees``
+runs it only for degrees n <= g and reads those above g from the paper's
+large-degree classification: 2g+1 and ``special_roots.de_roots``.
 
 ``oracle_datasets`` answers the same question by brute force over raw
 residue tuples; it is deliberately naive, range-guarded, and kept as an
@@ -63,7 +65,7 @@ DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
 # Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.3-0.4 s and 37 MB;
-# genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 0.7-1.2 s (2-core VM).
+# genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 0.6-0.9 s (2-core VM).
 # twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.  cone_multisets
 # stops at target 10**4 (callers inside reach 400): its walk's bitsets are 2*target wide.
 DATASETS_MAX_GENUS = 400
@@ -412,9 +414,16 @@ def has_root(g, n):
 
 
 def root_degrees(g):
-    """The odd degrees n in [3, 2g+1] of roots of the twist on genus g+1 (g <= 10**4)."""
+    """The odd degrees n in [3, 2g+1] of roots of the twist on genus g+1 (g <= 10**4).
+    Those up to g come from the lcm rule (``has_root``).  Every root of degree n > g is a
+    Margalit-Schleimer root, of degree 2g+1, or a (d,e)-root, whose degrees
+    ``special_roots.de_roots`` lists, rising and between g and 2g+1."""
     _check_ceiling(g, GENUS_SET_MAX_GENUS, "root_degrees is supported up to g")
-    return [n for n in range(3, 2 * g + 2, 2) if has_root(g, n)]
+    if g < 1:
+        return []
+    from . import special_roots  # it imports this module; looked up per call, as cli does
+    low = [n for n in range(3, g + 1, 2) if has_root(g, n)]
+    return low + special_roots.de_roots(g) + [2 * g + 1]
 
 
 def genus_set(n, g_max):

@@ -129,8 +129,13 @@ def factorize(n):
 
 def divisors(n):
     """All positive divisors of n, strictly increasing."""
+    return _divisors_of(factorize(n))
+
+
+def _divisors_of(factors):
+    """All positive divisors, strictly increasing, of the product of (prime, exponent) pairs."""
     divs = [1]
-    for p, e in factorize(n):
+    for p, e in factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 

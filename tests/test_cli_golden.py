@@ -388,6 +388,13 @@ CASES = [
         "error: unexpected trailing 'not a data set'\n",
     ),
     (
+        ['validate', '(\u0669, 0, (2,2); (2,9),(1,3))'],
+        None,
+        2,
+        '',
+        "error: unexpected '\u0669' in data set text\n",
+    ),
+    (
         ['validate', '(9, 0, (2,2); (2,9),(1,1))'],
         None,
         2,

@@ -194,8 +194,17 @@ def test_parser_rejects_garbage():
 
 
 def test_parser_messages():
-    # a structural error names the form; stray text and tokens past the form are quoted
+    # a structural error names the form; stray text and tokens past the form are quoted,
+    # by their first 40 characters if longer; integers are ASCII digits only (\d would
+    # also take the ARABIC-INDIC DIGIT NINE and the FULLWIDTH DIGIT NINE)
+    nines, letters = "9" * 5000, "x" * 5000
     cases = {
+        "(\u0669, 0, (2,2); (2,9),(1,3))": "unexpected '\u0669' in data set text",
+        "(9, 0, (2,2); (2,\uff19),(1,3))": "unexpected '\uff19' in data set text",
+        "(21, 0, (2,2); (17,21)) " + nines: "unexpected trailing '%s'..." % nines[:40],
+        "(21, 0, (2,2); (17,21)) " + letters: "unexpected trailing '%s'..." % letters[:40],
+        "(21, 0, (2,2); %s (17,21))" % letters: "unexpected '%s'... in data set text"
+        % letters[:40],
         "(9, 0, (2,2); (2,9) (1,3))": "expected the form (n, g0, (a,b); (c1,n1), ...)",
         "(21, 0, (2,2); (17,21)) (17,21)": "unexpected trailing '('",
         "(21, 0, (2,2); (17,21)) extra": "unexpected trailing 'extra'",

@@ -301,6 +301,14 @@ def test_root_degrees():
     assert root_degrees(0) == []
 
 
+def test_root_degrees_split_matches_the_knapsack():
+    # root_degrees reads degrees above g from the large-degree classification; has_root
+    # decides every degree by the lcm-rule knapsack alone
+    # (the ceiling g = 10**4 is checked in test_existence_at_the_ceiling_answers_quickly)
+    for g in (*range(301), 1000, 4321):
+        assert root_degrees(g) == [n for n in range(3, 2 * g + 2, 2) if has_root(g, n)], g
+
+
 def test_degree_bound_on_enumerated_classes():
     # only odd degrees up to 2g+1 ever occur, including just past the bound
     for g in range(0, 31):
@@ -356,6 +364,8 @@ def test_existence_at_the_ceiling_answers_quickly():
     degrees = root_degrees(GENUS_SET_MAX_GENUS)
     assert perf_counter() - start < 10.0
     assert degrees[:3] == [3, 5, 7] and degrees[-1] == 2 * GENUS_SET_MAX_GENUS + 1
+    g = GENUS_SET_MAX_GENUS
+    assert degrees == [n for n in range(3, 2 * g + 2, 2) if has_root(g, n)]
     message = "^root_degrees is supported up to g = 10000, got 10001$"
     with pytest.raises(RangeExceeded, match=message):
         root_degrees(GENUS_SET_MAX_GENUS + 1)

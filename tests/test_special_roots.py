@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 from math import gcd, lcm
@@ -7,6 +8,7 @@ import pytest
 from dehnroots import special_roots
 from dehnroots.dataset import DataSet, RangeExceeded, format_dataset, parse_dataset, validate
 from dehnroots.enumeration import datasets, has_root, root_degrees
+from dehnroots.numtheory import divisors
 from dehnroots.special_roots import (
     DE_ROOTS_MAX_GENUS,
     MS_ROOTS_MAX_GENUS,
@@ -163,11 +165,40 @@ def test_de_roots_are_the_de_root_cells_of_the_count():
         assert de_roots(g) == tagged, g
 
 
-def test_de_roots_subset_of_root_degrees():
-    for g in range(1, 31):
-        degrees = root_degrees(g)
-        for n in de_roots(g):
-            assert n in degrees
+def test_root_degrees_above_g_are_the_classification():
+    # every degree n > g of a root is 2g+1 or a (d,e)-root degree; de_root_genera reads
+    # the coprime divisor pairs of n, not the genus equation de_roots solves
+    for g in (*range(1, 301), 1000, 4321):
+        for n in root_degrees(g):
+            assert n <= g or n == 2 * g + 1 or g in de_root_genera(n), (g, n)
+
+
+def _de_roots_by_trial_division(g):
+    # de_roots before the window sieve: each m = 2g + d1 factored on its own
+    degrees = set()
+    d1 = 1
+    while d1 * (d1 - 1) <= g:
+        m = 2 * g + d1
+        for q in divisors(m):
+            d2 = m // q
+            if d2 < d1:
+                break
+            k, r = divmod(q + 1, 2 * d1)
+            if not r and k % 2 and (d1, k) != (1, 1) and gcd(d1, d2) == 1:
+                degrees.add(k * d1 * d2)
+        d1 += 2
+    return sorted(degrees)
+
+
+def test_de_roots_sieve_matches_trial_division():
+    rng = random.Random(20)
+    # the window edges: g = d1(d1 - 1) for odd d1 puts 2g + d1 in the window exactly
+    edges = [d1 * (d1 - 1) for d1 in range(3, 1000, 2)]
+    assert edges[:3] == [6, 20, 42] and edges[-1] == 997_002
+    genera = [*range(1, 400), *(rng.randrange(10**5, 10**6 + 1) for _ in range(100)),
+              *edges[::10], *(g + 1 for g in edges[::50]), edges[-1], DE_ROOTS_MAX_GENUS]
+    for g in genera:
+        assert de_roots(g) == _de_roots_by_trial_division(g), g
 
 
 def test_de_construct_examples():
