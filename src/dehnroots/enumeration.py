@@ -10,7 +10,8 @@ cone residues satisfying (I)-(IV); the pieces run over
   * multisets of cone orders (divisors of n exceeding 1) whose weights
     (n/n_i)(n_i - 1)/2 sum to g - g0*n,
   * the twist pairs: units a <= b with a + b = l*a*b mod n (l = 1 for
-    ordinary roots), solved as b = a*(l*a - 1)^-1 by ``twist_pairs``,
+    ordinary roots), solved as b = a*(l*a - 1)^-1 by ``twist_pairs``, one
+    inverse per pair after a sieve by the primes of n,
   * cone residues, one multiset of units per run of equal cone order, so
     each class appears exactly once.
 
@@ -23,10 +24,13 @@ cell).  ``_cell`` is the one counted cell behind every listing: it walks a
 cell's shapes, solves its twist pairs and checks its total against the cap,
 before ``_search`` lists a class of ``datasets`` (every degree first, for a
 whole genus), ``primary_datasets`` or the fractional candidates, so a cell
-past the cap fails at once and in bounded memory.  The residue search
-recurses once per run, at most 11 deep for odd n <= 801, and drops a
-remainder that the later runs cannot meet.  Each order's units (``_units``)
-and each degree's divisors (``_divisors``) are tabled once.
+past the cap fails at once and in bounded memory.  The residue search then
+prepares each shape once (``_shape``): the multisets of every run but the
+last with their residue sums, and the unit sums of the last run's multisets
+short of one unit.  Per twist pair only ``_solve`` runs, one divisibility
+check per head and one solved last unit per tail, and the classes come out
+in canonical order without a sort of the whole cell.  Each order's units
+(``_units``) and each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
 ``_root_genera``, without twist pairs, counts or the search.  ``root_degrees``
@@ -41,8 +45,9 @@ independent cross-check of the search above.
 import os
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, groupby, product
 from math import lcm
+from operator import itemgetter
 
 from .dataset import DataSet, RangeExceeded, _canonical, validate
 from .numtheory import _check_ceiling, _show, divisors, factorize, gcd, mod_inverse
@@ -64,7 +69,7 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.3-0.4 s and 37 MB;
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.3-0.35 s and 35 MB;
 # genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 0.6-0.9 s (2-core VM).
 # twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.  cone_multisets
 # stops at target 10**4 (callers inside reach 400): its walk's bitsets are 2*target wide.
@@ -167,23 +172,32 @@ def cone_multisets(n, target):
 
 
 def twist_pairs(n, power=1):
-    """Unordered unit pairs (a, b), a <= b, with a + b = power*a*b mod n.
+    """Unordered unit pairs (a, b), a <= b, with a + b = power*a*b mod n, rising in a.
 
     The condition reads b*(power*a - 1) = a, so it has a unit solution b
-    exactly when power*a - 1 is a unit, and then b = a*(power*a - 1)^-1.
-    One inverse per unit a, keeping a <= b.  An even n with an odd power
-    has no pairs: units are odd, so a + b is even while power*a*b is odd.
+    exactly when a and power*a - 1 are units, and then b = a*(power*a - 1)^-1.
+    A sieve strikes the other a, two slices per prime p of n: a = 0 and, if p
+    does not divide power, power*a = 1 mod p (an even n with an odd power keeps
+    none).  On the rest a -> b is an involution, as power*b - 1 = (power*a - 1)^-1,
+    so each pair costs one inverse: the least unstruck a gives b, struck as met.
     The list grows with n, so n must not exceed TWIST_PAIRS_MAX_DEGREE.
     """
     if n < 2 or power < 1:
         raise ValueError("need degree >= 2 and power >= 1, got %s, %s" % (_show(n), _show(power)))
     _check_ceiling(n, TWIST_PAIRS_MAX_DEGREE, "twist_pairs is supported up to n")
+    left = bytearray([1]) * n
+    for p, _ in factorize(n):
+        left[::p] = bytes(len(range(0, n, p)))
+        if power % p:
+            start = mod_inverse(power, p)
+            left[start::p] = bytes(len(range(start, n, p)))
     pairs = []
-    for a in range(1, n):
-        if gcd(a, n) == 1 and gcd(power * a - 1, n) == 1:
-            b = a * mod_inverse(power * a - 1, n) % n
-            if a <= b:
-                pairs.append((a, b))
+    a = left.find(1)
+    while a >= 0:
+        b = a * mod_inverse(power * a - 1, n) % n
+        left[b] = 0
+        pairs.append((a, b))
+        a = left.find(1, a + 1)
     return pairs
 
 
@@ -195,34 +209,53 @@ def _units(d):
     return tuple(pairs), pairs
 
 
-def _cone_assignments(n, runs, target):
-    """Yield the cone tuples ((c_1, n_1), ...) for the cone-order runs [(order,
-    count), ...] with sum (n/n_i)*c_i = target mod n.  Each run takes one multiset
-    of the units of its order (``_units``), walked as plain integers; the last run
-    takes count - 1 and solves the last residue, kept if a unit not below the one
-    before it.  Only a multiset that passes is mapped to the shared cone pairs."""
-    if not runs:  # no cones: (IV) reads a + b = 0
-        if target % n == 0:
-            yield ()
-        return
-    order, count = runs[0]
-    step = n // order
-    units, cones = _units(order)
-    pair = cones.__getitem__
-    if len(runs) == 1:
-        for combo in combinations_with_replacement(units, count - 1):
-            need = (target - step * sum(combo)) % n
-            last = need // step
-            if need % step == 0 and last in cones and (not combo or combo[-1] <= last):
-                yield tuple(map(pair, combo)) + (cones[last],)
-        return
-    later = gcd(n, *(n // o for o, _ in runs[1:]))
-    for combo in combinations_with_replacement(units, count):
-        need = (target - step * sum(combo)) % n
-        if need % later == 0:
-            head = tuple(map(pair, combo))
-            for rest in _cone_assignments(n, runs[1:], need):
-                yield head + rest
+def _shape(n, runs):
+    """What one cone-order shape's residue search shares across its twist pairs:
+    (heads, order, count, totals, lows) for the runs [(order, count), ...], or None for
+    no cones.  The heads are every multiset of every run but the last, as (residue mod n,
+    cone tuple) with residue sum (n/n_i)*c_i, in lexicographic order.  The tails are the
+    count - 1 multisets of the last run's units, in lexicographic order, kept only as
+    their unit sums (``totals``) and lowest allowed last units (``lows``)."""
+    if not runs:
+        return None
+    heads = [(0, ())]
+    for order, count in runs[:-1]:
+        step, (units, cones) = n // order, _units(order)
+        run = list(zip(map(sum, combinations_with_replacement(units, count)),
+                       combinations_with_replacement(tuple(cones.values()), count)))
+        heads = [((r + step * s) % n, head + cs) for r, head in heads for s, cs in run]
+    order, count = runs[-1]
+    units = _units(order)[0]
+    totals = list(map(sum, combinations_with_replacement(units, count - 1)))
+    lows = (list(map(itemgetter(-1), combinations_with_replacement(units, count - 1)))
+            if count > 1 else [1])
+    return heads, order, count, totals, lows
+
+
+def _solve(n, shape, target):
+    """The cone tuples ((c_1, n_1), ...) of a ``_shape`` with sum (n/n_i)*c_i = target
+    mod n, in lexicographic order.  A head passes only if the last run's step n/order
+    divides its remainder; each tail then solves the last unit, kept if a unit not below
+    the tail's last.  Heads with one remainder share that pass over the tails; a second
+    walk of the last run's multisets, as shared cone pairs, yields the kept ones."""
+    if shape is None:  # no cones: (IV) reads a + b = 0
+        return [()] if target % n == 0 else []
+    heads, order, count, totals, lows = shape
+    step, cones = n // order, _units(order)[1]
+    pairs = tuple(cones.values())
+    found, solved = [], {}  # need -> (kept flags, last units) over the tails
+    for residue, head in heads:
+        need, off = divmod((target - residue) % n, step)
+        if off:
+            continue
+        if need not in solved:
+            lasts = [(need - total) % order for total in totals]
+            solved[need] = [last >= low and last in cones for last, low in zip(lasts, lows)], lasts
+        kept, lasts = solved[need]
+        for combo, last in zip(compress(combinations_with_replacement(pairs, count - 1), kept),
+                               compress(lasts, kept)):
+            found.append(head + combo + (cones[last],))
+    return found
 
 
 def _cell(g, n, class_cap, power=1, primary=False):
@@ -238,11 +271,20 @@ def _cell(g, n, class_cap, power=1, primary=False):
 
 
 def _search(g, n, shapes, pairs):
-    """Sorted canonical (g0, a, b, cones) of genus g, degree n: the classes of ``shapes``,
-    [(rest, runs)] with g0 = (g - rest)/n, and twist ``pairs``.  The empty cone multiset is
-    kept: for power 1 it fails (IV), as a + b = a*b is a unit, but higher powers allow it."""
-    return sorted(((g - r) // n, a, b, cones) for a, b in pairs for r, runs in shapes
-                  for cones in _cone_assignments(n, runs, -(a + b)))
+    """Yield the canonical (g0, a, b, cones) of genus g, degree n in canonical order: the
+    classes of ``shapes``, [(rest, runs)] with rising rests and g0 = (g - rest)/n, and of
+    the rising twist ``pairs``.  Each shape is prepared once (``_shape``), a rest at a
+    time, falling so g0 rises; per pair the shapes of the rest are solved and merged.
+    The empty cone multiset is kept: for power 1 it fails (IV), as a + b = a*b is a
+    unit, but higher powers allow it."""
+    for rest, group in groupby(reversed(shapes), key=itemgetter(0)):
+        g0, prepared = (g - rest) // n, [_shape(n, runs) for _, runs in group]
+        for a, b in pairs:
+            found = [cones for shape in prepared for cones in _solve(n, shape, -(a + b))]
+            if len(prepared) > 1:
+                found.sort()
+            for cones in found:
+                yield g0, a, b, cones
 
 
 @cache

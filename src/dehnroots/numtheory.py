@@ -11,6 +11,7 @@ convention 0 is divisible by every prime, so c1 = 0 never qualifies
 when Q is nonempty.)
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -214,10 +215,12 @@ def bezout_avoiding_primes(d1, d2, avoid):
         raise PreconditionViolated("d1 and d2 must not exceed %d" % FACTOR_LIMIT)
     if gcd(d1, d2) != 1:
         raise PreconditionViolated("gcd(%d, %d) != 1" % (d1, d2))
+    # one sieve up to the root of the largest avoided prime in range serves them all
+    small = primes_up_to(isqrt(max([q for q in avoid if 2 <= q <= FACTOR_LIMIT], default=0)))
     for q in avoid:
         if q > FACTOR_LIMIT:
             raise PreconditionViolated("avoided prime %s exceeds %d" % (_show(q), FACTOR_LIMIT))
-        if not is_prime(q):
+        if q < 2 or not all(q % p for p in small[:bisect_right(small, isqrt(q))]):
             raise PreconditionViolated("%r is not prime" % (q,))
     if 2 in avoid and d1 % 2 == 1 and d2 % 2 == 1:
         raise PreconditionViolated("with 2 in the avoided set, d1 and d2 cannot both be odd")

@@ -298,12 +298,14 @@ def test_figure1_past_the_class_cap_writes_nothing(tmp_path, capsys, monkeypatch
 
 def test_roots_counts_every_degree_before_listing_one(capsys, monkeypatch):
     # degrees 3 and 5 of genus 200 pass a cap of 500,000 with 399k classes between them;
-    # degree 7 does not, so the query stops before the residue search builds any class
+    # degree 7 does not, so the query stops before the residue search prepares a shape
+    # or builds any class
     def unreached(*args):
         raise AssertionError("a class was built before every degree was counted")
 
     monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "500000")
-    monkeypatch.setattr(enumeration, "_cone_assignments", unreached)
+    monkeypatch.setattr(enumeration, "_shape", unreached)
+    monkeypatch.setattr(enumeration, "_solve", unreached)
     assert run_cli(capsys, "roots", "--genus", "200") == (
         3, "", "class cap exceeded: more than 500000 classes of genus 200, degree 7\n")
     with pytest.raises(ClassCapExceeded, match="of genus 200, degree 7$"):

@@ -93,6 +93,30 @@ def test_twist_pairs_match_brute_force():
                 assert brute == []
 
 
+def _scanned_pairs(n, power):
+    """The twist pairs by a direct scan: for each unit a with power*a - 1 a unit,
+    b = a*(power*a - 1)^-1, kept when a <= b."""
+    pairs = []
+    for a in range(1, n):
+        if gcd(a, n) == 1 and gcd(power * a - 1, n) == 1:
+            b = a * pow(power * a - 1, -1, n) % n
+            if a <= b:
+                pairs.append((a, b))
+    return pairs
+
+
+def test_twist_pairs_sieve_matches_a_direct_scan():
+    # even n, and powers sharing a prime with n, where the sieve skips that prime's
+    # second slice; 15015 = 3*5*7*11*13 and 45045 = 3*15015 have five odd primes each
+    cases = [(n, power) for n in range(2, 401) for power in range(1, 7)]
+    cases += [(n, power) for n in (15015, 45045) for power in range(1, 7)]
+    for n, power in cases:
+        pairs = twist_pairs(n, power)
+        assert pairs == _scanned_pairs(n, power), (n, power)
+        assert all(a < c for (a, _), (c, _) in zip(pairs, pairs[1:])), (n, power)
+    assert [len(twist_pairs(n)) for n in (15015, 45045)] == [ms_count(15015), ms_count(45045)]
+
+
 def test_twist_pairs_rejects_only_tiny_degree_or_power():
     # every 2 <= n <= TWIST_PAIRS_MAX_DEGREE and power >= 1 is answered; the brute-force
     # comparison above checks n <= 60, and the ceiling has its own test below
@@ -466,6 +490,24 @@ def test_listing_matches_an_independent_count_past_the_oracle():
             assert len(set(classes)) == len(classes), (g, n)
             for ds in classes:
                 assert validate(ds).valid and ds.genus == g, ds
+
+
+def test_listing_is_strictly_increasing_in_every_small_cell():
+    # the classes come out in canonical order without a sort of the whole cell
+    for g in range(41):
+        for n in range(3, 2 * g + 2, 2):
+            classes = datasets(g, n)
+            assert all(x < y for x, y in zip(classes, classes[1:])), (g, n)
+
+
+def test_listing_matches_the_independent_count_in_large_cells():
+    # many shapes per rest (80, 15), a lone order with 400-long cone runs (400, 3) and
+    # many cone orders (100, 33), (120, 45): about 1.5 s of listing together
+    for (g, n), count in {(80, 15): 196_736, (400, 3): 9_045, (100, 33): 38_800,
+                          (120, 45): 53_580}.items():
+        classes = datasets(g, n)
+        assert len(classes) == _independent_count(g, n) == count, (g, n)
+        assert all(x < y for x, y in zip(classes, classes[1:])), (g, n)
 
 
 def test_has_root_matches_the_residue_search():

@@ -1,5 +1,6 @@
 import random
 from math import gcd as stdlib_gcd
+from time import perf_counter
 
 import pytest
 
@@ -220,6 +221,21 @@ def test_bezout_inputs_are_bounded():
     for d1, d2 in ((3, FACTOR_LIMIT + 1), (FACTOR_LIMIT + 1, 3), (2, 10**4299 + 1)):
         with pytest.raises(PreconditionViolated):
             bezout_avoiding_primes(d1, d2, {3, 5})
+
+
+def test_bezout_checks_many_large_primes_against_one_sieve():
+    # one sieve to the root of the largest prime serves every check, where trial
+    # division per prime took 35-70 ms each for twelve digits
+    large = [q for q in range(FACTOR_LIMIT - 1, FACTOR_LIMIT - 2000, -2) if _miller_rabin(q)][:40]
+    assert len(large) == 40 and large[-1] > 10**11
+    start = perf_counter()
+    w = bezout_avoiding_primes(3, 5, large)
+    assert perf_counter() - start < 2
+    assert 3 * w.c1 + 5 * w.c2 == 1 and all(w.c1 % q and w.c2 % q for q in large)
+    # 999983 is the largest prime below 10**6, the sieve's last one for twelve digits
+    for bad in (999983 * 999983, 999979 * 999983, 10**12 - 1):
+        with pytest.raises(PreconditionViolated, match="^%d is not prime$" % bad):
+            bezout_avoiding_primes(3, 5, large[:20] + [bad] + large[20:])
 
 
 def test_bezout_avoiding_primes_even_input_with_two():
