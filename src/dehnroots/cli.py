@@ -14,11 +14,12 @@ it builds a class, so a cap failure leaves stdout empty.
 Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
 empty ``[  ]``) and class lists one data set per line; ``--format json``
 switches every query except ``figure1``, which writes the pair table as CSV.
-Class listings (``roots``, ``ms-roots``) write each class with one %-format of a
-fixed template, ``_CLASS_JSON`` or the text form ``format_dataset`` uses, and
-make each cone pair's form once per listing, writing the bytes
-``json.dumps(docs, indent=2)`` gives; the other multi-line JSON (``de-construct``,
-``fractional``, ``validate``) comes from ``json.dumps(value, indent=2)`` itself.
+Class listings (``roots``, ``ms-roots``) unpack each class, a ``DataSet`` tuple,
+into one %-format of a fixed template, ``_CLASS_JSON`` or the text form
+``format_dataset`` uses, and make each cone pair's form once per listing,
+writing the bytes ``json.dumps(docs, indent=2)`` gives; the other multi-line
+JSON (``de-construct``, ``fractional``, ``validate``) comes from
+``json.dumps(value, indent=2)`` itself.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 4 output I/O failure.  DEHN_ROOTS_CLASS_CAP overrides the enumeration cap.
@@ -28,7 +29,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from operator import attrgetter
 
 from . import enumeration, fractional, numtheory, special_roots
 from .dataset import (_CONE_TEXT_FORM, _TEXT_FORM, ParseError, RangeExceeded, format_dataset,
@@ -67,7 +67,6 @@ def _print_int_list(values, args):
 _CLASS_JSON = ('\n  {\n    "degree": %d,\n    "g0": %d,\n    "a": %d,\n    "b": %d,'
                '\n    "cones": [%s\n    ],\n    "genus": %d,\n    "tag": "%s"\n  }')
 _CONE_JSON = "\n      [\n        %d,\n        %d\n      ]"
-_fields = attrgetter("degree", "quotient_genus", "a", "b", "cones")
 
 
 class _Forms(dict):
@@ -82,17 +81,18 @@ class _Forms(dict):
 
 
 def _print_classes(classes, args):
-    """One template per class: ``json.dumps(docs, indent=2)`` or ``format_dataset`` lines."""
+    """One template per class, filled from the class's tuple unpacked:
+    ``json.dumps(docs, indent=2)`` or ``format_dataset`` lines."""
     if args.format == "json":  # every class listed has the asked genus
         cone, tag = _Forms(_CONE_JSON).__getitem__, special_roots.classify
         docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), args.genus, tag(ds))
-                for ds, (n, g0, a, b, cones) in zip(classes, map(_fields, classes))]
+                for ds, (n, g0, a, b, cones) in zip(classes, classes)]
         # one write of one copy of the documents: the listing's largest allocation
         sys.stdout.write("[%s\n]\n" % ",".join(docs) if docs else "[]\n")
     else:
         cone = _Forms(_CONE_TEXT_FORM).__getitem__
         sys.stdout.write("".join([_TEXT_FORM % (n, g0, a, b, ", ".join(map(cone, cones))) + "\n"
-                                  for n, g0, a, b, cones in map(_fields, classes)]))
+                                  for n, g0, a, b, cones in classes]))
 
 
 def _print_count(count, args):

@@ -18,7 +18,10 @@ Two data sets are the same root class if they differ by swapping a and b,
 changing residues mod their moduli, or reordering the cone pairs.  The
 ``DataSet`` constructor reduces every residue and sorts the cone pairs,
 so equal canonical forms compare equal and structural equality is class
-equivalence.
+equivalence.  A ``DataSet`` is literally the immutable tuple (n, g0, a, b,
+cones): it unpacks, has ``len`` 5 (6 for a ``FractionalDataSet``, with the
+power), and equals the plain tuple of its fields.  ``tuple.__new__``
+(``_canonical``) is the one path that skips the constructor's checks.
 
 Conditions (II) and (III) force n odd, and (III) with (IV) force at least
 one cone pair; ``validate`` reports these as violations of III and IV.
@@ -36,7 +39,9 @@ ranges.  The grammar is regular, so no parser state is kept.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from .numtheory import RangeExceeded, _show, gcd
 
@@ -69,49 +74,64 @@ def _check_range(name, value, low):
         )
 
 
-@dataclass(frozen=True, order=True)
-class DataSet:
-    """A data-set tuple in canonical form.
+def _checked(degree, quotient_genus, a, b, cones):
+    """The five fields of a data set, range-checked and in canonical form."""
+    _check_range("degree", degree, 2)
+    _check_range("quotient genus", quotient_genus, 0)
+    _check_range("a", a, -VALUE_LIMIT)
+    _check_range("b", b, -VALUE_LIMIT)
+    a, b = a % degree, b % degree
+    if a > b:
+        a, b = b, a
+    pairs = []
+    for pair in cones:
+        try:
+            c, order = pair
+        except (TypeError, ValueError):
+            raise RangeExceeded("cone pairs must be (residue, order), got %s" % _show(pair))
+        _check_range("cone order", order, 2)
+        _check_range("cone residue", c, -VALUE_LIMIT)
+        pairs.append((c % order, order))
+    pairs.sort(key=lambda p: (p[1], p[0]))
+    return degree, quotient_genus, a, b, tuple(pairs)
+
+
+class DataSet(tuple):
+    """A data-set tuple (degree, quotient_genus, a, b, cones) in canonical form.
 
     Residues a, b are stored reduced mod ``degree`` with a <= b; each cone
     residue is reduced mod its order and the cone pairs (residue, order)
     are sorted by (order, residue).  Construction enforces only ranges
     (degree >= 2, orders >= 2, quotient_genus >= 0); the arithmetic
     conditions are ``validate``'s job, so invalid candidates can be built
-    and inspected.  ``_canonical`` is the one path that skips the range
-    checks and the reduction; only the listings of ``enumeration``
-    (``datasets``, ``primary_datasets``) and ``special_roots.ms_roots`` may
-    call it, with tuples they build in canonical form.
+    and inspected.
+
+    A data set is an immutable tuple of its five fields, read by name or by
+    unpacking: ``len`` is 5, it hashes, compares and sorts as the plain tuple
+    of its fields, and equals that tuple.  ``tuple.__new__`` is the one path
+    that skips the range checks and the reduction (``_canonical``); only the
+    listings of ``enumeration`` (``datasets``, ``primary_datasets``) and
+    ``special_roots.ms_roots`` may take it, with tuples they build in
+    canonical form.
     """
 
-    degree: int
-    quotient_genus: int
-    a: int
-    b: int
-    cones: tuple
+    __slots__ = ()
+    _fields = ("degree", "quotient_genus", "a", "b", "cones")
+    degree = property(itemgetter(0), doc="The degree n, at least 2.")
+    quotient_genus = property(itemgetter(1), doc="The quotient genus g0, at least 0.")
+    a = property(itemgetter(2), doc="The lesser residue of the twist pair, mod n.")
+    b = property(itemgetter(3), doc="The greater residue of the twist pair, mod n.")
+    cones = property(itemgetter(4), doc="The cone pairs (c_i, n_i), sorted by (n_i, c_i).")
 
-    def __post_init__(self):
-        _check_range("degree", self.degree, 2)
-        _check_range("quotient genus", self.quotient_genus, 0)
-        _check_range("a", self.a, -VALUE_LIMIT)
-        _check_range("b", self.b, -VALUE_LIMIT)
-        n = self.degree
-        a, b = self.a % n, self.b % n
-        if a > b:
-            a, b = b, a
-        cones = []
-        for pair in self.cones:
-            try:
-                c, order = pair
-            except (TypeError, ValueError):
-                raise RangeExceeded("cone pairs must be (residue, order), got %s" % _show(pair))
-            _check_range("cone order", order, 2)
-            _check_range("cone residue", c, -VALUE_LIMIT)
-            cones.append((c % order, order))
-        cones.sort(key=lambda p: (p[1], p[0]))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "cones", tuple(cones))
+    def __new__(cls, degree, quotient_genus, a, b, cones):
+        return tuple.__new__(cls, _checked(degree, quotient_genus, a, b, cones))
+
+    def __getnewargs__(self):  # a pickle or copy is rebuilt through the checks
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(map("%s=%r".__mod__, zip(self._fields, self)))
+        return "%s(%s)" % (type(self).__name__, fields)
 
     @property
     def genus(self):
@@ -126,26 +146,26 @@ class DataSet:
         return format_dataset(self)
 
 
-def _canonical(degree, g0, a, b, cones, cls=DataSet):
-    """The DataSet (degree, g0, (a,b); cones) of a tuple already in canonical form
-    (in range, a <= b reduced mod degree, cones reduced and sorted), unchecked.
-    ``cls`` is bound here, so a wrapper set later on the name ``DataSet`` is not
-    called; the cone pairs are kept as given, so shared pairs stay shared."""
-    ds = object.__new__(cls)
-    ds.__dict__.update(degree=degree, quotient_genus=g0, a=a, b=b, cones=cones)
-    return ds
+# The DataSet of a tuple (degree, g0, a, b, cones) already in canonical form (in range,
+# a <= b reduced mod degree, cones reduced and sorted), unchecked: the class is bound
+# here, so a wrapper set later on the name ``DataSet`` is not called, and the cone
+# pairs are kept as given, so shared pairs stay shared
+_canonical = partial(tuple.__new__, DataSet)
 
 
-@dataclass(frozen=True, order=True)
 class FractionalDataSet(DataSet):
     """A data-set candidate for a root of the power-l twist (condition III
-    becomes a + b = l*a*b mod n).  For power 1 this is an ordinary data set."""
+    becomes a + b = l*a*b mod n): the 6-tuple of a data set's fields and
+    ``power``.  For power 1 this is an ordinary data set."""
 
-    power: int = 1
+    __slots__ = ()
+    _fields = DataSet._fields + ("power",)
+    power = property(itemgetter(5), doc="The power l of the twist, at least 1.")
 
-    def __post_init__(self):
-        super().__post_init__()
-        _check_range("power", self.power, 1)
+    def __new__(cls, degree, quotient_genus, a, b, cones, power=1):
+        fields = _checked(degree, quotient_genus, a, b, cones)
+        _check_range("power", power, 1)
+        return tuple.__new__(cls, fields + (power,))
 
     @property
     def power_shares_factor(self):
@@ -218,7 +238,8 @@ def stabilize(ds):
     Its genus grows by the degree: a degree-n root for the twist on genus
     g+1 yields one on genus g+n+1.
     """
-    return replace(ds, quotient_genus=ds.quotient_genus + 1)
+    degree, quotient_genus, *rest = ds
+    return type(ds)(degree, quotient_genus + 1, *rest)
 
 
 # The text form: degree, quotient genus, a, b, then the cone pairs joined by ", ";

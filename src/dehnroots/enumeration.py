@@ -271,7 +271,7 @@ def _cell(g, n, class_cap, power=1, primary=False):
 
 
 def _search(g, n, shapes, pairs):
-    """Yield the canonical (g0, a, b, cones) of genus g, degree n in canonical order: the
+    """Yield the canonical (n, g0, a, b, cones) of genus g, degree n in canonical order: the
     classes of ``shapes``, [(rest, runs)] with rising rests and g0 = (g - rest)/n, and of
     the rising twist ``pairs``.  Each shape is prepared once (``_shape``), a rest at a
     time, falling so g0 rises; per pair the shapes of the rest are solved and merged.
@@ -284,7 +284,7 @@ def _search(g, n, shapes, pairs):
             if len(prepared) > 1:
                 found.sort()
             for cones in found:
-                yield g0, a, b, cones
+                yield n, g0, a, b, cones
 
 
 @cache
@@ -397,7 +397,7 @@ def datasets(g, n=None, class_cap=None):
     if degrees:  # checked before the range is walked, which a huge g makes endless
         _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
     cells = [_cell(g, d, class_cap) for d in degrees]  # all counted before one is listed
-    return [_canonical(d, *found) for d, cell in zip(degrees, cells) for found in _search(*cell)]
+    return [ds for cell in cells for ds in map(_canonical, _search(*cell))]
 
 
 def oracle_datasets(g, n):
@@ -484,4 +484,4 @@ def primary_datasets(g, n, class_cap=None):
     if not _degree_occurs(g, n):
         return []
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    return [_canonical(n, *found) for found in _search(*_cell(g, n, class_cap, primary=True))]
+    return list(map(_canonical, _search(*_cell(g, n, class_cap, primary=True))))

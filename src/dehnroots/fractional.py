@@ -42,4 +42,4 @@ def fractional_datasets(g, n, power, class_cap=None):
         raise RangeExceeded("power must be >= 1, got %s" % _show(power))
     _check_range("power", power, 1)  # the candidates' own bound, even where none is built
     cell = _cell(g, n, class_cap, power)
-    return [FractionalDataSet(n, *found, power) for found in _search(*cell)]
+    return [FractionalDataSet(*found, power) for found in _search(*cell)]

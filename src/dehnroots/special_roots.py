@@ -111,7 +111,7 @@ def ms_roots(g):
         return []
     _check_ceiling(g, MS_ROOTS_MAX_GENUS, "ms_roots is supported up to g")
     n = 2 * g + 1
-    return [_canonical(n, 0, a, b, ((-(a + b) % n, n),)) for a, b in twist_pairs(n)]
+    return [_canonical((n, 0, a, b, ((-(a + b) % n, n),))) for a, b in twist_pairs(n)]
 
 
 def ms_count(n):

@@ -453,6 +453,23 @@ def test_bench_smoke_passes():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_traced_listing_queries_pass(monkeypatch):
+    # the bench tracer swaps the names DataSet and FractionalDataSet for wrapper functions,
+    # so a record class must not reach the other through its module name; these queries
+    # build both records under the wrappers, fractional --genus 12 --degree 10 --power 4
+    # ten candidates of them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    worker = importlib.import_module("worker")
+    tracer, workloads = importlib.import_module("tracer"), importlib.import_module("workloads")
+    queries = [workloads.fractional_query(12, 10, 4), workloads.roots_query(12, fmt="json"),
+               workloads.ms_roots_query(40)]
+    result = worker.measure(queries, 0, tracer.Tracer())
+    assert result["failed"] == 0, result["failures"]
+    assert result["attempted"] == 2 * len(queries)  # one plain pass, one traced
+    assert result["layers"]["fractional.fractional_datasets.candidates"][0] == 10
+    assert result["layers"]["dataset.FractionalDataSet.calls"][0] == 10
+
+
 def test_class_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "1")
     code, _, err = run_cli(capsys, "roots", "--genus", "10", "--degree", "21")

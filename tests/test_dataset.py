@@ -1,4 +1,7 @@
+import gc
+import pickle
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -14,6 +17,7 @@ from dehnroots.dataset import (
     validate,
 )
 from dehnroots.enumeration import datasets, twist_pairs
+from dehnroots.fractional import fractional_datasets
 from dehnroots.special_roots import ms_roots
 
 
@@ -246,3 +250,59 @@ def test_unchecked_listing_matches_the_checked_constructor():
         for ds in listed:
             stable = stabilize(ds)
             assert validate(stable).valid and stable.genus == ds.genus + ds.degree
+
+
+def test_record_behaviour_is_pinned():
+    # repr, hash, equality, order, pickling, immutability and stabilize, as the record
+    # behaved when it was a frozen dataclass
+    first, second, third = datasets(10, 21)
+    assert repr(first) == "DataSet(degree=21, quotient_genus=0, a=2, b=2, cones=((17, 21),))"
+    assert repr(DataSet(21, 0, 20, 5, ((-1, 21),))) == (
+        "DataSet(degree=21, quotient_genus=0, a=5, b=20, cones=((20, 21),))")
+    candidate = fractional_datasets(12, 10, 4)[0]
+    assert repr(candidate) == ("FractionalDataSet(degree=10, quotient_genus=0, a=1, b=7, "
+                               "cones=((1, 2), (1, 2), (1, 2), (7, 10)), power=4)")
+    assert repr(FractionalDataSet(9, 0, 2, 2, ((2, 9),), power=3)) == (
+        "FractionalDataSet(degree=9, quotient_genus=0, a=2, b=2, cones=((2, 9),), power=3)")
+    assert hash(first) == hash((21, 0, 2, 2, ((17, 21),)))
+    assert hash(candidate) == hash((10, 0, 1, 7, ((1, 2), (1, 2), (1, 2), (7, 10)), 4))
+    assert first == DataSet(21, 0, 2, 2, ((17, 21),)) and first != second
+    assert first < second < third and sorted([third, first, second]) == [first, second, third]
+    assert DataSet(9, 0, 2, 2, ((2, 9),)) != FractionalDataSet(9, 0, 2, 2, ((2, 9),))
+    for ds in (first, candidate):
+        again = pickle.loads(pickle.dumps(ds))
+        assert again == ds and type(again) is type(ds) and repr(again) == repr(ds)
+        for name in ("a", "degree", "cones", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(ds, name, 1)
+    up = stabilize(candidate)
+    assert type(up) is FractionalDataSet and up.power == 4 and up.quotient_genus == 1
+    assert repr(up) == ("FractionalDataSet(degree=10, quotient_genus=1, a=1, b=7, "
+                        "cones=((1, 2), (1, 2), (1, 2), (7, 10)), power=4)")
+
+
+def test_a_data_set_is_the_tuple_of_its_fields():
+    ds = DataSet(21, 0, 2, 2, ((-4, 21),))
+    n, g0, a, b, cones = ds
+    assert (n, g0, a, b, cones) == (ds.degree, ds.quotient_genus, ds.a, ds.b, ds.cones)
+    assert len(ds) == 5 and ds == (21, 0, 2, 2, ((17, 21),)) and isinstance(ds, tuple)
+    candidate = FractionalDataSet(9, 0, 2, 2, ((2, 9),), power=3)
+    assert len(candidate) == 6 and candidate == (9, 0, 2, 2, ((2, 9),), 3)
+    assert isinstance(candidate, DataSet) and candidate[5] == candidate.power == 3
+
+
+def test_a_listed_class_holds_little_memory():
+    # the bytes still held per class of datasets(36), its list included; a class is one
+    # 5-tuple and its cone tuple (the frozen dataclass record held about 320 B)
+    datasets(36)  # the shared unit and divisor tables are built here, not counted below
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        listed = datasets(36)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(listed) == 15788
+    assert held / len(listed) < 240
