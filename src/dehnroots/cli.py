@@ -87,8 +87,9 @@ def _print_classes(classes, args):
         cone, tag = _Forms(_CONE_JSON).__getitem__, special_roots.classify
         docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), args.genus, tag(ds))
                 for ds, (n, g0, a, b, cones) in zip(classes, classes)]
-        # one write of one copy of the documents: the listing's largest allocation
-        sys.stdout.write("[%s\n]\n" % ",".join(docs) if docs else "[]\n")
+        # brackets apart, so the join, the listing's largest allocation, is not copied
+        for part in ("[", ",".join(docs), "\n]\n") if docs else ("[]\n",):
+            sys.stdout.write(part)
     else:
         cone = _Forms(_CONE_TEXT_FORM).__getitem__
         sys.stdout.write("".join([_TEXT_FORM % (n, g0, a, b, ", ".join(map(cone, cones))) + "\n"

@@ -18,10 +18,10 @@ Two data sets are the same root class if they differ by swapping a and b,
 changing residues mod their moduli, or reordering the cone pairs.  The
 ``DataSet`` constructor reduces every residue and sorts the cone pairs,
 so equal canonical forms compare equal and structural equality is class
-equivalence.  A ``DataSet`` is literally the immutable tuple (n, g0, a, b,
-cones): it unpacks, has ``len`` 5 (6 for a ``FractionalDataSet``, with the
-power), and equals the plain tuple of its fields.  ``tuple.__new__``
-(``_canonical``) is the one path that skips the constructor's checks.
+equivalence.  Every record here is a ``namedtuple``: it unpacks and equals the
+plain tuple of its fields, so a ``DataSet`` is literally (n, g0, a, b, cones).
+``_replace``, ``_make`` and unpickling rebuild a data set through its checks;
+``tuple.__new__`` (``_canonical``) is the one path that skips them.
 
 Conditions (II) and (III) force n odd, and (III) with (IV) force at least
 one cone pair; ``validate`` reports these as violations of III and IV.
@@ -39,11 +39,10 @@ ranges.  The grammar is regular, so no parser state is kept.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from operator import itemgetter
 
-from .numtheory import RangeExceeded, _show, gcd
+from .numtheory import RangeExceeded, _checked_make, _show, gcd
 
 __all__ = [
     "DataSet",
@@ -96,42 +95,30 @@ def _checked(degree, quotient_genus, a, b, cones):
     return degree, quotient_genus, a, b, tuple(pairs)
 
 
-class DataSet(tuple):
+class DataSet(namedtuple("DataSet", "degree quotient_genus a b cones")):
     """A data-set tuple (degree, quotient_genus, a, b, cones) in canonical form.
 
-    Residues a, b are stored reduced mod ``degree`` with a <= b; each cone
-    residue is reduced mod its order and the cone pairs (residue, order)
-    are sorted by (order, residue).  Construction enforces only ranges
-    (degree >= 2, orders >= 2, quotient_genus >= 0); the arithmetic
-    conditions are ``validate``'s job, so invalid candidates can be built
+    ``degree`` is n >= 2 and ``quotient_genus`` is g0 >= 0; the twist pair ``a`` <= ``b``
+    is reduced mod n; ``cones`` holds the cone pairs (c_i, n_i), each c_i reduced mod its
+    order n_i >= 2, sorted by (n_i, c_i).  Construction enforces only ranges; the
+    arithmetic conditions are ``validate``'s job, so invalid candidates can be built
     and inspected.
 
     A data set is an immutable tuple of its five fields, read by name or by
     unpacking: ``len`` is 5, it hashes, compares and sorts as the plain tuple
-    of its fields, and equals that tuple.  ``tuple.__new__`` is the one path
-    that skips the range checks and the reduction (``_canonical``); only the
-    listings of ``enumeration`` (``datasets``, ``primary_datasets``) and
+    of its fields, and equals that tuple.  ``_replace``, ``_make``, pickling
+    and copying all rebuild through the checks.  ``tuple.__new__`` is the one
+    path that skips the range checks and the reduction (``_canonical``); only
+    the listings of ``enumeration`` (``datasets``, ``primary_datasets``) and
     ``special_roots.ms_roots`` may take it, with tuples they build in
     canonical form.
     """
 
     __slots__ = ()
-    _fields = ("degree", "quotient_genus", "a", "b", "cones")
-    degree = property(itemgetter(0), doc="The degree n, at least 2.")
-    quotient_genus = property(itemgetter(1), doc="The quotient genus g0, at least 0.")
-    a = property(itemgetter(2), doc="The lesser residue of the twist pair, mod n.")
-    b = property(itemgetter(3), doc="The greater residue of the twist pair, mod n.")
-    cones = property(itemgetter(4), doc="The cone pairs (c_i, n_i), sorted by (n_i, c_i).")
+    _make = _checked_make
 
     def __new__(cls, degree, quotient_genus, a, b, cones):
         return tuple.__new__(cls, _checked(degree, quotient_genus, a, b, cones))
-
-    def __getnewargs__(self):  # a pickle or copy is rebuilt through the checks
-        return tuple(self)
-
-    def __repr__(self):
-        fields = ", ".join(map("%s=%r".__mod__, zip(self._fields, self)))
-        return "%s(%s)" % (type(self).__name__, fields)
 
     @property
     def genus(self):
@@ -153,14 +140,13 @@ class DataSet(tuple):
 _canonical = partial(tuple.__new__, DataSet)
 
 
-class FractionalDataSet(DataSet):
+class FractionalDataSet(namedtuple("FractionalDataSet", DataSet._fields + ("power",)), DataSet):
     """A data-set candidate for a root of the power-l twist (condition III
     becomes a + b = l*a*b mod n): the 6-tuple of a data set's fields and
-    ``power``.  For power 1 this is an ordinary data set."""
+    ``power``, the power l >= 1 of the twist.  For power 1 this is an ordinary data set."""
 
     __slots__ = ()
-    _fields = DataSet._fields + ("power",)
-    power = property(itemgetter(5), doc="The power l of the twist, at least 1.")
+    _make = _checked_make  # the namedtuple base precedes DataSet, and its _make with it
 
     def __new__(cls, degree, quotient_genus, a, b, cones, power=1):
         fields = _checked(degree, quotient_genus, a, b, cones)
@@ -174,16 +160,14 @@ class FractionalDataSet(DataSet):
         return gcd(self.power, self.degree) > 1
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str  # one of "I", "II", "III", "IV"
-    detail: str
+Violation = namedtuple("Violation", "condition detail")
+Violation.__doc__ = """A violated ``condition`` ("I", "II", "III" or "IV") and its ``detail``."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple
+class ValidationReport(namedtuple("ValidationReport", "valid violations")):
+    """Whether a data set is ``valid``, and the tuple of its ``violations``."""
+
+    __slots__ = ()
 
     def conditions(self):
         """The set of violated condition labels."""
@@ -238,8 +222,7 @@ def stabilize(ds):
     Its genus grows by the degree: a degree-n root for the twist on genus
     g+1 yields one on genus g+n+1.
     """
-    degree, quotient_genus, *rest = ds
-    return type(ds)(degree, quotient_genus + 1, *rest)
+    return ds._replace(quotient_genus=ds.quotient_genus + 1)
 
 
 # The text form: degree, quotient genus, a, b, then the cone pairs joined by ", ";

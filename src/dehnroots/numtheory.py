@@ -12,7 +12,7 @@ when Q is nonempty.)
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 __all__ = [
@@ -178,18 +178,23 @@ def crt(pairs):
     return x
 
 
-@dataclass(frozen=True)
-class BezoutWitness:
-    """Coefficients c1, c2 with c1*d1 + c2*d2 = 1."""
+@classmethod
+def _checked_make(cls, fields):  # namedtuple's _make, which _replace calls, skips __new__
+    return cls(*fields)
 
-    c1: int
-    c2: int
-    d1: int
-    d2: int
 
-    def __post_init__(self):
-        if self.c1 * self.d1 + self.c2 * self.d2 != 1:
+class BezoutWitness(namedtuple("BezoutWitness", "c1 c2 d1 d2")):
+    """Coefficients c1, c2 with c1*d1 + c2*d2 = 1: the tuple (c1, c2, d1, d2), its
+    identity checked on construction, ``_replace``, ``_make`` and unpickling."""
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, c1, c2, d1, d2):
+        self = super().__new__(cls, c1, c2, d1, d2)
+        if c1 * d1 + c2 * d2 != 1:
             raise ValueError("not a Bezout identity: %r" % (self,))
+        return self
 
 
 def bezout_avoiding_primes(d1, d2, avoid):

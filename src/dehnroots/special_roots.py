@@ -42,7 +42,7 @@ each pair in bounded chunks.  Neither runs the residue search.
 """
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt, lcm
 
 from .dataset import DataSet, _canonical
@@ -239,14 +239,9 @@ def classify(ds):
     return tag
 
 
-@dataclass(frozen=True)
-class PairRow:
-    """One populated cell of the (genus, degree) table behind the pair plot."""
-
-    genus: int
-    degree: int
-    class_count: int
-    tags: tuple  # (RootTag, classes) pairs, nonzero, in tag order
+PairRow = namedtuple("PairRow", "genus degree class_count tags")
+PairRow.__doc__ = """One populated cell of the (genus, degree) table behind the pair plot:
+its ``class_count`` and ``tags``, the nonzero (RootTag, classes) pairs in tag order."""
 
 
 def class_count(g, n):

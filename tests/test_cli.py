@@ -1,6 +1,8 @@
+import argparse
 import ast
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -283,6 +285,29 @@ def test_figure1_writes_tag_runs_in_bounded_memory(tmp_path, capsys):
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     assert digest.hexdigest() == "b815a3be11af0ca6ed0cfb7321af9891d654b30e58d22f48debd7a165f042d52"
+
+
+def test_json_listing_is_not_copied_again(monkeypatch):
+    # the 15,788 classes of genus 36 print as 6,359,210 characters; the documents and
+    # their one join hold about twice that, and a second full copy of the join would
+    # take the peak to about 3.4 times the output
+    classes, args = datasets(36), argparse.Namespace(format="json", genus=36)
+    for _ in range(2):  # the first pass fills the per-process tables it reads
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            cli._print_classes(classes, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = out.getvalue()
+    assert len(text) == 6_359_210 and peak < 2.6 * len(text), peak / len(text)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e478c2e2023484fad90c512743e836d2e9e245da3b5e59574956ff5737dcddf2")
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    cli._print_classes([], args)
+    assert sys.stdout.getvalue() == "[]\n"
 
 
 def test_figure1_past_the_class_cap_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -306,3 +306,40 @@ def test_a_listed_class_holds_little_memory():
         tracemalloc.stop()
     assert len(listed) == 15788
     assert held / len(listed) < 240
+
+
+def test_replace_and_make_go_through_the_checks():
+    # namedtuple's own _make is an unchecked tuple.__new__, and _replace calls it
+    ds = DataSet(21, 0, 2, 2, ((17, 21),))
+    candidate = FractionalDataSet(9, 0, 2, 2, ((2, 9),), power=3)
+    with pytest.raises(RangeExceeded, match="^degree must lie in"):
+        ds._replace(degree=1)
+    with pytest.raises(RangeExceeded, match="^power must lie in"):
+        candidate._replace(power=0)
+    with pytest.raises(RangeExceeded, match="^cone order must lie in"):
+        DataSet._make((21, 0, 2, 2, ((1, 1),)))
+    with pytest.raises(RangeExceeded, match="^quotient genus must lie in"):
+        FractionalDataSet._make((9, -1, 2, 2, ((2, 9),), 3))
+    # and they reduce: a replaced residue comes back canonical
+    assert repr(ds._replace(a=-2, cones=((-4, 21), (1, 3)))) == (
+        "DataSet(degree=21, quotient_genus=0, a=2, b=19, cones=((1, 3), (17, 21)))")
+    again = candidate._replace(quotient_genus=2)
+    assert type(again) is FractionalDataSet and again == (9, 2, 2, 2, ((2, 9),), 3)
+    assert DataSet._make(ds) == ds and type(FractionalDataSet._make(candidate)) is FractionalDataSet
+
+
+def test_validation_records_are_tuples():
+    report = validate(DataSet(4, 0, 1, 1, ((1, 2),)))
+    assert repr(report) == ("ValidationReport(valid=False, violations=(Violation("
+                            "condition='III', detail='a + b != a*b mod n'),))")
+    valid, (violation,) = report
+    condition, detail = violation
+    assert (valid, condition, detail) == (False, "III", "a + b != a*b mod n")
+    assert report == (False, (("III", "a + b != a*b mod n"),)) and report.conditions() == {"III"}
+    assert repr(validate(parse_dataset("(21, 0, (2,2); (17,21))"))) == (
+        "ValidationReport(valid=True, violations=())")
+    for record in (report, violation):
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is type(record) and repr(again) == repr(record)
+        with pytest.raises(AttributeError):
+            record.extra = 1

@@ -510,6 +510,15 @@ def test_listing_matches_the_independent_count_in_large_cells():
         assert all(x < y for x, y in zip(classes, classes[1:])), (g, n)
 
 
+def test_class_count_matches_the_independent_count_at_the_ceiling():
+    # the four corners of g = 400, a cell of many cone orders, and (99, 19), the first
+    # cell past the default class cap: no class is listed, so only the counts compare
+    for (g, n), count in {(400, 3): 9_045, (400, 15): 7_992_576_330_344,
+                          (400, 45): 37_477_637_925_500, (400, 801): 131,
+                          (300, 105): 7_086_624, (99, 19): 10_171_980}.items():
+        assert sum(class_count(g, n).values()) == _independent_count(g, n) == count, (g, n)
+
+
 def test_has_root_matches_the_residue_search():
     # the lcm rule shares no code with the count behind pair_table's rows
     rows = {(row.genus, row.degree) for row in pair_table(36, 73)}

@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import gcd as stdlib_gcd
 from time import perf_counter
@@ -186,8 +187,25 @@ def test_crt():
 
 
 def test_bezout_witness_identity_checked():
-    with pytest.raises(ValueError):
+    # however a witness is built: _replace, _make and unpickling included
+    with pytest.raises(ValueError, match=r"^not a Bezout identity: BezoutWitness\(c1=1, c2=1, "
+                                         r"d1=2, d2=3\)$"):
         BezoutWitness(1, 1, 2, 3)
+    w = bezout_avoiding_primes(5, 3, {3, 5})
+    assert repr(w) == "BezoutWitness(c1=-1, c2=2, d1=5, d2=3)"
+    c1, c2, d1, d2 = w
+    assert (c1, c2, d1, d2) == (w.c1, w.c2, w.d1, w.d2) and w == (-1, 2, 5, 3)
+    with pytest.raises(ValueError, match=r"^not a Bezout identity: BezoutWitness\(c1=5, c2=2, "):
+        w._replace(c1=5)
+    with pytest.raises(ValueError, match="^not a Bezout identity"):
+        BezoutWitness._make((5, -1, 2, 3))
+    assert w._replace(c1=2, c2=-3) == (2, -3, 5, 3)
+    again = pickle.loads(pickle.dumps(w))
+    assert again == w and type(again) is BezoutWitness and repr(again) == repr(w)
+    # a pickle of a witness that skipped the check is checked as it is rebuilt
+    forged = pickle.dumps(tuple.__new__(BezoutWitness, (5, -1, 2, 3)))
+    with pytest.raises(ValueError, match="^not a Bezout identity"):
+        pickle.loads(forged)
 
 
 def test_bezout_avoiding_primes_examples():
@@ -315,3 +333,4 @@ def test_huge_integers_raise_the_typed_error(error, call):
     # the message stands in for an integer with too many digits to print
     with pytest.raises(error, match="-bit integer>|integer too long to print>"):
         call()
+

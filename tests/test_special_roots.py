@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -291,6 +292,19 @@ def test_pair_table_matches_class_count_cell_by_cell():
 def test_pair_table_tags_the_cube_root():
     assert PairRow(3, 3, 1, (("CUBE_OF_T4", 1),)) in pair_table(3, 3)
     assert class_count(3, 3) == {RootTag.CUBE_OF_T4: 1}
+
+
+def test_a_pair_row_is_the_tuple_of_its_fields():
+    row = pair_table(3, 3)[-1]
+    assert repr(row) == ("PairRow(genus=3, degree=3, class_count=1, "
+                         "tags=((<RootTag.CUBE_OF_T4: 'CUBE_OF_T4'>, 1),))")
+    genus, degree, classes, ((tag, k),) = row
+    assert (genus, degree, classes, tag, k) == (3, 3, 1, RootTag.CUBE_OF_T4, 1)
+    assert row == (3, 3, 1, (("CUBE_OF_T4", 1),)) and hash(row) == hash((3, 3, 1, ((tag, 1),)))
+    again = pickle.loads(pickle.dumps(row))
+    assert again == row and type(again) is PairRow and again.tags[0][0] is RootTag.CUBE_OF_T4
+    with pytest.raises(AttributeError):
+        row.genus = 4
 
 
 def test_pair_table_memory_follows_its_cells():
