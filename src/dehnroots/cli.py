@@ -14,12 +14,13 @@ it builds a class, so a cap failure leaves stdout empty.
 Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
 empty ``[  ]``) and class lists one data set per line; ``--format json``
 switches every query except ``figure1``, which writes the pair table as CSV.
-Class listings (``roots``, ``ms-roots``) unpack each class, a ``DataSet`` tuple,
-into one %-format of a fixed template, ``_CLASS_JSON`` or the text form
-``format_dataset`` uses, and make each cone pair's form once per listing,
-writing the bytes ``json.dumps(docs, indent=2)`` gives; the other multi-line
-JSON (``de-construct``, ``fractional``, ``validate``) comes from
-``json.dumps(value, indent=2)`` itself.
+Class listings (``roots``, ``ms-roots``) write the bytes ``json.dumps(docs,
+indent=2)`` or ``format_dataset`` gives in one join of template parts, a block
+of classes with one (n, g0, a, b) at a time: each block's head is formatted
+once, each cone pair's form once per listing, and each JSON tag once per
+cone-order shape (``classify`` on its first class; on every class in cell
+(3, 3), of the cube root).  The other multi-line JSON (``de-construct``,
+``fractional``, ``validate``) comes from ``json.dumps(value, indent=2)`` itself.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 4 output I/O failure.  DEHN_ROOTS_CLASS_CAP overrides the enumeration cap.
@@ -28,7 +29,9 @@ ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, partial
+from itertools import groupby
+from operator import itemgetter
 
 from . import enumeration, fractional, numtheory, special_roots
 from .dataset import (_CONE_TEXT_FORM, _TEXT_FORM, ParseError, RangeExceeded, format_dataset,
@@ -61,12 +64,16 @@ def _print_int_list(values, args):
         print("[ " + ", ".join(str(v) for v in values) + " ]" if values else "[  ]")
 
 
-# json.dumps(docs, indent=2) of one class document inside the top-level list, and of
-# one cone pair inside its "cones"; a listed class has at least one cone (condition IV)
-# and its tag is a plain identifier
-_CLASS_JSON = ('\n  {\n    "degree": %d,\n    "g0": %d,\n    "a": %d,\n    "b": %d,'
-               '\n    "cones": [%s\n    ],\n    "genus": %d,\n    "tag": "%s"\n  }')
+# json.dumps(docs, indent=2) of one class document inside the top-level list, cut around
+# its cones: the head, with the comma before every document but the first, and the close;
+# and of one cone pair inside its "cones".  A listed class has a cone (condition IV),
+# and its tag, a plain identifier, needs no escape.
+_CLASS_HEAD = (',\n  {\n    "degree": %d,\n    "g0": %d,\n    "a": %d,\n    "b": %d,'
+               '\n    "cones": [')
+_CLASS_CLOSE = '\n    ],\n    "genus": %d,\n    "tag": "%s"\n  }'
 _CONE_JSON = "\n      [\n        %d,\n        %d\n      ]"
+_TEXT_LINE = _TEXT_FORM + "\n"
+_TEXT_HEAD, _TEXT_END = _TEXT_LINE.split("%s")  # the text line cut around its cones
 
 
 class _Forms(dict):
@@ -80,20 +87,37 @@ class _Forms(dict):
         return text
 
 
-def _print_classes(classes, args):
-    """One template per class, filled from the class's tuple unpacked:
-    ``json.dumps(docs, indent=2)`` or ``format_dataset`` lines."""
+def _print_classes(classes, args, blocks=True):
+    """``json.dumps(docs, indent=2)`` or ``format_dataset`` lines of the ``DataSet``s, in
+    one join of parts, per block of one (n, g0, a, b): its head, once, then per class the
+    cones and the close.  A JSON close holds the tag, classified once per shape (g0 = 0,
+    cone count, all of order n, as the first is; ``special_roots._shape_tag``), but per
+    class in cell (3, 3), of the cube root.  ``ms-roots`` has one class per block: there
+    (no ``blocks``) a text line is one format, which costs less than grouping."""
+    grouped = groupby(classes, itemgetter(0, 1, 2, 3))
+    cone = _Forms(_CONE_JSON if args.format == "json" else _CONE_TEXT_FORM).__getitem__
     if args.format == "json":  # every class listed has the asked genus
-        cone, tag = _Forms(_CONE_JSON).__getitem__, special_roots.classify
-        docs = [_CLASS_JSON % (n, g0, a, b, ",".join(map(cone, cones)), args.genus, tag(ds))
-                for ds, (n, g0, a, b, cones) in zip(classes, classes)]
-        # brackets apart, so the join, the listing's largest allocation, is not copied
-        for part in ("[", ",".join(docs), "\n]\n") if docs else ("[]\n",):
-            sys.stdout.write(part)
+        closes, parts = {}, ["["]
+        for (n, g0, a, b), block in grouped:
+            head = _CLASS_HEAD % (n, g0, a, b)
+            for ds in block:
+                cones = ds[4]
+                shape = ds if n == 3 == args.genus else (g0 == 0, len(cones), cones[0][1] == n)
+                if shape not in closes:
+                    closes[shape] = _CLASS_CLOSE % (args.genus, special_roots.classify(ds))
+                parts += head, ",".join(map(cone, cones)), closes[shape]
+        if classes:
+            parts[1] = parts[1][1:]  # no comma before the first document
+        parts.append("\n]\n" if classes else "]\n")
+    elif blocks:
+        parts = [part for prefix, block in grouped for head in (_TEXT_HEAD % prefix,)
+                 for ds in block for part in (head, ", ".join(map(cone, ds[4])), _TEXT_END)]
     else:
-        cone = _Forms(_CONE_TEXT_FORM).__getitem__
-        sys.stdout.write("".join([_TEXT_FORM % (n, g0, a, b, ", ".join(map(cone, cones))) + "\n"
-                                  for n, g0, a, b, cones in classes]))
+        parts = [_TEXT_LINE % (n, g0, a, b, ", ".join(map(cone, cones)))
+                 for n, g0, a, b, cones in classes]
+    text = "".join(parts)
+    del parts  # freed before the write, which may encode a copy of the text
+    sys.stdout.write(text)
 
 
 def _print_count(count, args):
@@ -198,7 +222,7 @@ COMMANDS = (
     ("root-set", "degrees of roots for a genus", (_int("--genus"), _FORMAT),
      lambda a: enumeration.root_degrees(a.genus), _print_int_list),
     ("ms-roots", "maximal-degree root classes for a genus", (_int("--genus"), _FORMAT),
-     lambda a: special_roots.ms_roots(a.genus), _print_classes),
+     lambda a: special_roots.ms_roots(a.genus), partial(_print_classes, blocks=False)),
     ("ms-count", "count maximal-degree roots of a degree", (_int("--degree"), _FORMAT),
      lambda a: special_roots.ms_count(a.degree), _print_count),
     ("de-construct", "build a (d,e)-root data set", (_int("--d"), _int("--e"), _FORMAT),

@@ -28,9 +28,10 @@ past the cap fails at once and in bounded memory.  The residue search then
 prepares each shape once (``_shape``): the multisets of every run but the
 last with their residue sums, and the unit sums of the last run's multisets
 short of one unit.  Per twist pair only ``_solve`` runs, one divisibility
-check per head and one solved last unit per tail, and the classes come out
-in canonical order without a sort of the whole cell.  Each order's units
-(``_units``) and each degree's divisors (``_divisors``) are tabled once.
+check per head and one pass over the tails per need, and ``_search`` yields the
+classes in canonical order, without a sort of the whole cell, in blocks of one
+(n, g0, a, b) that the listings flatten.  Each order's units (``_units``) and
+each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
 ``_root_genera``, without twist pairs, counts or the search.  ``root_degrees``
@@ -45,7 +46,7 @@ independent cross-check of the search above.
 import os
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import combinations_with_replacement, compress, groupby, product
+from itertools import combinations_with_replacement, groupby, product, repeat
 from math import lcm
 from operator import itemgetter
 
@@ -235,26 +236,25 @@ def _shape(n, runs):
 def _solve(n, shape, target):
     """The cone tuples ((c_1, n_1), ...) of a ``_shape`` with sum (n/n_i)*c_i = target
     mod n, in lexicographic order.  A head passes only if the last run's step n/order
-    divides its remainder; each tail then solves the last unit, kept if a unit not below
-    the tail's last.  Heads with one remainder share that pass over the tails; a second
-    walk of the last run's multisets, as shared cone pairs, yields the kept ones."""
+    divides its remainder, leaving the last run a need.  One pass over the last run's
+    multisets short of one unit solves a need's tails, each with its last unit if that is
+    a unit not below the multiset's last; the heads of one need share them."""
     if shape is None:  # no cones: (IV) reads a + b = 0
         return [()] if target % n == 0 else []
     heads, order, count, totals, lows = shape
     step, cones = n // order, _units(order)[1]
     pairs = tuple(cones.values())
-    found, solved = [], {}  # need -> (kept flags, last units) over the tails
+    found, solved = [], {}  # need -> its tails
     for residue, head in heads:
         need, off = divmod((target - residue) % n, step)
         if off:
             continue
         if need not in solved:
-            lasts = [(need - total) % order for total in totals]
-            solved[need] = [last >= low and last in cones for last, low in zip(lasts, lows)], lasts
-        kept, lasts = solved[need]
-        for combo, last in zip(compress(combinations_with_replacement(pairs, count - 1), kept),
-                               compress(lasts, kept)):
-            found.append(head + combo + (cones[last],))
+            solved[need] = [combo + (cones[last],) for combo, total, low in zip(
+                combinations_with_replacement(pairs, count - 1), totals, lows)
+                if (last := (need - total) % order) >= low and last in cones]
+        if tails := solved[need]:
+            found += [head + tail for tail in tails]
     return found
 
 
@@ -271,20 +271,26 @@ def _cell(g, n, class_cap, power=1, primary=False):
 
 
 def _search(g, n, shapes, pairs):
-    """Yield the canonical (n, g0, a, b, cones) of genus g, degree n in canonical order: the
-    classes of ``shapes``, [(rest, runs)] with rising rests and g0 = (g - rest)/n, and of
-    the rising twist ``pairs``.  Each shape is prepared once (``_shape``), a rest at a
-    time, falling so g0 rises; per pair the shapes of the rest are solved and merged.
+    """Yield the classes of genus g, degree n in canonical order as blocks (n, g0, a, b,
+    found), one per (n, g0, a, b) with classes, ``found`` their cone tuples.  ``shapes``
+    is [(rest, runs)] with rising rests and g0 = (g - rest)/n, ``pairs`` the rising twist
+    pairs.  Each shape is prepared once (``_shape``), a rest at a time, falling so g0
+    rises; per pair the shapes of the rest are solved, and sorted together if several.
     The empty cone multiset is kept: for power 1 it fails (IV), as a + b = a*b is a
     unit, but higher powers allow it."""
     for rest, group in groupby(reversed(shapes), key=itemgetter(0)):
         g0, prepared = (g - rest) // n, [_shape(n, runs) for _, runs in group]
         for a, b in pairs:
-            found = [cones for shape in prepared for cones in _solve(n, shape, -(a + b))]
-            if len(prepared) > 1:
-                found.sort()
-            for cones in found:
-                yield n, g0, a, b, cones
+            found = (_solve(n, prepared[0], -(a + b)) if len(prepared) == 1 else
+                     sorted([cones for shape in prepared for cones in _solve(n, shape, -(a + b))]))
+            if found:
+                yield n, g0, a, b, found
+
+
+def _listed(cells):
+    """The ``DataSet``s of counted ``_cell``s, unchecked (``_canonical``), block by block."""
+    return [ds for cell in cells for n, g0, a, b, found in _search(*cell)
+            for ds in map(_canonical, zip(repeat(n), repeat(g0), repeat(a), repeat(b), found))]
 
 
 @cache
@@ -396,8 +402,7 @@ def datasets(g, n=None, class_cap=None):
     degrees = range(3, 2 * g + 2, 2) if n is None else [n] if _degree_occurs(g, n) else []
     if degrees:  # checked before the range is walked, which a huge g makes endless
         _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    cells = [_cell(g, d, class_cap) for d in degrees]  # all counted before one is listed
-    return [ds for cell in cells for ds in map(_canonical, _search(*cell))]
+    return _listed([_cell(g, d, class_cap) for d in degrees])  # all counted before one is listed
 
 
 def oracle_datasets(g, n):
@@ -484,4 +489,4 @@ def primary_datasets(g, n, class_cap=None):
     if not _degree_occurs(g, n):
         return []
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    return list(map(_canonical, _search(*_cell(g, n, class_cap, primary=True))))
+    return _listed([_cell(g, n, class_cap, primary=True)])

@@ -42,4 +42,5 @@ def fractional_datasets(g, n, power, class_cap=None):
         raise RangeExceeded("power must be >= 1, got %s" % _show(power))
     _check_range("power", power, 1)  # the candidates' own bound, even where none is built
     cell = _cell(g, n, class_cap, power)
-    return [FractionalDataSet(*found, power) for found in _search(*cell)]
+    return [FractionalDataSet(n, g0, a, b, cones, power)
+            for n, g0, a, b, found in _search(*cell) for cones in found]

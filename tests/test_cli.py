@@ -9,6 +9,8 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from time import perf_counter
 
@@ -93,8 +95,10 @@ def test_indented_is_json_dumps(capsys):
 
 
 def test_class_listings_are_json_dumps_and_format_dataset(capsys):
-    # roots and ms-roots write each class from one template; the JSON must be the bytes
-    # json.dumps(docs, indent=2) gives for the tagged documents, the text format_dataset
+    # roots and ms-roots write each class from template parts made once per block of one
+    # (n, g0, a, b), and in JSON a tag made once per cone-order shape; the JSON must be the
+    # bytes json.dumps(docs, indent=2) gives for the documents tagged class by class, the
+    # text format_dataset's lines
     cases = [
         (["roots", "--genus", "3", "--degree", "3"], datasets(3, 3)),  # the cube of T4
         (["roots", "--genus", "12", "--degree", "5"], datasets(12, 5)),  # g0 = 0 and 2
@@ -102,6 +106,7 @@ def test_class_listings_are_json_dumps_and_format_dataset(capsys):
         (["roots", "--genus", "0"], []),
         (["ms-roots", "--genus", "0"], special_roots.ms_roots(0)),
         (["ms-roots", "--genus", "10"], special_roots.ms_roots(10)),
+        *((["roots", "--genus", str(g)], datasets(g)) for g in range(1, 21)),  # every degree
         (["roots", "--genus", "36"], [ds for n in range(3, 74, 2) for ds in datasets(36, n)]),
     ]
     for argv, classes in cases:
@@ -115,6 +120,24 @@ def test_class_listings_are_json_dumps_and_format_dataset(capsys):
     assert {ds.quotient_genus for ds in cases[1][1]} == {0, 2}
     assert any(len(ds.cones) > len({order for _, order in ds.cones}) > 1 for ds in cases[2][1])
     assert len(docs) == 15788 and tags == {"PRIMARY", "MARGALIT_SCHLEIMER", "DE_ROOT", "OTHER"}
+    # genus 16 has blocks whose classes go OTHER, PRIMARY, OTHER, PRIMARY, so the tags of
+    # one block follow its classes' shapes, not the block; a DE_ROOT block has no other tag,
+    # as two cones weigh less than n and three or more at least n
+    runs = [[tag for tag, _ in groupby(map(special_roots.classify, block))]
+            for _, block in groupby(datasets(16), itemgetter(0, 1, 2, 3))]
+    assert ["OTHER", "PRIMARY", "OTHER", "PRIMARY"] in runs
+
+
+def test_json_listing_classifies_once_per_shape(capsys, monkeypatch):
+    # a tag depends on g0 = 0, the cone count and whether all cones have order n, so a
+    # JSON listing classifies the first class of each such shape and no other
+    calls = []
+    classify = special_roots.classify
+    monkeypatch.setattr(special_roots, "classify", lambda ds: calls.append(ds) or classify(ds))
+    assert run_cli(capsys, "roots", "--genus", "36", "--format", "json")[0] == 0
+    shapes = {(ds.quotient_genus == 0, len(ds.cones), ds.cones[0][1] == ds.degree)
+              for ds in datasets(36)}
+    assert len(calls) == len(shapes) == len(set(calls))
 
 
 def test_round_trip_of_printed_datasets(capsys):

@@ -500,6 +500,19 @@ def test_listing_is_strictly_increasing_in_every_small_cell():
             assert all(x < y for x, y in zip(classes, classes[1:])), (g, n)
 
 
+def test_search_blocks_flatten_to_the_listing():
+    # the residue search yields one block (n, g0, a, b, found) per twist pair and g0 that
+    # has classes, never an empty one, and the blocks in order, flattened, are the listing
+    for g in range(31):
+        for n in range(3, 2 * g + 2, 2):
+            blocks = list(enumeration._search(*enumeration._cell(g, n, None)))
+            assert all(found for *_, found in blocks), (g, n)
+            prefixes = [tuple(block[:4]) for block in blocks]
+            assert len(set(prefixes)) == len(prefixes), (g, n)
+            flat = [(*prefix, cones) for *prefix, found in blocks for cones in found]
+            assert flat == datasets(g, n), (g, n)
+
+
 def test_listing_matches_the_independent_count_in_large_cells():
     # many shapes per rest (80, 15), a lone order with 400-long cone runs (400, 3) and
     # many cone orders (100, 33), (120, 45): about 1.5 s of listing together
