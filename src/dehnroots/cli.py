@@ -15,11 +15,12 @@ Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
 empty ``[  ]``) and class lists one data set per line; ``--format json``
 switches every query except ``figure1``, which writes the pair table as CSV.
 Class listings (``roots``, ``ms-roots``) write the bytes ``json.dumps(docs,
-indent=2)`` or ``format_dataset`` gives in one join of template parts, a block
-of classes with one (n, g0, a, b) at a time: each block's head is formatted
-once, each cone pair's form once per listing, and each JSON tag once per
-cone-order shape (``classify`` on its first class; on every class in cell
-(3, 3), of the cube root).  The other multi-line JSON (``de-construct``,
+indent=2)`` or ``format_dataset`` gives, one join of template parts and one
+write per 16,384 classes, so their memory does not grow with the listing.  A
+chunk goes a block of classes with one (n, g0, a, b) at a time: each block's
+head is formatted once, each cone pair's form once per listing, and each JSON
+tag once per cone-order shape (``classify`` on its first class; on every class
+in cell (3, 3), of the cube root).  The other multi-line JSON (``de-construct``,
 ``fractional``, ``validate``) comes from ``json.dumps(value, indent=2)`` itself.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
@@ -61,7 +62,7 @@ def _print_int_list(values, args):
     if args.format == "json":
         print(json.dumps(list(values)))
     else:
-        print("[ " + ", ".join(str(v) for v in values) + " ]" if values else "[  ]")
+        print("[ " + ", ".join(map(str, values)) + " ]" if values else "[  ]")
 
 
 # json.dumps(docs, indent=2) of one class document inside the top-level list, cut around
@@ -87,37 +88,48 @@ class _Forms(dict):
         return text
 
 
+# About 2^16 parts, 6-10 MB of JSON: a genus-36 listing (15,788 classes) is still one
+# write, which a StringIO keeps without a copy, and a larger one holds a chunk at a time.
+_CLASSES_PER_WRITE = 1 << 14
+
+
 def _print_classes(classes, args, blocks=True):
-    """``json.dumps(docs, indent=2)`` or ``format_dataset`` lines of the ``DataSet``s, in
-    one join of parts, per block of one (n, g0, a, b): its head, once, then per class the
-    cones and the close.  A JSON close holds the tag, classified once per shape (g0 = 0,
-    cone count, all of order n, as the first is; ``special_roots._shape_tag``), but per
-    class in cell (3, 3), of the cube root.  ``ms-roots`` has one class per block: there
-    (no ``blocks``) a text line is one format, which costs less than grouping."""
-    grouped = groupby(classes, itemgetter(0, 1, 2, 3))
+    """``json.dumps(docs, indent=2)`` or ``format_dataset`` lines of the ``DataSet``s, one
+    join of parts and one write per ``_CLASSES_PER_WRITE`` classes, so neither the text
+    nor its encoded copy grows with the listing.  Per block of one (n, g0, a, b) in a
+    chunk: its head, once, then per class the cones and the close.  A JSON close holds
+    the tag, classified once per shape (g0 = 0, cone count, all of order n, as the first
+    is; ``special_roots._shape_tag``), but per class in cell (3, 3), of the cube root.
+    ``ms-roots`` has one class per block: there (no ``blocks``) a text line is one
+    format, which costs less than grouping."""
     cone = _Forms(_CONE_JSON if args.format == "json" else _CONE_TEXT_FORM).__getitem__
-    if args.format == "json":  # every class listed has the asked genus
-        closes, parts = {}, ["["]
-        for (n, g0, a, b), block in grouped:
-            head = _CLASS_HEAD % (n, g0, a, b)
-            for ds in block:
-                cones = ds[4]
-                shape = ds if n == 3 == args.genus else (g0 == 0, len(cones), cones[0][1] == n)
-                if shape not in closes:
-                    closes[shape] = _CLASS_CLOSE % (args.genus, special_roots.classify(ds))
-                parts += head, ",".join(map(cone, cones)), closes[shape]
-        if classes:
-            parts[1] = parts[1][1:]  # no comma before the first document
-        parts.append("\n]\n" if classes else "]\n")
-    elif blocks:
-        parts = [part for prefix, block in grouped for head in (_TEXT_HEAD % prefix,)
-                 for ds in block for part in (head, ", ".join(map(cone, ds[4])), _TEXT_END)]
-    else:
-        parts = [_TEXT_LINE % (n, g0, a, b, ", ".join(map(cone, cones)))
-                 for n, g0, a, b, cones in classes]
-    text = "".join(parts)
-    del parts  # freed before the write, which may encode a copy of the text
-    sys.stdout.write(text)
+    closes, write, chunks = {}, sys.stdout.write, range(0, len(classes), _CLASSES_PER_WRITE)
+    if args.format == "json" and not chunks:
+        write("[]\n")
+    for start in chunks:
+        chunk = classes[start:start + _CLASSES_PER_WRITE]
+        if args.format == "json":  # every class listed has the asked genus
+            parts = []
+            for (n, g0, a, b), block in groupby(chunk, itemgetter(0, 1, 2, 3)):
+                head = _CLASS_HEAD % (n, g0, a, b)
+                for ds in block:
+                    cones = ds[4]
+                    shape = ds if n == 3 == args.genus else (g0 == 0, len(cones), cones[0][1] == n)
+                    if shape not in closes:
+                        closes[shape] = _CLASS_CLOSE % (args.genus, special_roots.classify(ds))
+                    parts += head, ",".join(map(cone, cones)), closes[shape]
+            if start == chunks[0]:
+                parts[0] = "[" + parts[0][1:]  # the list opens in place of the first comma
+            if start == chunks[-1]:
+                parts.append("\n]\n")
+        elif blocks:
+            parts = [part for prefix, block in groupby(chunk, itemgetter(0, 1, 2, 3))
+                     for head in (_TEXT_HEAD % prefix,)
+                     for ds in block for part in (head, ", ".join(map(cone, ds[4])), _TEXT_END)]
+        else:
+            parts = [_TEXT_LINE % (n, g0, a, b, ", ".join(map(cone, cones)))
+                     for n, g0, a, b, cones in chunk]
+        write("".join(parts))
 
 
 def _print_count(count, args):

@@ -34,9 +34,11 @@ classes in canonical order, without a sort of the whole cell, in blocks of one
 each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
-``_root_genera``, without twist pairs, counts or the search.  ``root_degrees``
-runs it only for degrees n <= g and reads those above g from the paper's
-large-degree classification: 2g+1 and ``special_roots.de_roots``.
+``_root_genera``, without twist pairs, counts or the search: cone orders have lcm
+n exactly when they hold a cover of n's prime powers (``_covers``), so one
+knapsack over the divisors, seeded with the cover weights, gives every genus.
+``root_degrees`` runs it only for degrees n <= g and reads those above g from the
+paper's large-degree classification: 2g+1 and ``special_roots.de_roots``.
 
 ``oracle_datasets`` answers the same question by brute force over raw
 residue tuples; it is deliberately naive, range-guarded, and kept as an
@@ -47,7 +49,6 @@ import os
 from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations_with_replacement, groupby, product, repeat
-from math import lcm
 from operator import itemgetter
 
 from .dataset import DataSet, RangeExceeded, _canonical, validate
@@ -70,8 +71,8 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.3-0.35 s and 35 MB;
-# genus_set(n, 10**4) takes 3-15 ms and root_degrees(10**4) 0.6-0.9 s (2-core VM).
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.2 s and 35 MB;
+# genus_set(n, 10**4) takes 0.6-1 ms and root_degrees(10**4) 0.15-0.27 s (2-core VM).
 # twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.  cone_multisets
 # stops at target 10**4 (callers inside reach 400): its walk's bitsets are 2*target wide.
 DATASETS_MAX_GENUS = 400
@@ -307,16 +308,35 @@ def _ramanujan(d, f):
 
 
 @cache
+def _run_rows(order):
+    """(rows, periods) behind ``_run_transform(order, k)``: rows[k] = {e: H_k(e)} for the k
+    reached so far, and per divisor e of d = order its period (c, sums) of length P = d/e:
+    c[t] = c_d(t*e), which depends only on gcd(d, t*e) and so on t mod P, and sums[s] the
+    sum of H_j(e) over the rows j reached with j = s mod P."""
+    periods = {}
+    for e in _divisors(order):
+        period = order // e
+        periods[e] = ([_ramanujan(order, gcd(order, t * e)) for t in range(period)],
+                      [1] + [0] * (period - 1))  # H_0 = 1, in residue 0
+    return [dict.fromkeys(periods, 1)], periods
+
+
+@cache
 def _run_transform(order, k):
     """{e: H_k(e)} over the divisors e of d = order, where H_k(e) is the Fourier
     transform, at any t with gcd(t, d) = e, of the size-k multisets of units of Z/d
     counted by residue sum.  By Newton's identity k*H_k = sum_i c_d(i*e)*H_(k-i),
-    as the i-th power sum of exp(2*pi*i*t*u/d) over the units u is c_d(t*i)."""
-    if k == 0:
-        return dict.fromkeys(_divisors(order), 1)
-    rows = [_run_transform(order, j) for j in range(k)]  # rising j: recursion stays 2 deep
-    return {e: sum(_ramanujan(order, gcd(order, i * e)) * rows[k - i][e]
-                   for i in range(1, k + 1)) // k for e in rows[0]}
+    as the i-th power sum of exp(2*pi*i*t*u/d) over the units u is c_d(t*i).  The
+    coefficient has period P = d/e in i, so the sum reads sum_s c(k - s)*sums[s] over
+    the P residues s of the earlier rows (``_run_rows``): each new row costs sigma(d)."""
+    rows, periods = _run_rows(order)
+    for j in range(len(rows), k + 1):
+        row = {e: sum(c[(j - s) % len(c)] * total for s, total in enumerate(sums)) // j
+               for e, (c, sums) in periods.items()}
+        for e, (c, sums) in periods.items():
+            sums[j % len(c)] += row[e]
+        rows.append(row)
+    return rows[k]
 
 
 def _shape_counts(n, shapes, pairs):
@@ -333,8 +353,8 @@ def _shape_counts(n, shapes, pairs):
     with V(e) the sum of c_(n/e)(a + b) over the pairs.  That is tau(n) products
     per shape; callers solve the pairs only for a cell with a shape.  The cost
     follows the number of shapes: (400, 15), the slowest cell inside the g <= 400
-    ceiling, takes 0.15-0.2 s over its 3,825 shapes, and all odd n <= 801 at
-    g = 400 take 0.5-0.6 s together (2-core VM).
+    ceiling, takes 0.01-0.02 s over its 3,825 shapes, and all odd n <= 801 at
+    g = 400 take 0.07-0.13 s together, cold (2-core VM).
     """
     pair_sums = Counter((a + b) % n for a, b in pairs)
     weights = {e: sum(_ramanujan(n // e, gcd(n // e, s)) * m for s, m in pair_sums.items())
@@ -361,6 +381,28 @@ def _degree_occurs(g, n):
     return n % 2 == 1 and 3 <= n <= 2 * g + 1
 
 
+@lru_cache(maxsize=1 << 10)
+def _covers(n):
+    """Bitset of the cover weights of odd n >= 3 (bit c), kept for the last 1,024 degrees.
+
+    A cover is a set of divisors of n holding, for each p^alpha || n, one divisible by
+    p^alpha; its weight is the sum of its cone weights (n - n/d)/2.  Each cover is built
+    by taking an order for the least prime power not yet covered, so it has at most one
+    order per prime power: ``reach[covered]`` is the bitset of the weights of the partial
+    covers of the prime powers in the mask ``covered``, filled in rising masks."""
+    powers = [p**e for p, e in factorize(n)]
+    orders = [((n - n // d) // 2, sum(1 << i for i, q in enumerate(powers) if d % q == 0))
+              for d in _divisors(n)[1:]]
+    done = (1 << len(powers)) - 1
+    reach = [1] + [0] * done
+    for covered in range(done):  # masks only grow, so reach[covered] is final here
+        low = ~covered & (covered + 1)  # the least prime power not yet covered
+        for weight, hits in orders:
+            if hits & low:
+                reach[covered | hits] |= reach[covered] << weight
+    return reach[done]
+
+
 def _root_genera(n, g_max):
     """Bitset of the genera g <= g_max (bit g) with a degree-n root, for odd n >= 3.
 
@@ -369,25 +411,20 @@ def _root_genera(n, g_max):
     every odd n ((2, 2) is one), and a + b = a*b is a unit; by CRT, (IV) is
     solvable mod each p^alpha || n iff some n_i is divisible by p^alpha, as a
     cone with p^v || n_i adds p^(alpha - v) times any unit mod p^v, and for
-    odd p one or more units sum to every unit.  Computed as an unbounded
-    knapsack over divisors(n), one bitset per lcm reached so far; the divisor 1
-    is one more unit of g0 (weight n).  Each item is closed under repetition
-    by doubling shifts.
+    odd p one or more units sum to every unit.  So the lcm is n exactly when the
+    multiset holds a cover (``_covers``), and the genera are the cover weights plus
+    any g0 and any further cones: one unbounded knapsack over divisors(n), seeded
+    with the cover weights, the divisor 1 being one more unit of g0 (weight n).
+    Each item is closed under repetition by doubling shifts.
     """
     mask = (1 << (g_max + 1)) - 1
-    by_lcm = {1: 1}  # lcm of the cone orders so far -> bitset of their genera
+    bits = _covers(n) & mask
     for d in _divisors(n):
-        weight = n if d == 1 else (n - n // d) // 2
-        grown = dict(by_lcm)
-        for reached, bits in by_lcm.items():
-            more, shift = (bits << weight) & mask, weight  # one or more d
-            while shift <= g_max:
-                more |= (more << shift) & mask
-                shift *= 2
-            key = lcm(reached, d)
-            grown[key] = grown.get(key, 0) | more
-        by_lcm = grown
-    return by_lcm[n]
+        shift = n if d == 1 else (n - n // d) // 2
+        while shift <= g_max:
+            bits |= (bits << shift) & mask
+            shift *= 2
+    return bits
 
 
 def datasets(g, n=None, class_cap=None):
@@ -479,8 +516,8 @@ def genus_set(n, g_max):
     if not _degree_occurs(g_max, n):
         return []
     _check_ceiling(g_max, GENUS_SET_MAX_GENUS, "genus_set is supported up to g")
-    bits = _root_genera(n, g_max)
-    return [g for g in range(g_max + 1) if bits >> g & 1]
+    bits = format(_root_genera(n, g_max), "b")[::-1]  # bit g at index g, read in one pass
+    return [g for g, bit in enumerate(bits) if bit == "1"]
 
 
 def primary_datasets(g, n, class_cap=None):

@@ -43,6 +43,7 @@ each pair in bounded chunks.  Neither runs the residue search.
 
 import enum
 from collections import namedtuple
+from itertools import chain
 from math import isqrt, lcm
 
 from .dataset import DataSet, _canonical
@@ -98,11 +99,14 @@ def _check_odd_degree(n, name="degree"):
 
 
 def t_set(n):
-    """The triangular set T(n) of genera with no primary degree-n root, sorted."""
+    """The triangular set T(n) of genera with no primary degree-n root, sorted: for each
+    m < 2*n0 - 1 the members g0 + m*n0 with m <= 2*g0 are the disjoint rising range
+    [m*n0 + (m+1)//2, (m+1)*n0), so they are joined in order, without a set or a sort."""
     _check_odd_degree(n)
     _check_ceiling(n, T_SET_MAX_DEGREE, "T(n) is supported up to n")
     n0 = (n - 1) // 2
-    return tuple(sorted({g0 + m * n0 for g0 in range(n0) for m in range(2 * g0 + 1)}))
+    return tuple(chain.from_iterable(range(m * n0 + (m + 1) // 2, (m + 1) * n0)
+                                     for m in range(2 * n0 - 1)))
 
 
 def ms_roots(g):

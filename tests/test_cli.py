@@ -333,6 +333,42 @@ def test_json_listing_is_not_copied_again(monkeypatch):
     assert sys.stdout.getvalue() == "[]\n"
 
 
+class _CountedWrites(io.StringIO):
+    def write(self, text):
+        self.writes = getattr(self, "writes", 0) + 1
+        return super().write(text)
+
+
+def test_listings_are_written_in_bounded_chunks(monkeypatch):
+    # in chunks of 1,000 classes the genus-36 listings and the 2,633 classes of
+    # ms_roots(3000) take one write per chunk and print the same bytes; the JSON peak is
+    # then the StringIO's own copy of the output and about one chunk, against twice the
+    # output for one join
+    monkeypatch.setattr(cli, "_CLASSES_PER_WRITE", 1000)
+    cases = (
+        (datasets(36), "json", True, 16, 1.3,
+         "e478c2e2023484fad90c512743e836d2e9e245da3b5e59574956ff5737dcddf2"),
+        (datasets(36), "text", True, 16, None,
+         "6cefac4b7162801c14817262bee4bb35551eb596845739f5fc1ed344f3071c7d"),
+        (special_roots.ms_roots(3000), "text", False, 3, None,
+         "2484d8e5156df8ddeabe1b4c8dbfbae2aff9183606a1fa12b955ffe3d7cb86d3"))
+    for classes, fmt, blocks, writes, ratio, digest in cases:
+        args = argparse.Namespace(format=fmt, genus=classes[0].genus)
+        for _ in range(2):  # the first pass fills the per-process tables it reads
+            out = _CountedWrites()
+            monkeypatch.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                cli._print_classes(classes, args, blocks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        text = out.getvalue()
+        assert out.writes == writes, (fmt, out.writes)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
+        assert ratio is None or peak < ratio * len(text), peak / len(text)
+
+
 def test_figure1_past_the_class_cap_writes_nothing(tmp_path, capsys, monkeypatch):
     # every cell is counted and checked in (g, n) order before the output is opened;
     # (99, 19) is the first cell past the default cap of 10**7

@@ -1,6 +1,6 @@
 from collections import Counter
 from itertools import product
-from math import gcd
+from math import cos, gcd, lcm, pi
 from time import perf_counter
 
 import pytest
@@ -17,6 +17,7 @@ from dehnroots.enumeration import (
     OracleRangeExceeded,
     _order_runs,
     _root_genera,
+    _run_transform,
     class_cap_from_env,
     cone_multisets,
     cone_weight,
@@ -28,6 +29,7 @@ from dehnroots.enumeration import (
     root_degrees,
     twist_pairs,
 )
+from dehnroots.numtheory import divisors
 from dehnroots.special_roots import (class_count, classify, ms_count, ms_roots, pair_table,
                                     t_set)
 
@@ -479,6 +481,19 @@ def _independent_count(g, n):
     return total
 
 
+def test_run_transform_matches_newtons_identity():
+    # k*H_k(e) = sum_(i=1..k) c_d(i*e)*H_(k-i)(e), with c_d(m) summed over the units of Z/d
+    # directly, so the Ramanujan closed form and the period of c_d are not assumed
+    for d in (3, 5, 9, 15, 21, 45, 49, 105):
+        units = [u for u in range(1, d) if gcd(u, d) == 1]
+        c = [round(sum(cos(2 * pi * u * m / d) for u in units)) for m in range(d)]
+        rows = [dict.fromkeys(divisors(d), 1)]
+        for k in range(1, 61):
+            rows.append({e: sum(c[i * e % d] * rows[k - i][e] for i in range(1, k + 1)) // k
+                         for e in rows[0]})
+        assert [_run_transform(d, k) for k in range(61)] == rows, d
+
+
 def test_listing_matches_an_independent_count_past_the_oracle():
     # distinct, valid classes of genus g, as many as the count: the listing is exact
     for g in range(13, 31):
@@ -569,6 +584,34 @@ def test_abstract_bound_is_sharp_past_the_genus_set_ceiling():
             for t in t_set(n):
                 expected[t] = ord("0")
             assert bits == expected.decode(), n
+
+
+def _lcm_state_genera(n, g_max):
+    """The lcm rule with one bitset per lcm of the cone orders taken so far: the
+    divisors of n in turn, each taken zero or more times (the divisor 1 as one more
+    unit of g0, weight n), the genera kept are those of lcm n."""
+    mask = (1 << (g_max + 1)) - 1
+    by_lcm = {1: 1}
+    for d in divisors(n):
+        weight = n if d == 1 else (n - n // d) // 2
+        grown = dict(by_lcm)
+        for reached, bits in by_lcm.items():
+            more, shift = (bits << weight) & mask, weight  # one or more d
+            while shift <= g_max:
+                more |= (more << shift) & mask
+                shift *= 2
+            grown[lcm(reached, d)] = grown.get(lcm(reached, d), 0) | more
+        by_lcm = grown
+    return by_lcm[n]
+
+
+def test_cover_rule_matches_the_lcm_state_knapsack():
+    # _root_genera seeds one knapsack with the cover weights of n; the oracle tracks
+    # the lcm of every multiset, so the two share no step past the divisors
+    for n in range(3, 2002, 2):
+        assert _root_genera(n, 4000) == _lcm_state_genera(n, 4000), n
+    for n in (1155, 1365, 3465, 9555):  # three and four prime powers, at the ceiling
+        assert _root_genera(n, 10**4) == _lcm_state_genera(n, 10**4), n
 
 
 def test_genus_set_contains_triangular_complement():

@@ -43,6 +43,14 @@ def test_t_set_size_and_maximum():
         assert ts == tuple(sorted(set(ts)))
 
 
+def test_t_set_matches_its_set_builder_definition():
+    # T(n) = {g0 + m*n0 : 0 <= g0 < n0, 0 <= m <= 2*g0}, built as a set and sorted
+    for n in (*range(3, 302, 2), 2001):
+        n0 = (n - 1) // 2
+        expected = sorted({g0 + m * n0 for g0 in range(n0) for m in range(2 * g0 + 1)})
+        assert t_set(n) == tuple(expected), n
+
+
 def test_t_set_ceiling():
     assert T_SET_MAX_DEGREE == 2001
     assert len(t_set(2001)) == 10**6
