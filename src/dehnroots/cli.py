@@ -12,7 +12,8 @@ every odd degree up to 2g+1, and counts each against the class cap before
 it builds a class, so a cap failure leaves stdout empty.
 
 Integer lists print in the classic GAP transcript shape (``[ 45476, 45477 ]``,
-empty ``[  ]``) and class lists one data set per line; ``--format json``
+empty ``[  ]``), cut from the list's one ``repr``, which is also its JSON, and
+class lists one data set per line; ``--format json``
 switches every query except ``figure1``, which writes the pair table as CSV.
 Class listings (``roots``, ``ms-roots``) write the bytes ``json.dumps(docs,
 indent=2)`` or ``format_dataset`` gives, one join of template parts and one
@@ -59,10 +60,8 @@ def _tagged_json(ds):
 
 
 def _print_int_list(values, args):
-    if args.format == "json":
-        print(json.dumps(list(values)))
-    else:
-        print("[ " + ", ".join(map(str, values)) + " ]" if values else "[  ]")
+    text = repr(list(values))
+    print(text if args.format == "json" else "[ " + text[1:-1] + " ]")
 
 
 # json.dumps(docs, indent=2) of one class document inside the top-level list, cut around

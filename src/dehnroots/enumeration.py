@@ -35,10 +35,11 @@ each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
 ``_root_genera``, without twist pairs, counts or the search: cone orders have lcm
-n exactly when they hold a cover of n's prime powers (``_covers``), so one
-knapsack over the divisors, seeded with the cover weights, gives every genus.
-``root_degrees`` runs it only for degrees n <= g and reads those above g from the
-paper's large-degree classification: 2g+1 and ``special_roots.de_roots``.
+n exactly when they hold a cover of n's prime powers, so one knapsack over the
+divisors, seeded with the cover weights, gives every genus; ``_covers`` keeps both,
+the seed and the item weights, per degree.  ``root_degrees`` runs it only for
+degrees n <= g past the abstract's bound and reads those above g from the paper's
+large-degree classification: 2g+1 and ``special_roots.de_roots``.
 
 ``oracle_datasets`` answers the same question by brute force over raw
 residue tuples; it is deliberately naive, range-guarded, and kept as an
@@ -71,14 +72,18 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in 0.2 s and 35 MB;
-# genus_set(n, 10**4) takes 0.6-1 ms and root_degrees(10**4) 0.15-0.27 s (2-core VM).
+# Documented ceilings: datasets(400, 3) lists 9,045 classes in 35 MB; genus_set(n, 10**4)
+# runs one knapsack on bitsets of 10**4 + 1 bits, and root_degrees(10**4) runs 4,929.
 # twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.  cone_multisets
 # stops at target 10**4 (callers inside reach 400): its walk's bitsets are 2*target wide.
 DATASETS_MAX_GENUS = 400
 CONE_MULTISETS_MAX_TARGET = 10**4
 GENUS_SET_MAX_GENUS = 10**4
 TWIST_PAIRS_MAX_DEGREE = 2 * 10**5 + 1
+
+# _divisors and _covers keep 5,001 degrees, more than the 4,929 that root_degrees(10**4)
+# reads, so a repeated call hits; full with every odd n <= 10**4, both hold 6.8 MB.
+_DEGREES_KEPT = GENUS_SET_MAX_GENUS // 2 + 1
 
 # Hard bounds for the brute-force oracle; beyond them it is exponential noise.
 ORACLE_MAX_DEGREE = 15
@@ -120,9 +125,9 @@ def cone_weight(n, order):
     return twice // 2
 
 
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=_DEGREES_KEPT)
 def _divisors(n):
-    """divisors(n) as a tuple, kept for the last 1,024 degrees: the walk, the counts and
+    """divisors(n) as a tuple, kept for the last 5,001 degrees: the walk, the counts and
     the lcm rule read them, and factoring again costs more than a small cell's walk."""
     return tuple(divisors(n))
 
@@ -381,9 +386,11 @@ def _degree_occurs(g, n):
     return n % 2 == 1 and 3 <= n <= 2 * g + 1
 
 
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=_DEGREES_KEPT)
 def _covers(n):
-    """Bitset of the cover weights of odd n >= 3 (bit c), kept for the last 1,024 degrees.
+    """(covers, weights) for odd n >= 3, kept for the last 5,001 degrees: the bitset of
+    the cover weights of n (bit c), and the rising knapsack item weights of the lcm rule,
+    one per divisor: (n - n/d)/2 for the cones d > 1, then n for a unit of g0.
 
     A cover is a set of divisors of n holding, for each p^alpha || n, one divisible by
     p^alpha; its weight is the sum of its cone weights (n - n/d)/2.  Each cover is built
@@ -400,7 +407,7 @@ def _covers(n):
         for weight, hits in orders:
             if hits & low:
                 reach[covered | hits] |= reach[covered] << weight
-    return reach[done]
+    return reach[done], tuple(weight for weight, _ in orders) + (n,)
 
 
 def _root_genera(n, g_max):
@@ -417,10 +424,10 @@ def _root_genera(n, g_max):
     with the cover weights, the divisor 1 being one more unit of g0 (weight n).
     Each item is closed under repetition by doubling shifts.
     """
+    covers, weights = _covers(n)
     mask = (1 << (g_max + 1)) - 1
-    bits = _covers(n) & mask
-    for d in _divisors(n):
-        shift = n if d == 1 else (n - n // d) // 2
+    bits = covers & mask
+    for shift in weights:
         while shift <= g_max:
             bits |= (bits << shift) & mask
             shift *= 2
@@ -499,14 +506,16 @@ def has_root(g, n):
 
 def root_degrees(g):
     """The odd degrees n in [3, 2g+1] of roots of the twist on genus g+1 (g <= 10**4).
-    Those up to g come from the lcm rule (``has_root``).  Every root of degree n > g is a
-    Margalit-Schleimer root, of degree 2g+1, or a (d,e)-root, whose degrees
-    ``special_roots.de_roots`` lists, rising and between g and 2g+1."""
+    Those up to g have a root at once below the abstract's bound, (n-2)(n-1) <= 2g, and
+    otherwise when bit g of the lcm rule's ``_root_genera(n, g)`` is set.  Every root of
+    degree n > g is a Margalit-Schleimer root, of degree 2g+1, or a (d,e)-root, whose
+    degrees ``special_roots.de_roots`` lists, rising and between g and 2g+1."""
     _check_ceiling(g, GENUS_SET_MAX_GENUS, "root_degrees is supported up to g")
     if g < 1:
         return []
     from . import special_roots  # it imports this module; looked up per call, as cli does
-    low = [n for n in range(3, g + 1, 2) if has_root(g, n)]
+    low = [n for n in range(3, g + 1, 2)
+           if (n - 2) * (n - 1) <= 2 * g or _root_genera(n, g) >> g & 1]
     return low + special_roots.de_roots(g) + [2 * g + 1]
 
 

@@ -19,9 +19,12 @@ of orders d and e; its degree is lcm(d, e) and its genus is
 n - (d+e)/(2 gcd(d,e)).  For a given degree n these genera are read off
 the coprime divisor pairs (d1, d2) of n.  Conversely, with n = k*d1*d2,
 the genus equation reads 2g + d1 = d2(2k*d1 - 1), so the (d,e)-root
-degrees of a genus g come from the divisors of the numbers 2g + d1 for
-the about sqrt(g)/2 odd d1 with d1(d1-1) <= g; they all lie in
-g+1 <= n <= 6(g + 3/2)/5.
+degrees of a genus g come from the divisors q = 2k*d1 - 1 of the numbers
+2g + d1 for the about sqrt(g)/2 odd d1 with d1(d1-1) <= g; they all lie in
+g+1 <= n <= 6(g + 3/2)/5.  ``de_roots`` factors the 2g + d1 of the odd
+d1 <= sqrt(g/200) in one window sieve and walks their divisors; each larger
+d1 has about g/(2*d1^2) candidate q, a progression tested one by one.  One
+factored number costs about 100 tests, so the two costs meet at that bound.
 
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
@@ -76,11 +79,12 @@ __all__ = [
 ]
 
 # Documented ceilings: T(2001) has 10**6 members; de_roots supports g <= 10**6
-# (de_roots(10**6) takes about 5 ms on a 2-core Xeon VM); ms_roots(10**5) lists
-# 32,764 classes in well under a second.
+# (de_roots(10**6) sieves 36 numbers and tests 3,258 candidates); ms_roots(10**5)
+# lists 32,764 classes.
 T_SET_MAX_DEGREE = 2001
 DE_ROOTS_MAX_GENUS = 10**6
 MS_ROOTS_MAX_GENUS = 10**5
+_SIEVE_SHARE = 200  # de_roots sieves the odd d1 <= sqrt(g / 200), and tests the rest
 
 
 class RootTag(str, enum.Enum):
@@ -159,11 +163,17 @@ def de_roots(g):
 
     So each odd d1 gives its solutions from the divisors q = 2k*d1 - 1 of
     m = 2g + d1 with q = -1 (mod 2*d1), d2 = m/q >= d1, gcd(d1, d2) = 1 and
-    (d1, k) != (1, 1).  From d2 >= d1 and q >= 2*d1 - 1, m >= d1(2*d1 - 1),
-    i.e. d1(d1-1) <= g: about sqrt(g)/2 values of d1.  Their m are the
-    consecutive odd numbers from 2g+1, so one sieve factors the whole window:
-    each odd prime p <= sqrt(max m) divides every p-th m from the first m it
-    divides, and what is left of an m above 1 is a prime.
+    (d1, k) != (1, 1); the degree is k*d1*d2 = (q+1)/2 * m/q.  From d2 >= d1
+    and q >= 2*d1 - 1, m >= d1(2*d1 - 1), i.e. d1(d1-1) <= g: about sqrt(g)/2
+    values of d1, in two regimes.  The m of the odd d1 <= sqrt(g/200), d1 = 1
+    always among them, are consecutive odd numbers from 2g+1, so one sieve
+    factors them all (each odd prime p <= sqrt(max m) divides every p-th m from
+    the first m it divides, and what is left of an m above 1 is a prime), and
+    their divisors are walked in rising order.  Each larger d1 tests its
+    candidates q = 2k*d1 - 1, k odd, up to q = m/d1 directly: about
+    m/(4*d1^2) of them, 4*d1 apart.  Factoring one m and walking its divisors
+    costs about as much as 100 tests, so the two costs meet near
+    d1 = sqrt(g/200) (``_SIEVE_SHARE``); fewer than 3.5*sqrt(g) are tested.
 
     Every solution lies in g+1 <= n <= 6(g + 3/2)/5.  The lower end holds
     as d1 + d2 >= 2.  The upper end, 5n <= 6g + 9, reads
@@ -174,8 +184,9 @@ def de_roots(g):
     if g < 1:
         return []
     _check_ceiling(g, DE_ROOTS_MAX_GENUS, "de_roots is supported up to g")
-    # the m = 2g + d1 for odd d1 <= (1 + sqrt(4g + 1))/2, that is d1(d1-1) <= g
-    window = range(2 * g + 1, 2 * g + (isqrt(4 * g + 1) + 1) // 2 + 1, 2)
+    top = (isqrt(4 * g + 1) + 1) // 2  # the largest d1 with d1(d1-1) <= g
+    split = isqrt(g // _SIEVE_SHARE) | 1  # the last sieved d1: odd, and 1 for small g
+    window = range(2 * g + 1, 2 * g + split + 1, 2)
     rests, factors = list(window), [[] for _ in window]
     for p in primes_up_to(isqrt(window[-1]))[1:]:
         # window[i] = window[0] + 2i = 0 (mod p), as (p + 1)/2 is the inverse of 2 mod p
@@ -195,6 +206,11 @@ def de_roots(g):
             k, r = divmod(q + 1, 2 * d1)
             if not r and k % 2 and (d1, k) != (1, 1) and gcd(d1, d2) == 1:
                 degrees.add(k * d1 * d2)
+    larger = range(split + 2, top + 1, 2)
+    degrees |= {(q + 1) // 2 * (m // q)
+                for d1, m in zip(larger, range(2 * g + larger.start, 2 * g + top + 1, 2))
+                for q in range(2 * d1 - 1, m // d1 + 1, 4 * d1)
+                if not m % q and gcd(d1, m // q) == 1}
     return sorted(degrees)
 
 

@@ -164,6 +164,13 @@ CASES = [
         '',
     ),
     (
+        ['t-set', '--degree', '3'],
+        None,
+        0,
+        '[ 0 ]\n',
+        '',
+    ),
+    (
         ['t-set', '--degree', '3', '--format', 'json'],
         None,
         0,

@@ -614,6 +614,22 @@ def test_cover_rule_matches_the_lcm_state_knapsack():
         assert _root_genera(n, 10**4) == _lcm_state_genera(n, 10**4), n
 
 
+def test_a_repeated_root_degrees_reads_its_caches():
+    # root_degrees(10**4) runs the lcm rule for the 4,929 odd n <= 10**4 past the
+    # abstract's bound; _covers and _divisors each keep all of them, so a second call
+    # misses none, and with _covers cleared a third reads every _divisors entry again
+    enumeration._covers.cache_clear()
+    enumeration._divisors.cache_clear()
+    expected = root_degrees(10**4)
+    covers, divs = enumeration._covers.cache_info(), enumeration._divisors.cache_info()
+    assert covers.misses == divs.misses == 4929 and covers.hits == divs.hits == 0
+    assert root_degrees(10**4) == expected
+    assert enumeration._covers.cache_info()[:2] == (4929, 4929)  # (hits, misses)
+    enumeration._covers.cache_clear()
+    assert root_degrees(10**4) == expected
+    assert enumeration._divisors.cache_info()[:2] == (4929, 4929)
+
+
 def test_genus_set_contains_triangular_complement():
     for n in range(3, 16, 2):
         g_max = n * (n - 3) // 2 + 5

@@ -206,6 +206,13 @@ def test_de_roots_sieve_matches_trial_division():
     assert edges[:3] == [6, 20, 42] and edges[-1] == 997_002
     genera = [*range(1, 400), *(rng.randrange(10**5, 10**6 + 1) for _ in range(100)),
               *edges[::10], *(g + 1 for g in edges[::50]), edges[-1], DE_ROOTS_MAX_GENUS]
+    # the sieve takes the odd d1 <= isqrt(g // share) | 1 and the progression the rest, so
+    # the last sieved d1 steps from 2j - 1 to 2j + 1 at g = share * (2j)^2: both sides of
+    # the steps up to g = 2*10**4, and ten steps past it
+    share = special_roots._SIEVE_SHARE
+    steps = [share * (2 * j) ** 2 for j in range(1, 16)]
+    assert steps[4] == 20_000 and steps[-1] == 180_000
+    genera += [g + side for g in steps for side in (-2, -1, 0, 1) if g <= 20_000 or side == 0]
     for g in genera:
         assert de_roots(g) == _de_roots_by_trial_division(g), g
 
