@@ -40,29 +40,22 @@ divisors, seeded with the cover weights, gives every genus; ``_covers`` keeps bo
 the seed and the item weights, per degree.  ``root_degrees`` runs it only for
 degrees n <= g past the abstract's bound and reads those above g from the paper's
 large-degree classification: 2g+1 and ``special_roots.de_roots``.
-
-``oracle_datasets`` answers the same question by brute force over raw
-residue tuples; it is deliberately naive, range-guarded, and kept as an
-independent cross-check of the search above.
 """
 
 import os
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import combinations_with_replacement, groupby, product, repeat
+from itertools import combinations_with_replacement, groupby, repeat
 from operator import itemgetter
 
-from .dataset import DataSet, RangeExceeded, _canonical, validate
+from .dataset import RangeExceeded, _canonical
 from .numtheory import _check_ceiling, _show, divisors, factorize, gcd, mod_inverse
 
 __all__ = [
     "ClassCapExceeded",
-    "OracleRangeExceeded",
-    "cone_weight",
     "cone_multisets",
     "twist_pairs",
     "datasets",
-    "oracle_datasets",
     "root_degrees",
     "has_root",
     "genus_set",
@@ -72,7 +65,7 @@ __all__ = [
 DEFAULT_CLASS_CAP = 10**7
 CAP_ENV_VAR = "DEHN_ROOTS_CLASS_CAP"
 
-# Documented ceilings: datasets(400, 3) lists 9,045 classes in 35 MB; genus_set(n, 10**4)
+# Documented ceilings: datasets(400, 3) lists 9,045 classes; genus_set(n, 10**4)
 # runs one knapsack on bitsets of 10**4 + 1 bits, and root_degrees(10**4) runs 4,929.
 # twist_pairs stops at the degree 2g+1 of ms_roots's ceiling g = 10**5.  cone_multisets
 # stops at target 10**4 (callers inside reach 400): its walk's bitsets are 2*target wide.
@@ -85,17 +78,9 @@ TWIST_PAIRS_MAX_DEGREE = 2 * 10**5 + 1
 # reads, so a repeated call hits; full with every odd n <= 10**4, both hold 6.8 MB.
 _DEGREES_KEPT = GENUS_SET_MAX_GENUS // 2 + 1
 
-# Hard bounds for the brute-force oracle; beyond them it is exponential noise.
-ORACLE_MAX_DEGREE = 15
-ORACLE_MAX_GENUS = 12
-
 
 class ClassCapExceeded(RuntimeError):
     """The enumeration produced more classes than the configured cap."""
-
-
-class OracleRangeExceeded(ValueError):
-    """The brute-force oracle was asked for more than its guarded range."""
 
 
 def class_cap_from_env():
@@ -110,19 +95,6 @@ def class_cap_from_env():
     if cap < 1:
         raise RangeExceeded("%s must be a positive integer, got %r" % (CAP_ENV_VAR, raw))
     return cap
-
-
-def cone_weight(n, order):
-    """Genus contribution (n/order)(order - 1)/2 of a cone whose order divides n >= 2."""
-    if n < 2:
-        raise RangeExceeded("degree must be >= 2, got %s" % _show(n))
-    if order < 2 or n % order:
-        raise RangeExceeded("cone order must be a divisor >= 2 of %s, got %s"
-                            % (_show(n), _show(order)))
-    twice = (n // order) * (order - 1)
-    if twice % 2:
-        raise ValueError("order %d has non-integral weight in degree %d" % (order, n))
-    return twice // 2
 
 
 @lru_cache(maxsize=_DEGREES_KEPT)
@@ -208,10 +180,11 @@ def twist_pairs(n, power=1):
     return pairs
 
 
-@lru_cache(maxsize=1 << 10)
+@cache
 def _units(d):
     """(units, pairs) of Z/d: its rising units and {c: (c, d)}, the cone pairs all classes
-    share.  Kept for the last 1,024 orders; the 401 orders of odd n <= 801 retain 15.3 MB."""
+    share.  Kept for every order: an order divides a listed degree n <= 801 (2g+1 at the
+    genus ceiling) or a fractional degree n <= 30, so no order exceeds 801."""
     pairs = {c: (c, d) for c in range(1, d) if gcd(c, d) == 1}
     return tuple(pairs), pairs
 
@@ -358,8 +331,7 @@ def _shape_counts(n, shapes, pairs):
     with V(e) the sum of c_(n/e)(a + b) over the pairs.  That is tau(n) products
     per shape; callers solve the pairs only for a cell with a shape.  The cost
     follows the number of shapes: (400, 15), the slowest cell inside the g <= 400
-    ceiling, takes 0.01-0.02 s over its 3,825 shapes, and all odd n <= 801 at
-    g = 400 take 0.07-0.13 s together, cold (2-core VM).
+    ceiling, has 3,825.
     """
     pair_sums = Counter((a + b) % n for a, b in pairs)
     weights = {e: sum(_ramanujan(n // e, gcd(n // e, s)) * m for s, m in pair_sums.items())
@@ -447,50 +419,6 @@ def datasets(g, n=None, class_cap=None):
     if degrees:  # checked before the range is walked, which a huge g makes endless
         _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
     return _listed([_cell(g, d, class_cap) for d in degrees])  # all counted before one is listed
-
-
-def oracle_datasets(g, n):
-    """Brute-force cross-check of ``datasets``: try every raw residue tuple.
-
-    Enumerates every quotient genus, every ordered tuple of cone orders
-    matching the genus, and every tuple of raw residues; keeps what
-    ``validate`` accepts, canonicalizes, deduplicates.  Guarded to
-    n <= 15, g <= 12.
-    """
-    if n > ORACLE_MAX_DEGREE or g > ORACLE_MAX_GENUS:
-        raise OracleRangeExceeded(
-            "oracle accepts n <= %d and g <= %d" % (ORACLE_MAX_DEGREE, ORACLE_MAX_GENUS)
-        )
-    if g < 1 or n < 3 or n % 2 == 0:
-        return []
-    divs = [d for d in divisors(n) if d > 1]
-    out = set()
-    for g0 in range(g // n + 1):
-        remaining2 = 2 * (g - g0 * n)
-        shapes = [()] if remaining2 == 0 else []
-        frontier = [()]
-        while frontier:
-            shape = frontier.pop()
-            for d in divs:
-                extended = shape + (d,)
-                weight2 = sum((n // x) * (x - 1) for x in extended)
-                if weight2 == remaining2:
-                    shapes.append(extended)
-                elif weight2 < remaining2:
-                    frontier.append(extended)
-        units = [u for u in range(n) if gcd(u, n) == 1]
-        for shape in shapes:
-            for a in units:
-                for b in units:
-                    for residues in product(*(range(d) for d in shape)):
-                        # quick unit screen before paying for construction;
-                        # validate() re-checks everything on survivors
-                        if any(gcd(c, d) != 1 for c, d in zip(residues, shape)):
-                            continue
-                        candidate = DataSet(n, g0, a, b, tuple(zip(residues, shape)))
-                        if validate(candidate).valid and candidate.genus == g:
-                            out.add(candidate)
-    return sorted(out)
 
 
 def has_root(g, n):

@@ -16,7 +16,6 @@ from dehnroots.enumeration import (
     datasets,
     genus_set,
     has_root,
-    oracle_datasets,
 )
 from dehnroots.fractional import fractional_datasets
 from dehnroots.numtheory import bezout_avoiding_primes, primes_up_to
@@ -30,6 +29,7 @@ from dehnroots.special_roots import (
     t_set,
 )
 from dehnroots.dataset import FractionalDataSet
+from oracle import oracle_datasets
 
 
 def _report(number, text):

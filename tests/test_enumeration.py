@@ -14,17 +14,14 @@ from dehnroots.enumeration import (
     GENUS_SET_MAX_GENUS,
     TWIST_PAIRS_MAX_DEGREE,
     ClassCapExceeded,
-    OracleRangeExceeded,
     _order_runs,
     _root_genera,
     _run_transform,
     class_cap_from_env,
     cone_multisets,
-    cone_weight,
     datasets,
     genus_set,
     has_root,
-    oracle_datasets,
     primary_datasets,
     root_degrees,
     twist_pairs,
@@ -32,20 +29,7 @@ from dehnroots.enumeration import (
 from dehnroots.numtheory import divisors
 from dehnroots.special_roots import (class_count, classify, ms_count, ms_roots, pair_table,
                                     t_set)
-
-
-def test_cone_weight():
-    assert cone_weight(9, 3) == 3
-    assert cone_weight(9, 9) == 4
-    assert cone_weight(3, 3) == 1
-    for n, order in ((9, 4), (15, 7), (9, -3), (9, 0)):  # orders that do not divide n
-        with pytest.raises(RangeExceeded, match="^cone order must be a divisor >= 2 of"):
-            cone_weight(n, order)
-    for n in (0, -9):  # every order divides 0, and -9 would give a negative weight
-        with pytest.raises(RangeExceeded, match="^degree must be >= 2"):
-            cone_weight(n, 3)
-    with pytest.raises(ValueError, match="^order 2 has non-integral weight in degree 6$"):
-        cone_weight(6, 2)  # (6/2)(2 - 1)/2 = 3/2
+from oracle import oracle_datasets
 
 
 def test_cone_multisets_examples():
@@ -65,7 +49,7 @@ def test_cone_multisets_sorted_and_complete():
             assert len(sets) == len(set(sets))
             for orders in sets:
                 assert list(orders) == sorted(orders)
-                assert sum(cone_weight(n, d) for d in orders) == target
+                assert sum((n - n // d) // 2 for d in orders) == target
                 assert all(d > 1 and n % d == 0 for d in orders)
 
 
@@ -315,10 +299,9 @@ def test_oracle_examples():
 
 
 def test_oracle_range_guard():
-    with pytest.raises(OracleRangeExceeded):
-        oracle_datasets(5, 17)
-    with pytest.raises(OracleRangeExceeded):
-        oracle_datasets(13, 3)
+    for g, n in ((5, 17), (13, 3)):
+        with pytest.raises(ValueError, match="^oracle accepts n <= 15 and g <= 12$"):
+            oracle_datasets(g, n)
 
 
 def test_root_degrees():

@@ -1,0 +1,97 @@
+"""A committed mutation table: each row names a function, an exact snippet of its
+source, a replacement, and an independent check.  The check must pass on the code as
+it is and fail on the mutant, compiled in the function's module and set in its place,
+so each row shows that some check outside the function sees that defect."""
+
+import contextlib
+import inspect
+import io
+import json
+from argparse import Namespace
+from collections import defaultdict
+
+import pytest
+
+from dehnroots import cli, dataset, enumeration, fractional, numtheory, special_roots
+from oracle import oracle_datasets
+
+
+def _covers_check():
+    # the lcm rule's genera against the genera whose listing is not empty
+    for n in (3, 5, 9, 15):
+        assert enumeration.genus_set(n, 20) == [
+            g for g in range(21) if enumeration.datasets(g, n)], n
+
+
+def _run_transform_check():
+    # the Fourier count against the listing, in cells with runs of several cones
+    for g, n in ((10, 3), (20, 9), (30, 15)):
+        assert sum(special_roots.class_count(g, n).values()) == len(enumeration.datasets(g, n))
+
+
+def _de_roots_check():
+    # degrees for a genus against genera for a degree: every (d,e)-root degree of a
+    # genus g < 200 is at most 6(g + 3/2)/5 < 401
+    degrees = defaultdict(list)
+    for n in range(3, 402, 2):
+        for g in special_roots.de_root_genera(n):
+            degrees[g].append(n)
+    for g in range(1, 200):
+        assert special_roots.de_roots(g) == degrees[g], g
+
+
+def _print_classes_check():
+    # a JSON listing written in several chunks is still json.dumps of its documents
+    classes = enumeration.datasets(10)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "_CLASSES_PER_WRITE", 16)
+        cli._print_classes(classes, Namespace(format="json", genus=10))
+    assert out.getvalue() == json.dumps([cli._tagged_json(ds) for ds in classes], indent=2) + "\n"
+
+
+def _solve_check():
+    # the residue search against the brute-force oracle
+    for n in range(3, 16, 2):
+        for g in range(0, 9):
+            assert enumeration.datasets(g, n) == oracle_datasets(g, n), (g, n)
+
+
+MUTANTS = [
+    (enumeration, "_covers", "_divisors(n)[1:]", "_divisors(n)[2:]", _covers_check),
+    (enumeration, "_run_transform", "sums[j % len(c)] += row[e]",
+     "sums[(j + 1) % len(c)] += row[e]", _run_transform_check),
+    (special_roots, "de_roots", "range(split + 2, top + 1, 2)", "range(split + 4, top + 1, 2)",
+     _de_roots_check),
+    (cli, "_print_classes", "if start == chunks[-1]:", "if start == chunks[0]:",
+     _print_classes_check),
+    (enumeration, "_solve", ">= low and last in cones", "> low and last in cones", _solve_check),
+]
+
+
+def _clear_caches():
+    # a mutant must not read what the code computed, nor leave its own results behind
+    for module in (cli, dataset, enumeration, fractional, numtheory, special_roots):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("module, name, snippet, replacement, check", MUTANTS,
+                         ids=[row[1] for row in MUTANTS])
+def test_mutant_fails_its_check(monkeypatch, module, name, snippet, replacement, check):
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(snippet) == 1, "%s.%s no longer holds %r" % (
+        module.__name__, name, snippet)
+    check()
+    mutant = {}
+    exec(compile(source.replace(snippet, replacement), module.__file__, "exec"),
+         vars(module), mutant)
+    _clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, mutant[name])
+            with pytest.raises(AssertionError):
+                check()
+    finally:
+        _clear_caches()
