@@ -1,7 +1,7 @@
-"""A committed mutation table: each row names a function, an exact snippet of its
-source, a replacement, and an independent check.  The check must pass on the code as
-it is and fail on the mutant, compiled in the function's module and set in its place,
-so each row shows that some check outside the function sees that defect."""
+"""A committed mutation table: each row, keyed by its test id, names a function, an exact
+snippet of its source, a replacement, and an independent check.  The check must pass on
+the code as it is and fail on the mutant, compiled in the function's module and set in
+its place, so each row shows that some check outside the function sees that defect."""
 
 import contextlib
 import inspect
@@ -50,6 +50,13 @@ def _print_classes_check():
     assert out.getvalue() == json.dumps([cli._tagged_json(ds) for ds in classes], indent=2) + "\n"
 
 
+def _search_check():
+    # every block the residue search yields holds classes
+    for g in range(1, 13):
+        for n in range(3, 2 * g + 2, 2):
+            assert all(block[4] for block in enumeration._search(*enumeration._cell(g, n, None)))
+
+
 def _solve_check():
     # the residue search against the brute-force oracle
     for n in range(3, 16, 2):
@@ -57,16 +64,21 @@ def _solve_check():
             assert enumeration.datasets(g, n) == oracle_datasets(g, n), (g, n)
 
 
-MUTANTS = [
-    (enumeration, "_covers", "_divisors(n)[1:]", "_divisors(n)[2:]", _covers_check),
-    (enumeration, "_run_transform", "sums[j % len(c)] += row[e]",
-     "sums[(j + 1) % len(c)] += row[e]", _run_transform_check),
-    (special_roots, "de_roots", "range(split + 2, top + 1, 2)", "range(split + 4, top + 1, 2)",
-     _de_roots_check),
-    (cli, "_print_classes", "if start == chunks[-1]:", "if start == chunks[0]:",
-     _print_classes_check),
-    (enumeration, "_solve", ">= low and last in cones", "> low and last in cones", _solve_check),
-]
+MUTANTS = {  # test id: (module, function, snippet, replacement, check)
+    "_covers": (enumeration, "_covers", "_divisors(n)[1:]", "_divisors(n)[2:]", _covers_check),
+    "_root_genera": (enumeration, "_root_genera", "bits = covers & mask",
+                     "bits = (covers | 2) & mask", _covers_check),
+    "_run_transform": (enumeration, "_run_transform", "sums[j % len(c)] += row[e]",
+                       "sums[(j + 1) % len(c)] += row[e]", _run_transform_check),
+    "de_roots": (special_roots, "de_roots", "if gcd(g, d1) > 1:", "if False:", _de_roots_check),
+    "_print_classes": (cli, "_print_classes", "if start == chunks[-1]:", "if start == chunks[0]:",
+                       _print_classes_check),
+    "_print_classes_shape_key": (cli, "_print_classes", "(g0 == 0, len(cones), cones[0][1] == n)",
+                                 "(g0 == 0, cones[0][1] == n)", _print_classes_check),
+    "_search": (enumeration, "_search", "if found:", "if True:", _search_check),
+    "_solve": (enumeration, "_solve", ">= low and last in cones", "> low and last in cones",
+               _solve_check),
+}
 
 
 def _clear_caches():
@@ -77,8 +89,8 @@ def _clear_caches():
                 value.cache_clear()
 
 
-@pytest.mark.parametrize("module, name, snippet, replacement, check", MUTANTS,
-                         ids=[row[1] for row in MUTANTS])
+@pytest.mark.parametrize("module, name, snippet, replacement, check", MUTANTS.values(),
+                         ids=list(MUTANTS))
 def test_mutant_fails_its_check(monkeypatch, module, name, snippet, replacement, check):
     source = inspect.getsource(getattr(module, name))
     assert source.count(snippet) == 1, "%s.%s no longer holds %r" % (

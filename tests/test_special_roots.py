@@ -199,20 +199,21 @@ def _de_roots_by_trial_division(g):
     return sorted(degrees)
 
 
-def test_de_roots_sieve_matches_trial_division():
+def test_de_roots_matches_trial_division():
     rng = random.Random(20)
-    # the window edges: g = d1(d1 - 1) for odd d1 puts 2g + d1 in the window exactly
+    # the edges of the d1 range: g = d1(d1 - 1) makes the odd d1 the last one tried
     edges = [d1 * (d1 - 1) for d1 in range(3, 1000, 2)]
     assert edges[:3] == [6, 20, 42] and edges[-1] == 997_002
     genera = [*range(1, 400), *(rng.randrange(10**5, 10**6 + 1) for _ in range(100)),
               *edges[::10], *(g + 1 for g in edges[::50]), edges[-1], DE_ROOTS_MAX_GENUS]
-    # the sieve takes the odd d1 <= isqrt(g // share) | 1 and the progression the rest, so
-    # the last sieved d1 steps from 2j - 1 to 2j + 1 at g = share * (2j)^2: both sides of
-    # the steps up to g = 2*10**4, and ten steps past it
-    share = special_roots._SIEVE_SHARE
-    steps = [share * (2 * j) ** 2 for j in range(1, 16)]
-    assert steps[4] == 20_000 and steps[-1] == 180_000
-    genera += [g + side for g in steps for side in (-2, -1, 0, 1) if g <= 20_000 or side == 0]
+    # a factor of m = 2g + d1 at isqrt(m) exactly: m = r^2 or r(r + 2) for odd r, with r
+    # or r + 2 a quotient 2*d1 - 1 (mod 4*d1)
+    roots = [(d1, r) for d1 in (1, 3, 5, 7) for base in (2 * d1 - 3, 2 * d1 - 1)
+             for r in range(base + 4 * d1, 1414, 264 * d1)]
+    genera += [(m - d1) // 2 for d1, r in roots for m in (r * r, r * (r + 2))]
+    # genera sharing a factor with every d1 in 3, 5, 7, 15, 21 and 35, which are skipped
+    genera += [105 * j for j in (*range(1, 40), *range(1000, 9524, 852))]
+    assert max(genera) == DE_ROOTS_MAX_GENUS
     for g in genera:
         assert de_roots(g) == _de_roots_by_trial_division(g), g
 
