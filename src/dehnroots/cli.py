@@ -21,7 +21,9 @@ write per 16,384 classes, so their memory does not grow with the listing.  A
 chunk goes a block of classes with one (n, g0, a, b) at a time: each block's
 head is formatted once, each cone pair's form once per listing, and each JSON
 tag once per cone-order shape (``classify`` on its first class; on every class
-in cell (3, 3), of the cube root).  The other multi-line JSON (``de-construct``,
+in cell (3, 3), of the cube root); a text block is one join of its classes'
+cones.  An ``ms-roots`` class has one cone, and no two share it, so its text
+line is one format of six integers.  The other multi-line JSON (``de-construct``,
 ``fractional``, ``validate``) comes from ``json.dumps(value, indent=2)`` itself.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
@@ -72,8 +74,8 @@ _CLASS_HEAD = (',\n  {\n    "degree": %d,\n    "g0": %d,\n    "a": %d,\n    "b":
                '\n    "cones": [')
 _CLASS_CLOSE = '\n    ],\n    "genus": %d,\n    "tag": "%s"\n  }'
 _CONE_JSON = "\n      [\n        %d,\n        %d\n      ]"
-_TEXT_LINE = _TEXT_FORM + "\n"
-_TEXT_HEAD, _TEXT_END = _TEXT_LINE.split("%s")  # the text line cut around its cones
+_TEXT_HEAD, _TEXT_END = (_TEXT_FORM + "\n").split("%s")  # the text line cut around its cones
+_ONE_CONE_TEXT = _TEXT_HEAD + _CONE_TEXT_FORM + _TEXT_END  # the line of a class with one cone
 
 
 class _Forms(dict):
@@ -92,15 +94,16 @@ class _Forms(dict):
 _CLASSES_PER_WRITE = 1 << 14
 
 
-def _print_classes(classes, args, blocks=True):
+def _print_classes(classes, args, one_cone=False):
     """``json.dumps(docs, indent=2)`` or ``format_dataset`` lines of the ``DataSet``s, one
     join of parts and one write per ``_CLASSES_PER_WRITE`` classes, so neither the text
     nor its encoded copy grows with the listing.  Per block of one (n, g0, a, b) in a
-    chunk: its head, once, then per class the cones and the close.  A JSON close holds
-    the tag, classified once per shape (g0 = 0, cone count, all of order n, as the first
-    is; ``special_roots._shape_tag``), but per class in cell (3, 3), of the cube root.
-    ``ms-roots`` has one class per block: there (no ``blocks``) a text line is one
-    format, which costs less than grouping."""
+    chunk: its head, once, then per class the cones and the close; a text block is one
+    join of its classes' cone texts, each between the close and the head.  A JSON close
+    holds the tag, classified once per shape (g0 = 0, cone count, all of order n, as the
+    first is; ``special_roots._shape_tag``), but per class in cell (3, 3), of the cube
+    root.  ``ms-roots`` lists classes of ``one_cone`` each, whose cone pairs all differ:
+    there a text line is one format of its six integers, without a cone table."""
     cone = _Forms(_CONE_JSON if args.format == "json" else _CONE_TEXT_FORM).__getitem__
     closes, write, chunks = {}, sys.stdout.write, range(0, len(classes), _CLASSES_PER_WRITE)
     if args.format == "json" and not chunks:
@@ -121,13 +124,14 @@ def _print_classes(classes, args, blocks=True):
                 parts[0] = "[" + parts[0][1:]  # the list opens in place of the first comma
             if start == chunks[-1]:
                 parts.append("\n]\n")
-        elif blocks:
+        elif one_cone:
+            parts = [_ONE_CONE_TEXT % (n, g0, a, b, c, d)
+                     for n, g0, a, b, ((c, d),) in chunk]
+        else:
             parts = [part for prefix, block in groupby(chunk, itemgetter(0, 1, 2, 3))
                      for head in (_TEXT_HEAD % prefix,)
-                     for ds in block for part in (head, ", ".join(map(cone, ds[4])), _TEXT_END)]
-        else:
-            parts = [_TEXT_LINE % (n, g0, a, b, ", ".join(map(cone, cones)))
-                     for n, g0, a, b, cones in chunk]
+                     for part in (head, (_TEXT_END + head).join(
+                         [", ".join(map(cone, ds[4])) for ds in block]), _TEXT_END)]
         write("".join(parts))
 
 
@@ -233,7 +237,7 @@ COMMANDS = (
     ("root-set", "degrees of roots for a genus", (_int("--genus"), _FORMAT),
      lambda a: enumeration.root_degrees(a.genus), _print_int_list),
     ("ms-roots", "maximal-degree root classes for a genus", (_int("--genus"), _FORMAT),
-     lambda a: special_roots.ms_roots(a.genus), partial(_print_classes, blocks=False)),
+     lambda a: special_roots.ms_roots(a.genus), partial(_print_classes, one_cone=True)),
     ("ms-count", "count maximal-degree roots of a degree", (_int("--degree"), _FORMAT),
      lambda a: special_roots.ms_count(a.degree), _print_count),
     ("de-construct", "build a (d,e)-root data set", (_int("--d"), _int("--e"), _FORMAT),
@@ -250,13 +254,28 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose invalid-choice message quotes the choices on every
+    Python, as 3.11 does (3.13 lists them bare); its subparsers are of this class too."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)" % (
+                value, ", ".join(map(repr, action.choices))))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """One subparser per ``COMMANDS`` row.  The top-level usage is the program's own, as
+    Python 3.11 wraps it (3.13 keeps the "..." on the line of the command names)."""
+    parser = _Parser(
         prog="dehn-roots",
+        usage="%(prog)s [-h]\n{0}{{{1}}}\n{0}...".format(
+            " " * len("usage: dehn-roots "), ",".join(row[0] for row in COMMANDS)),
         description="Roots of Dehn twists about nonseparating curves: "
         "enumerate and classify root classes by genus and degree.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the subcommands' prog, which argparse would otherwise cut from the usage above
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, summary, arguments, query, printer in COMMANDS:
         p = sub.add_parser(name, help=summary)
         for flag, keywords in arguments:

@@ -11,7 +11,7 @@ cone residues satisfying (I)-(IV); the pieces run over
     (n/n_i)(n_i - 1)/2 sum to g - g0*n,
   * the twist pairs: units a <= b with a + b = l*a*b mod n (l = 1 for
     ordinary roots), solved as b = a*(l*a - 1)^-1 by ``twist_pairs``, one
-    inverse per pair after a sieve by the primes of n,
+    ``pow`` inverse per pair after a sieve by the primes of n,
   * cone residues, one multiset of units per run of equal cone order, so
     each class appears exactly once.
 
@@ -26,11 +26,14 @@ before ``_search`` lists a class of ``datasets`` (every degree first, for a
 whole genus), ``primary_datasets`` or the fractional candidates, so a cell
 past the cap fails at once and in bounded memory.  The residue search then
 prepares each shape once (``_shape``): the multisets of every run but the
-last with their residue sums, and the unit sums of the last run's multisets
-short of one unit.  Per twist pair only ``_solve`` runs, one divisibility
-check per head and one pass over the tails per need, and ``_search`` yields the
-classes in canonical order, without a sort of the whole cell, in blocks of one
-(n, g0, a, b) that the listings flatten.  Each order's units (``_units``) and
+last with their residue sums, the unit sums of the last run's multisets
+short of one unit, and an empty table of tails per need.  Per twist pair only
+``_solve`` runs, one divisibility check per head; the tails of a need are solved
+in one pass the first time any twist pair meets it, and kept in the shape's
+table for the others, so they cost one pass per shape and need, and memory
+holds each tail of the shape once at most.  ``_search`` yields the classes in
+canonical order, without a sort of the whole cell, in blocks of one (n, g0, a,
+b) that the listings flatten.  Each order's units (``_units``) and
 each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
@@ -173,7 +176,7 @@ def twist_pairs(n, power=1):
     pairs = []
     a = left.find(1)
     while a >= 0:
-        b = a * mod_inverse(power * a - 1, n) % n
+        b = a * pow(power * a - 1, -1, n) % n  # a unit: the sieve struck the rest
         left[b] = 0
         pairs.append((a, b))
         a = left.find(1, a + 1)
@@ -191,11 +194,13 @@ def _units(d):
 
 def _shape(n, runs):
     """What one cone-order shape's residue search shares across its twist pairs:
-    (heads, order, count, totals, lows) for the runs [(order, count), ...], or None for
-    no cones.  The heads are every multiset of every run but the last, as (residue mod n,
-    cone tuple) with residue sum (n/n_i)*c_i, in lexicographic order.  The tails are the
-    count - 1 multisets of the last run's units, in lexicographic order, kept only as
-    their unit sums (``totals``) and lowest allowed last units (``lows``)."""
+    (heads, order, count, totals, lows, solved) for the runs [(order, count), ...], or
+    None for no cones.  The heads are every multiset of every run but the last, as
+    (residue mod n, cone tuple) with residue sum (n/n_i)*c_i, in lexicographic order.  The
+    tails are the count - 1 multisets of the last run's units, in lexicographic order,
+    kept only as their unit sums (``totals``) and lowest allowed last units (``lows``).
+    ``solved`` starts empty: ``_solve`` keeps there each need's tails, which depend on the
+    need alone, so every twist pair reads them, and they hold each tail once at most."""
     if not runs:
         return None
     heads = [(0, ())]
@@ -209,7 +214,7 @@ def _shape(n, runs):
     totals = list(map(sum, combinations_with_replacement(units, count - 1)))
     lows = (list(map(itemgetter(-1), combinations_with_replacement(units, count - 1)))
             if count > 1 else [1])
-    return heads, order, count, totals, lows
+    return heads, order, count, totals, lows, {}
 
 
 def _solve(n, shape, target):
@@ -217,13 +222,14 @@ def _solve(n, shape, target):
     mod n, in lexicographic order.  A head passes only if the last run's step n/order
     divides its remainder, leaving the last run a need.  One pass over the last run's
     multisets short of one unit solves a need's tails, each with its last unit if that is
-    a unit not below the multiset's last; the heads of one need share them."""
+    a unit not below the multiset's last, once per shape: the heads of one need and the
+    twist pairs share them."""
     if shape is None:  # no cones: (IV) reads a + b = 0
         return [()] if target % n == 0 else []
-    heads, order, count, totals, lows = shape
+    heads, order, count, totals, lows, solved = shape  # solved: need -> its tails
     step, cones = n // order, _units(order)[1]
     pairs = tuple(cones.values())
-    found, solved = [], {}  # need -> its tails
+    found = []
     for residue, head in heads:
         need, off = divmod((target - residue) % n, step)
         if off:

@@ -358,20 +358,20 @@ def test_listings_are_written_in_bounded_chunks(monkeypatch):
     # output for one join
     monkeypatch.setattr(cli, "_CLASSES_PER_WRITE", 1000)
     cases = (
-        (datasets(36), "json", True, 16, 1.3,
+        (datasets(36), "json", False, 16, 1.3,
          "e478c2e2023484fad90c512743e836d2e9e245da3b5e59574956ff5737dcddf2"),
-        (datasets(36), "text", True, 16, None,
+        (datasets(36), "text", False, 16, None,
          "6cefac4b7162801c14817262bee4bb35551eb596845739f5fc1ed344f3071c7d"),
-        (special_roots.ms_roots(3000), "text", False, 3, None,
+        (special_roots.ms_roots(3000), "text", True, 3, None,
          "2484d8e5156df8ddeabe1b4c8dbfbae2aff9183606a1fa12b955ffe3d7cb86d3"))
-    for classes, fmt, blocks, writes, ratio, digest in cases:
+    for classes, fmt, one_cone, writes, ratio, digest in cases:
         args = argparse.Namespace(format=fmt, genus=classes[0].genus)
         for _ in range(2):  # the first pass fills the per-process tables it reads
             out = _CountedWrites()
             monkeypatch.setattr(sys, "stdout", out)
             tracemalloc.start()
             try:
-                cli._print_classes(classes, args, blocks)
+                cli._print_classes(classes, args, one_cone)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -9,6 +9,7 @@ import io
 import json
 from argparse import Namespace
 from collections import defaultdict
+from math import gcd
 
 import pytest
 
@@ -50,6 +51,28 @@ def _print_classes_check():
     assert out.getvalue() == json.dumps([cli._tagged_json(ds) for ds in classes], indent=2) + "\n"
 
 
+def _one_cone_check():
+    # the one-format ms-roots lines against format_dataset, in one chunk and in several
+    for g in (1, 2, 10, 100, 1000):
+        classes, out = special_roots.ms_roots(g), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+            patch.setattr(cli, "_CLASSES_PER_WRITE", 16)
+            cli._print_classes(classes, Namespace(format="text", genus=g), one_cone=True)
+        assert out.getvalue() == "".join(dataset.format_dataset(ds) + "\n" for ds in classes), g
+
+
+def _twist_pairs_check():
+    # the sieved pairs against a scan of all unit pairs, and their count against ms_count
+    for power in (1, 2, 3, 4):
+        for n in range(2, 40):
+            units = [u for u in range(n) if gcd(u, n) == 1]
+            assert enumeration.twist_pairs(n, power) == [
+                (a, b) for i, a in enumerate(units) for b in units[i:]
+                if (a + b - power * a * b) % n == 0], (n, power)
+    for n in range(3, 400, 2):
+        assert len(enumeration.twist_pairs(n)) == special_roots.ms_count(n), n
+
+
 def _search_check():
     # every block the residue search yields holds classes
     for g in range(1, 13):
@@ -75,9 +98,15 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                        _print_classes_check),
     "_print_classes_shape_key": (cli, "_print_classes", "(g0 == 0, len(cones), cones[0][1] == n)",
                                  "(g0 == 0, cones[0][1] == n)", _print_classes_check),
+    "_print_classes_one_cone": (cli, "_print_classes", "% (n, g0, a, b, c, d)",
+                                "% (n, g0, a, b, d, c)", _one_cone_check),
     "_search": (enumeration, "_search", "if found:", "if True:", _search_check),
     "_solve": (enumeration, "_solve", ">= low and last in cones", "> low and last in cones",
                _solve_check),
+    "_solve_shared_tails": (enumeration, "_solve", "solved[need] = [",  # a need reads the next's
+                            "solved[need] = solved[(need + 1) % order] = [", _solve_check),
+    "twist_pairs": (enumeration, "twist_pairs", "pow(power * a - 1, -1, n)",
+                    "pow(power * a - 1, 1, n)", _twist_pairs_check),
 }
 
 
