@@ -2,11 +2,12 @@
 
 Each row of ``COMMANDS`` is a subcommand: name, help text, arguments (name
 or flag and ``add_argument`` keywords), the library query run on the parsed
-arguments, and the printer for the query's output shape.  ``build_parser``
-adds one subparser per row, and ``main`` parses with one such parser built
-once per process, then runs the query and the printer.
+arguments, and the name of the printer for the query's output shape.
+``build_parser`` adds one subparser per row, and ``main`` parses with one
+such parser built once per process, then runs the query and the printer.
 Queries call the library through module attributes looked up at call time
-(``special_roots.de_roots``), so a wrapper set on one sees every call.
+(``special_roots.de_roots``), and ``main`` looks the printer up by its name
+in this module, so a wrapper set on either sees every call.
 ``roots`` is ``enumeration.datasets`` itself: without ``--degree`` it lists
 every odd degree up to 2g+1, and counts each against the class cap before
 it builds a class, so a cap failure leaves stdout empty.
@@ -20,10 +21,11 @@ indent=2)`` or ``format_dataset`` gives, one join of template parts and one
 write per 16,384 classes, so their memory does not grow with the listing.  A
 chunk goes a block of classes with one (n, g0, a, b) at a time: each block's
 head is formatted once, each cone pair's form once per listing, and each JSON
-tag once per cone-order shape (``classify`` on its first class; on every class
-in cell (3, 3), of the cube root); a text block is one join of its classes'
-cones.  An ``ms-roots`` class has one cone, and no two share it, so its text
-line is one format of six integers.  The other multi-line JSON (``de-construct``,
+tag once per cone-order shape (``classify`` on its first class); a text block
+is one join of its classes' cones.  The line form is read off the degree: a
+listing rises in degree, and every class of degree 2g+1 has one cone, no two
+alike, so a text chunk that opens at 2g+1 (all of ``ms-roots``) writes each
+line as one format of six integers.  The other multi-line JSON (``de-construct``,
 ``fractional``, ``validate``) comes from ``json.dumps(value, indent=2)`` itself.
 Exit codes: 0 success, 2 usage problems (argparse errors and the library's
 ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
@@ -33,7 +35,7 @@ ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -94,16 +96,18 @@ class _Forms(dict):
 _CLASSES_PER_WRITE = 1 << 14
 
 
-def _print_classes(classes, args, one_cone=False):
+def _print_classes(classes, args):
     """``json.dumps(docs, indent=2)`` or ``format_dataset`` lines of the ``DataSet``s, one
     join of parts and one write per ``_CLASSES_PER_WRITE`` classes, so neither the text
     nor its encoded copy grows with the listing.  Per block of one (n, g0, a, b) in a
     chunk: its head, once, then per class the cones and the close; a text block is one
     join of its classes' cone texts, each between the close and the head.  A JSON close
     holds the tag, classified once per shape (g0 = 0, cone count, all of order n, as the
-    first is; ``special_roots._shape_tag``), but per class in cell (3, 3), of the cube
-    root.  ``ms-roots`` lists classes of ``one_cone`` each, whose cone pairs all differ:
-    there a text line is one format of its six integers, without a cone table."""
+    first is; ``special_roots._shape_tag``); in a genus-3 listing the shape of three cones
+    of order n is the cube root's alone, as 3(n-1)/2 = 3 forces n = 3.  A listing rises in
+    degree to 2g+1, whose classes are the Margalit-Schleimer (n, 0, (a,b); (-a-b, n)), so
+    a text chunk that opens at that degree holds one cone per class, no two alike: there
+    a line is one format of its six integers, without a cone table."""
     cone = _Forms(_CONE_JSON if args.format == "json" else _CONE_TEXT_FORM).__getitem__
     closes, write, chunks = {}, sys.stdout.write, range(0, len(classes), _CLASSES_PER_WRITE)
     if args.format == "json" and not chunks:
@@ -116,7 +120,7 @@ def _print_classes(classes, args, one_cone=False):
                 head = _CLASS_HEAD % (n, g0, a, b)
                 for ds in block:
                     cones = ds[4]
-                    shape = ds if n == 3 == args.genus else (g0 == 0, len(cones), cones[0][1] == n)
+                    shape = (g0 == 0, len(cones), cones[0][1] == n)
                     if shape not in closes:
                         closes[shape] = _CLASS_CLOSE % (args.genus, special_roots.classify(ds))
                     parts += head, ",".join(map(cone, cones)), closes[shape]
@@ -124,7 +128,7 @@ def _print_classes(classes, args, one_cone=False):
                 parts[0] = "[" + parts[0][1:]  # the list opens in place of the first comma
             if start == chunks[-1]:
                 parts.append("\n]\n")
-        elif one_cone:
+        elif chunk[0][0] == 2 * args.genus + 1:
             parts = [_ONE_CONE_TEXT % (n, g0, a, b, c, d)
                      for n, g0, a, b, ((c, d),) in chunk]
         else:
@@ -216,41 +220,42 @@ def _int(name):
 
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 
-# (name, help, arguments, query, printer); a printer returns an exit code or None for 0
+# (name, help, arguments, query, printer): the printer is named, and main looks it up when it
+# runs; it returns an exit code or None for 0
 COMMANDS = (
     ("roots", "root classes for a genus (and optional degree)",
      (_int("--genus"), ("--degree", {"type": int, "default": None}), _FORMAT),
-     lambda a: enumeration.datasets(a.genus, a.degree, class_cap_from_env()), _print_classes),
+     lambda a: enumeration.datasets(a.genus, a.degree, class_cap_from_env()), "_print_classes"),
     ("de-roots", "degrees of (d,e)-roots for a genus", (_int("genus"), _FORMAT),
-     lambda a: special_roots.de_roots(a.genus), _print_int_list),
+     lambda a: special_roots.de_roots(a.genus), "_print_int_list"),
     ("de-root-genera", "genera with a (d,e)-root of this degree", (_int("degree"), _FORMAT),
-     lambda a: special_roots.de_root_genera(a.degree), _print_int_list),
+     lambda a: special_roots.de_root_genera(a.degree), "_print_int_list"),
     ("figure1", "export the populated (g, n) table as CSV",
      (_int("--max-genus"), _int("--max-degree"), ("--output", {"required": True})),
      lambda a: special_roots.pair_table(a.max_genus, a.max_degree, class_cap_from_env()),
-     _write_csv),
+     "_write_csv"),
     ("t-set", "genera excluded from primary-root existence", (_int("--degree"), _FORMAT),
-     lambda a: special_roots.t_set(a.degree), _print_int_list),
+     lambda a: special_roots.t_set(a.degree), "_print_int_list"),
     ("genus-set", "genera with a root of the given degree",
      (_int("--degree"), _int("--max-genus"), _FORMAT),
-     lambda a: enumeration.genus_set(a.degree, a.max_genus), _print_int_list),
+     lambda a: enumeration.genus_set(a.degree, a.max_genus), "_print_int_list"),
     ("root-set", "degrees of roots for a genus", (_int("--genus"), _FORMAT),
-     lambda a: enumeration.root_degrees(a.genus), _print_int_list),
+     lambda a: enumeration.root_degrees(a.genus), "_print_int_list"),
     ("ms-roots", "maximal-degree root classes for a genus", (_int("--genus"), _FORMAT),
-     lambda a: special_roots.ms_roots(a.genus), partial(_print_classes, one_cone=True)),
+     lambda a: special_roots.ms_roots(a.genus), "_print_classes"),
     ("ms-count", "count maximal-degree roots of a degree", (_int("--degree"), _FORMAT),
-     lambda a: special_roots.ms_count(a.degree), _print_count),
+     lambda a: special_roots.ms_count(a.degree), "_print_count"),
     ("de-construct", "build a (d,e)-root data set", (_int("--d"), _int("--e"), _FORMAT),
-     lambda a: special_roots.de_construct(a.d, a.e), _print_dataset),
+     lambda a: special_roots.de_construct(a.d, a.e), "_print_dataset"),
     ("fractional", "candidates for roots of twist powers",
      (_int("--genus"), _int("--degree"), _int("--power"), _FORMAT),
      lambda a: fractional.fractional_datasets(a.genus, a.degree, a.power, class_cap_from_env()),
-     _print_candidates),
+     "_print_candidates"),
     ("bezout-avoid", "Bezout coefficients avoiding primes",
      (_int("--d1"), _int("--d2"), ("--primes", {"type": _primes, "default": ""}), _FORMAT),
-     lambda a: numtheory.bezout_avoiding_primes(a.d1, a.d2, a.primes), _print_witness),
+     lambda a: numtheory.bezout_avoiding_primes(a.d1, a.d2, a.primes), "_print_witness"),
     ("validate", "validate a data set in text form", (("dataset", {}), _FORMAT),
-     lambda a: _validated(a.dataset), _print_report),
+     lambda a: _validated(a.dataset), "_print_report"),
 )
 
 
@@ -296,7 +301,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.printer(args.query(args), args) or EXIT_OK
+        return globals()[args.printer](args.query(args), args) or EXIT_OK
     except ClassCapExceeded as exc:
         print("class cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP

@@ -21,20 +21,20 @@ runs of equal order.  ``_shape_counts`` counts each shape's classes without
 building one, for the class cap and for ``special_roots.class_count`` and the
 pair table ``figure1`` writes (``pair_table``, one row of tag counts per
 cell).  ``_cell`` is the one counted cell behind every listing: it walks a
-cell's shapes, solves its twist pairs and checks its total against the cap,
-before ``_search`` lists a class of ``datasets`` (every degree first, for a
-whole genus), ``primary_datasets`` or the fractional candidates, so a cell
-past the cap fails at once and in bounded memory.  The residue search then
-prepares each shape once (``_shape``): the multisets of every run but the
-last with their residue sums, the unit sums of the last run's multisets
-short of one unit, and an empty table of tails per need.  Per twist pair only
-``_solve`` runs, one divisibility check per head; the tails of a need are solved
-in one pass the first time any twist pair meets it, and kept in the shape's
-table for the others, so they cost one pass per shape and need, and memory
-holds each tail of the shape once at most.  ``_search`` yields the classes in
-canonical order, without a sort of the whole cell, in blocks of one (n, g0, a,
-b) that the listings flatten.  Each order's units (``_units``) and
-each degree's divisors (``_divisors``) are tabled once.
+cell's shapes, solves its twist pairs and checks its total against the cap
+before it returns the cell's block stream (``_search``), which ``datasets``
+(every degree counted first, for a whole genus), ``primary_datasets`` and the
+fractional candidates iterate, so a cell past the cap fails at once and in
+bounded memory.  A prepared shape is its own solver (``_shape``): a function of
+the target -(a + b) over the multisets of every run but the last with their
+residue sums, the unit sums of the last run's multisets short of one unit,
+and a table of tails per need.  Per twist pair it makes one divisibility check
+per head; the tails of a need are solved in one pass the first time any twist
+pair meets it, and kept for the others, so they cost one pass per shape and
+need, and memory holds each tail of the shape once at most.  The blocks come
+in canonical order, without a sort of the whole cell, one per (n, g0, a, b),
+and the listings flatten them.  Each order's units (``_units``) and each
+degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
 ``_root_genera``, without twist pairs, counts or the search: cone orders have lcm
@@ -193,16 +193,16 @@ def _units(d):
 
 
 def _shape(n, runs):
-    """What one cone-order shape's residue search shares across its twist pairs:
-    (heads, order, count, totals, lows, solved) for the runs [(order, count), ...], or
-    None for no cones.  The heads are every multiset of every run but the last, as
-    (residue mod n, cone tuple) with residue sum (n/n_i)*c_i, in lexicographic order.  The
-    tails are the count - 1 multisets of the last run's units, in lexicographic order,
-    kept only as their unit sums (``totals``) and lowest allowed last units (``lows``).
-    ``solved`` starts empty: ``_solve`` keeps there each need's tails, which depend on the
-    need alone, so every twist pair reads them, and they hold each tail once at most."""
-    if not runs:
-        return None
+    """The solver of one cone-order shape, prepared once for all its twist pairs: target ->
+    the cone tuples ((c_1, n_1), ...) of the runs [(order, count), ...] with sum
+    (n/n_i)*c_i = target mod n, in lexicographic order.  The heads are every multiset of
+    every run but the last, as (residue mod n, cone tuple); one passes only if the last
+    run's step n/order divides its remainder, leaving the last run a need.  One pass over
+    the last run's multisets short of one unit, kept as their unit sums and lowest allowed
+    last units, solves a need's tails: each with its last unit if that is a unit not below
+    the multiset's last.  ``solved`` keeps them per need, for every head and twist pair."""
+    if not runs:  # no cones: (IV) reads a + b = 0
+        return lambda target: [()] if target % n == 0 else []
     heads = [(0, ())]
     for order, count in runs[:-1]:
         step, (units, cones) = n // order, _units(order)
@@ -210,71 +210,62 @@ def _shape(n, runs):
                        combinations_with_replacement(tuple(cones.values()), count)))
         heads = [((r + step * s) % n, head + cs) for r, head in heads for s, cs in run]
     order, count = runs[-1]
-    units = _units(order)[0]
+    step, (units, cones) = n // order, _units(order)
+    pairs = tuple(cones.values())
     totals = list(map(sum, combinations_with_replacement(units, count - 1)))
     lows = (list(map(itemgetter(-1), combinations_with_replacement(units, count - 1)))
             if count > 1 else [1])
-    return heads, order, count, totals, lows, {}
+    solved = {}  # need -> its tails
 
-
-def _solve(n, shape, target):
-    """The cone tuples ((c_1, n_1), ...) of a ``_shape`` with sum (n/n_i)*c_i = target
-    mod n, in lexicographic order.  A head passes only if the last run's step n/order
-    divides its remainder, leaving the last run a need.  One pass over the last run's
-    multisets short of one unit solves a need's tails, each with its last unit if that is
-    a unit not below the multiset's last, once per shape: the heads of one need and the
-    twist pairs share them."""
-    if shape is None:  # no cones: (IV) reads a + b = 0
-        return [()] if target % n == 0 else []
-    heads, order, count, totals, lows, solved = shape  # solved: need -> its tails
-    step, cones = n // order, _units(order)[1]
-    pairs = tuple(cones.values())
-    found = []
-    for residue, head in heads:
-        need, off = divmod((target - residue) % n, step)
-        if off:
-            continue
-        if need not in solved:
-            solved[need] = [combo + (cones[last],) for combo, total, low in zip(
-                combinations_with_replacement(pairs, count - 1), totals, lows)
-                if (last := (need - total) % order) >= low and last in cones]
-        if tails := solved[need]:
-            found += [head + tail for tail in tails]
-    return found
+    def solve(target):
+        found = []
+        for residue, head in heads:
+            need, off = divmod((target - residue) % n, step)
+            if off:
+                continue
+            if need not in solved:
+                solved[need] = [combo + (cones[last],) for combo, total, low in zip(
+                    combinations_with_replacement(pairs, count - 1), totals, lows)
+                    if (last := (need - total) % order) >= low and last in cones]
+            if tails := solved[need]:
+                found += [head + tail for tail in tails]
+        return found
+    return solve
 
 
 def _cell(g, n, class_cap, power=1, primary=False):
-    """The cell (g, n, shapes, power-l twist pairs) ``_search`` lists, once its classes are
-    counted within the class cap: the shapes of its rests g - g0*n, only the all-n ones if
-    ``primary``; the pairs are solved once, and not without a shape."""
+    """The blocks ``_search`` yields for the cell (g, n) with the power-l twist pairs, once
+    its classes are counted within the class cap, before any shape is prepared: the shapes
+    of its rests g - g0*n, only the all-n ones if ``primary``; the pairs are solved once,
+    and not without a shape."""
     shapes = _order_runs(n, range(g % n, g + 1, n))
     if primary:
         shapes = [(r, runs) for r, runs in shapes if all(order == n for order, _ in runs)]
     pairs = twist_pairs(n, power) if shapes else []
     _check_class_cap(g, n, sum(_shape_counts(n, shapes, pairs)) if pairs else 0, class_cap)
-    return g, n, shapes, pairs
+    return _search(g, n, shapes, pairs)
 
 
 def _search(g, n, shapes, pairs):
     """Yield the classes of genus g, degree n in canonical order as blocks (n, g0, a, b,
     found), one per (n, g0, a, b) with classes, ``found`` their cone tuples.  ``shapes``
     is [(rest, runs)] with rising rests and g0 = (g - rest)/n, ``pairs`` the rising twist
-    pairs.  Each shape is prepared once (``_shape``), a rest at a time, falling so g0
-    rises; per pair the shapes of the rest are solved, and sorted together if several.
-    The empty cone multiset is kept: for power 1 it fails (IV), as a + b = a*b is a
-    unit, but higher powers allow it."""
+    pairs.  Each shape's solver is prepared once (``_shape``), a rest at a time, falling so
+    g0 rises; per pair the solvers of the rest run, and their cones are sorted together if
+    several.  The empty cone multiset is kept: for power 1 it fails (IV), as a + b = a*b
+    is a unit, but higher powers allow it."""
     for rest, group in groupby(reversed(shapes), key=itemgetter(0)):
-        g0, prepared = (g - rest) // n, [_shape(n, runs) for _, runs in group]
+        g0, solvers = (g - rest) // n, [_shape(n, runs) for _, runs in group]
         for a, b in pairs:
-            found = (_solve(n, prepared[0], -(a + b)) if len(prepared) == 1 else
-                     sorted([cones for shape in prepared for cones in _solve(n, shape, -(a + b))]))
+            found = (solvers[0](-(a + b)) if len(solvers) == 1 else
+                     sorted([cones for solve in solvers for cones in solve(-(a + b))]))
             if found:
                 yield n, g0, a, b, found
 
 
 def _listed(cells):
-    """The ``DataSet``s of counted ``_cell``s, unchecked (``_canonical``), block by block."""
-    return [ds for cell in cells for n, g0, a, b, found in _search(*cell)
+    """The ``DataSet``s of the blocks of counted ``_cell``s, unchecked (``_canonical``)."""
+    return [ds for cell in cells for n, g0, a, b, found in cell
             for ds in map(_canonical, zip(repeat(n), repeat(g0), repeat(a), repeat(b), found))]
 
 

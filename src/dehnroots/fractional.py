@@ -8,13 +8,13 @@ twist power (``FractionalDataSet.power_shares_factor`` flags this), and
 roots of powers can also exchange the two sides of the curve, which this
 module does not model.  Treat the enumeration as a source of candidates,
 not a classification, which is why it is capped at small degree and
-genus.  They come from the ordinary search core: the counted cell of
-``datasets`` with the power-l twist pairs (``_cell``), listed by
-``_search``; ``validate`` checks them in the power-l form of (III).
+genus.  They come from the ordinary search core: the blocks of the counted
+cell of ``datasets`` with the power-l twist pairs (``_cell``), listed as they
+come; ``validate`` checks them in the power-l form of (III).
 """
 
 from .dataset import FractionalDataSet, RangeExceeded, _check_range
-from .enumeration import _cell, _search
+from .enumeration import _cell
 from .numtheory import _show
 
 __all__ = ["fractional_datasets"]
@@ -41,6 +41,5 @@ def fractional_datasets(g, n, power, class_cap=None):
     if power < 1:
         raise RangeExceeded("power must be >= 1, got %s" % _show(power))
     _check_range("power", power, 1)  # the candidates' own bound, even where none is built
-    cell = _cell(g, n, class_cap, power)
     return [FractionalDataSet(n, g0, a, b, cones, power)
-            for n, g0, a, b, found in _search(*cell) for cones in found]
+            for n, g0, a, b, found in _cell(g, n, class_cap, power) for cones in found]

@@ -52,6 +52,7 @@ from .dataset import DataSet, _canonical
 from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _order_runs,
                           _shape_counts, twist_pairs)
 from .numtheory import (
+    FACTOR_LIMIT,
     RangeExceeded,
     _check_ceiling,
     _show,
@@ -199,16 +200,17 @@ def de_construct(d, e):
     Degree n = lcm(d, e), a = b = 2, and condition (IV) reads
     4 + (n/d)c1 + (n/e)c2 = 0 mod n.  From coefficients l1(n/d) + l2(n/e) = 1
     with l1 coprime to d and l2 coprime to e (prime-avoiding Bezout over the
-    odd primes of d*e), c1 = -4*l1 and c2 = -4*l2 satisfy (IV) and stay
-    units.  The witness choice fixes which class of (d,e)-root comes back;
-    any choice is a valid root.
+    odd primes of d and of e), c1 = -4*l1 mod d and c2 = -4*l2 mod e satisfy
+    (IV) and stay units.  The witness choice fixes which class of (d,e)-root
+    comes back; any choice is a valid root.  lcm(d, e) must be <= 10**12.
     """
     _check_odd_degree(d, "d")
     _check_odd_degree(e, "e")
     n = lcm(d, e)
-    avoid = {p for p, _ in factorize(d * e)}
+    _check_ceiling(n, FACTOR_LIMIT, "de_construct is supported up to lcm(d, e)")
+    avoid = {p for m in (d, e) for p, _ in factorize(m)}
     witness = bezout_avoiding_primes(n // d, n // e, avoid)
-    return DataSet(n, 0, 2, 2, ((-4 * witness.c1, d), (-4 * witness.c2, e)))
+    return DataSet(n, 0, 2, 2, ((-4 * witness.c1 % d, d), (-4 * witness.c2 % e, e)))
 
 
 _CUBE_OF_T4 = (3, 0, 2, 2, ((1, 3), (2, 3), (2, 3)))

@@ -23,7 +23,7 @@ CEILINGS = {
     ("fractional", "--genus"): fractional.MAX_GENUS,
     ("fractional", "--degree"): fractional.MAX_DEGREE,
     ("fractional", "--power"): dataset.VALUE_LIMIT,
-    ("de-construct", "--d"): numtheory.FACTOR_LIMIT,  # d*e is factored
+    ("de-construct", "--d"): numtheory.FACTOR_LIMIT,  # lcm(d, e) <= 10**12, on the arguments
     ("de-construct", "--e"): numtheory.FACTOR_LIMIT,
     ("bezout-avoid", "--d1"): numtheory.FACTOR_LIMIT,
     ("bezout-avoid", "--d2"): numtheory.FACTOR_LIMIT,

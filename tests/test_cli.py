@@ -106,6 +106,7 @@ def test_class_listings_are_json_dumps_and_format_dataset(capsys):
         (["roots", "--genus", "0"], []),
         (["ms-roots", "--genus", "0"], special_roots.ms_roots(0)),
         (["ms-roots", "--genus", "10"], special_roots.ms_roots(10)),
+        (["roots", "--genus", "36", "--degree", "73"], datasets(36, 73)),  # the one-cone lines
         *((["roots", "--genus", str(g)], datasets(g)) for g in range(1, 21)),  # every degree
         (["roots", "--genus", "36"], [ds for n in range(3, 74, 2) for ds in datasets(36, n)]),
     ]
@@ -358,20 +359,20 @@ def test_listings_are_written_in_bounded_chunks(monkeypatch):
     # output for one join
     monkeypatch.setattr(cli, "_CLASSES_PER_WRITE", 1000)
     cases = (
-        (datasets(36), "json", False, 16, 1.3,
+        (datasets(36), "json", 16, 1.3,
          "e478c2e2023484fad90c512743e836d2e9e245da3b5e59574956ff5737dcddf2"),
-        (datasets(36), "text", False, 16, None,
+        (datasets(36), "text", 16, None,
          "6cefac4b7162801c14817262bee4bb35551eb596845739f5fc1ed344f3071c7d"),
-        (special_roots.ms_roots(3000), "text", True, 3, None,
+        (special_roots.ms_roots(3000), "text", 3, None,
          "2484d8e5156df8ddeabe1b4c8dbfbae2aff9183606a1fa12b955ffe3d7cb86d3"))
-    for classes, fmt, one_cone, writes, ratio, digest in cases:
+    for classes, fmt, writes, ratio, digest in cases:
         args = argparse.Namespace(format=fmt, genus=classes[0].genus)
         for _ in range(2):  # the first pass fills the per-process tables it reads
             out = _CountedWrites()
             monkeypatch.setattr(sys, "stdout", out)
             tracemalloc.start()
             try:
-                cli._print_classes(classes, args, one_cone)
+                cli._print_classes(classes, args)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -379,6 +380,22 @@ def test_listings_are_written_in_bounded_chunks(monkeypatch):
         assert out.writes == writes, (fmt, out.writes)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
         assert ratio is None or peak < ratio * len(text), peak / len(text)
+
+
+def test_a_chunk_opening_at_degree_2g_plus_1_writes_the_same_lines(monkeypatch):
+    # a listing rises in degree to 2g+1, so a chunk that opens at the first class of that
+    # degree holds Margalit-Schleimer classes alone and writes one-format lines, after a
+    # chunk of classes of several cones; the bytes are format_dataset's all the same
+    for g in (10, 36):
+        classes = datasets(g)
+        first = next(i for i, ds in enumerate(classes) if ds.degree == 2 * g + 1)
+        assert 2 * first > len(classes) > first and len(classes[0].cones) > 1
+        monkeypatch.setattr(cli, "_CLASSES_PER_WRITE", first)
+        out = _CountedWrites()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli._print_classes(classes, argparse.Namespace(format="text", genus=g))
+        assert out.writes == 2, g
+        assert out.getvalue() == "".join(format_dataset(ds) + "\n" for ds in classes), g
 
 
 def test_figure1_past_the_class_cap_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -401,7 +418,6 @@ def test_roots_counts_every_degree_before_listing_one(capsys, monkeypatch):
 
     monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "500000")
     monkeypatch.setattr(enumeration, "_shape", unreached)
-    monkeypatch.setattr(enumeration, "_solve", unreached)
     assert run_cli(capsys, "roots", "--genus", "200") == (
         3, "", "class cap exceeded: more than 500000 classes of genus 200, degree 7\n")
     with pytest.raises(ClassCapExceeded, match="of genus 200, degree 7$"):

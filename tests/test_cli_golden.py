@@ -283,6 +283,27 @@ CASES = [
         '',
     ),
     (
+        ['de-construct', '--d', '9777', '--e', '5249'],
+        None,
+        0,
+        '(51319473, 0, (2,2); (1507,5249), (6970,9777))\n',
+        '',
+    ),
+    (
+        ['de-construct', '--d', '999999', '--e', '999997'],
+        None,
+        0,
+        '(999996000003, 0, (2,2); (999995,999997), (2,999999))\n',
+        '',
+    ),
+    (
+        ['de-construct', '--d', '1000003', '--e', '999999'],
+        None,
+        2,
+        '',
+        'error: de_construct is supported up to lcm(d, e) = 1000000000000, got 1000001999997\n',
+    ),
+    (
         ['fractional', '--genus', '1', '--degree', '4', '--power', '2'],
         None,
         0,

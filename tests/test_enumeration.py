@@ -503,7 +503,7 @@ def test_search_blocks_flatten_to_the_listing():
     # has classes, never an empty one, and the blocks in order, flattened, are the listing
     for g in range(31):
         for n in range(3, 2 * g + 2, 2):
-            blocks = list(enumeration._search(*enumeration._cell(g, n, None)))
+            blocks = list(enumeration._cell(g, n, None))
             assert all(found for *_, found in blocks), (g, n)
             prefixes = [tuple(block[:4]) for block in blocks]
             assert len(set(prefixes)) == len(prefixes), (g, n)

@@ -57,8 +57,26 @@ def _one_cone_check():
         classes, out = special_roots.ms_roots(g), io.StringIO()
         with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
             patch.setattr(cli, "_CLASSES_PER_WRITE", 16)
-            cli._print_classes(classes, Namespace(format="text", genus=g), one_cone=True)
+            cli._print_classes(classes, Namespace(format="text", genus=g))
         assert out.getvalue() == "".join(dataset.format_dataset(ds) + "\n" for ds in classes), g
+
+
+def _main_listing_check():
+    # text listings through main, whose printer is looked up when it runs, against
+    # format_dataset: ms-roots, and every degree of a genus in chunks of one class, so a
+    # chunk opens at every degree; an exception out of main counts as a wrong exit code
+    queries = [(["ms-roots", "--genus", str(g)], special_roots.ms_roots(g)) for g in (1, 10, 100)]
+    queries += [(["roots", "--genus", str(g)], enumeration.datasets(g)) for g in range(1, 9)]
+    for argv, classes in queries:
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+            patch.setattr(cli, "_CLASSES_PER_WRITE", 1)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:
+                code = repr(exc)
+        assert code == 0, (argv, code)
+        assert out.getvalue() == "".join(dataset.format_dataset(ds) + "\n" for ds in classes), argv
 
 
 def _twist_pairs_check():
@@ -77,7 +95,7 @@ def _search_check():
     # every block the residue search yields holds classes
     for g in range(1, 13):
         for n in range(3, 2 * g + 2, 2):
-            assert all(block[4] for block in enumeration._search(*enumeration._cell(g, n, None)))
+            assert all(block[4] for block in enumeration._cell(g, n, None))
 
 
 def _solve_check():
@@ -100,10 +118,14 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                                  "(g0 == 0, cones[0][1] == n)", _print_classes_check),
     "_print_classes_one_cone": (cli, "_print_classes", "% (n, g0, a, b, c, d)",
                                 "% (n, g0, a, b, d, c)", _one_cone_check),
+    "_print_classes_via_main": (cli, "_print_classes", "% (n, g0, a, b, c, d)",
+                                "% (n, g0, a, b, d, c)", _main_listing_check),
+    "_print_classes_line_form": (cli, "_print_classes", "chunk[0][0] == 2 * args.genus + 1",
+                                 "chunk[0][0] == 2 * args.genus - 1", _main_listing_check),
     "_search": (enumeration, "_search", "if found:", "if True:", _search_check),
-    "_solve": (enumeration, "_solve", ">= low and last in cones", "> low and last in cones",
+    "_solve": (enumeration, "_shape", ">= low and last in cones", "> low and last in cones",
                _solve_check),
-    "_solve_shared_tails": (enumeration, "_solve", "solved[need] = [",  # a need reads the next's
+    "_solve_shared_tails": (enumeration, "_shape", "solved[need] = [",  # a need reads the next's
                             "solved[need] = solved[(need + 1) % order] = [", _solve_check),
     "twist_pairs": (enumeration, "twist_pairs", "pow(power * a - 1, -1, n)",
                     "pow(power * a - 1, 1, n)", _twist_pairs_check),
