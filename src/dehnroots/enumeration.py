@@ -18,14 +18,16 @@ cone residues satisfying (I)-(IV); the pieces run over
 ``_order_runs`` walks the first two once per cell: the caller names the rests
 g - g0*n it reads and gets one (rest, runs) per cone-order multiset, with the
 runs of equal order.  ``_shape_counts`` counts each shape's classes without
-building one, for the class cap and for ``special_roots.class_count`` and the
-pair table ``figure1`` writes (``pair_table``, one row of tag counts per
-cell).  ``_cell`` is the one counted cell behind every listing: it walks a
-cell's shapes, solves its twist pairs and checks its total against the cap
-before it returns the cell's block stream (``_search``), which ``datasets``
-(every degree counted first, for a whole genus), ``primary_datasets`` and the
-fractional candidates iterate, so a cell past the cap fails at once and in
-bounded memory.  A prepared shape is its own solver (``_shape``): a function of
+building one, for the class cap of a listing, which walks the shapes anyway.
+``_rest_series`` counts the classes of every shape of each rest at once, as
+the coefficients of one truncated power series per divisor of the degree, so
+``special_roots.class_count`` and the pair table ``figure1`` writes
+(``pair_table``) walk no shape.  ``_cell`` is the one counted cell behind every
+listing: it walks a cell's shapes, solves its twist pairs and checks its total
+against the cap before it returns the cell's block stream (``_search``), which
+``datasets`` (every degree counted first, for a whole genus), ``primary_datasets``
+and the fractional candidates iterate, so a cell past the cap fails at once and
+in bounded memory.  A prepared shape is its own solver (``_shape``): a function of
 the target -(a + b) over the multisets of every run but the last with their
 residue sums, the unit sums of the last run's multisets short of one unit,
 and a table of tails per need.  Per twist pair it makes one divisibility check
@@ -314,6 +316,59 @@ def _run_transform(order, k):
     return rows[k]
 
 
+def _pair_weights(n, pairs):
+    """{e: V(e)} over the divisors e of n with V(e) != 0, where V(e) is the sum of
+    c_(n/e)(a + b) over the twist pairs ``pairs``: the weight of e in a Fourier count.
+    c_(n/e)(s) depends on s only through gcd(n, s), so the pairs are counted by that."""
+    by_gcd = Counter(gcd(a + b, n) for a, b in pairs)
+    weights = {e: sum(_ramanujan(n // e, gcd(n // e, f)) * m for f, m in by_gcd.items())
+               for e in _divisors(n)}
+    return {e: weight for e, weight in weights.items() if weight}
+
+
+def _rest_series(n, pairs, top):
+    """(primary, total, few): the classes of degree n with the twist pairs ``pairs``,
+    summed over the cone-order shapes of each rest r <= top, without walking a shape.
+    primary[r] counts those whose cones all have order n, total[r] all of them, and
+    few[(r, cones, all of order n)] those of one or two cones, nonzero entries only.
+
+    Summed over every shape of rest r, the counts of ``_shape_counts`` read
+
+        (1/n) * sum over e | n of V(e) * [x^r] prod over d | n, d > 1, of
+        sum over k of H_k(gcd(e, d)) * x^(k*w_d),    w_d = (n - n/d)/2,
+
+    as a shape takes k_d cones of order d, and H_0 = 1.  The product runs with order
+    n first, so the partial product after that factor is the all-n series.  Truncated
+    past x^top, a factor costs about top^2/w_d additions per e.  The one- and two-cone
+    shapes are direct products, tau(n)^2 per e.  n must be odd, for w_d to be whole."""
+    orders = [(d, (n - n // d) // 2) for d in reversed(_divisors(n)[1:])]  # n first
+    lone = orders[0][1]  # the weight of a cone of order n
+    all_n, total, few = [0] * (top // lone + 1), [0] * (top + 1), Counter()
+    for e, weight in _pair_weights(n, pairs).items():
+        # V(e) times the order-n factor: the all-n series, nonzero at multiples of lone
+        runs = [weight * _run_transform(n, k)[e] for k in range(top // lone + 1)]
+        all_n = [a + x for a, x in zip(all_n, runs)]
+        series = [0] * (top + 1)
+        series[::lone] = runs
+        for d, step in orders[1:]:
+            grown, f = series[:], gcd(e, d)
+            for shift in range(step, top + 1, step):
+                if h := _run_transform(d, shift // step)[f]:
+                    grown[shift:] = [x + h * y for x, y in zip(grown[shift:], series)]
+            series = grown
+        total = [t + x for t, x in zip(total, series)]
+        for i, (d, step) in enumerate(orders):
+            h = weight * _run_transform(d, 1)[gcd(e, d)]
+            few[step, 1, d == n] += h
+            few[2 * step, 2, d == n] += weight * _run_transform(d, 2)[gcd(e, d)]
+            for d2, step2 in orders[i + 1:]:
+                few[step + step2, 2, False] += h * _run_transform(d2, 1)[gcd(e, d2)]
+    primary = [0] * (top + 1)
+    primary[::lone] = [a // n for a in all_n]
+    return primary, [t // n for t in total], {
+        key: k // n for key, k in few.items() if key[0] <= top and k}
+
+
 def _shape_counts(n, shapes, pairs):
     """Yield, for each (rest, runs) of ``shapes``, the number of classes ``_search``
     lists for that shape with the twist pairs ``pairs`` of degree n, without building one.
@@ -330,9 +385,7 @@ def _shape_counts(n, shapes, pairs):
     follows the number of shapes: (400, 15), the slowest cell inside the g <= 400
     ceiling, has 3,825.
     """
-    pair_sums = Counter((a + b) % n for a, b in pairs)
-    weights = {e: sum(_ramanujan(n // e, gcd(n // e, s)) * m for s, m in pair_sums.items())
-               for e in _divisors(n)}  # e -> V(e)
+    weights = _pair_weights(n, pairs)
     for _, runs in shapes:
         transforms = [(order, _run_transform(order, count)) for order, count in runs]
         total = 0

@@ -29,14 +29,15 @@ Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
 the genus-4 surface).  A tag depends only on the cone-order shape of a
 class (``_shape_tag``), except for that cube root, so classes are counted
-per tag from ``enumeration._shape_counts`` without listing any.
+per tag from ``enumeration._rest_series`` without listing any.
 
 One counter, ``_degree_cells``, serves one cell (``class_count``) and the
 whole table behind the paper's pair plot (``pair_table``, ``figure1``): a
 shape of rest r = g - g0*n counts the same classes for every g0, and its
-tag only depends on whether g0 = 0, so a degree lists the shapes of the
-rests its wanted cells read in one walk, counts them in one pass and sums
-them per residue of r mod n.
+tag only depends on whether g0 = 0, and then only for one or two cones.  So
+one series pass per degree counts every rest up to the largest wanted
+genus, the all-n shapes, all shapes and the one- and two-cone shapes apart,
+and the cells sum them per residue of r mod n; no shape is walked.
 Every cell of the table is checked against the class cap before a row is
 returned.  A row holds its tags as (tag, classes) pairs in tag order, so
 the table's memory follows its cells, not its classes; ``figure1`` writes
@@ -49,8 +50,8 @@ from itertools import chain
 from math import isqrt, lcm
 
 from .dataset import DataSet, _canonical
-from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _order_runs,
-                          _shape_counts, twist_pairs)
+from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _rest_series,
+                          has_root, twist_pairs)
 from .numtheory import (
     FACTOR_LIMIT,
     RangeExceeded,
@@ -247,11 +248,12 @@ its ``class_count`` and ``tags``, the nonzero (RootTag, classes) pairs in tag or
 
 def class_count(g, n):
     """{RootTag: number of classes} of genus g <= 400 and degree n, nonzero entries
-    only, counted per cone-order shape without building a class."""
+    only, counted by the series of ``_degree_cells`` without building a class.  A cell
+    without a root (the lcm rule, ``has_root``) is empty at once."""
     if not _degree_occurs(g, n):
         return {}
     _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
-    return _degree_cells(n, [g])[g]
+    return _degree_cells(n, [g])[g] if has_root(g, n) else {}
 
 
 def _degree_cells(n, genera):
@@ -259,29 +261,27 @@ def _degree_cells(n, genera):
     in tag order: the one tag counter, behind one cell (``class_count``) and behind a
     whole column of the table (``pair_table``).
 
-    Cell g holds the shapes of rest g - g0*n for each g0 >= 0, so the rests read are g,
-    g - n, ... down to g mod n.  One walk lists the shapes of all of them, and one count
-    pass counts them, so the twist pairs and V(e) are computed once per degree, and not
-    at all without a shape.  A shape's count does not depend on g0, and its tag only on
-    whether g0 = 0: per tag, the shapes of rest r add to ``zero[r]`` as g0 = 0 and to
-    ``more[r + n]`` as g0 >= 1.  Summing ``more`` along each wanted residue mod n, up to
-    its largest wanted genus, then leaves in ``more[g]`` the g0 >= 1 classes of cell g,
-    from rests g - n, g - 2n and so on."""
-    last = {g % n: g for g in genera}  # residue -> its largest wanted genus
-    rests = sorted(r for s, g in last.items() for r in range(s, g + 1, n))
-    shapes = _order_runs(n, rests)
-    size = rests[-1] + 1
-    zero = {tag: [0] * size for tag in _TAGS}
-    more = {tag: [0] * (size + n) for tag in _TAGS}
-    if shapes:
-        for (r, runs), count in zip(shapes, _shape_counts(n, shapes, twist_pairs(n))):
-            # the runs rise to n, so all cones have order n exactly when the first run does
-            cones, primary = sum(k for _, k in runs), not runs or runs[0][0] == n
-            zero[_shape_tag(0, cones, primary)][r] += count
-            more[_shape_tag(1, cones, primary)][r + n] += count
-    for sums in more.values():
-        for r in rests:  # rising, and r - n is a rest when r >= n (sums[r] is 0 below n)
-            sums[r + n] += sums[r]
+    Cell g holds the shapes of rest g - g0*n for each g0 >= 0.  A shape's count does
+    not depend on g0, and its tag only on whether g0 = 0, so one series pass
+    (``_rest_series``) counts every rest up to the largest genus, by the twist pairs
+    solved once.  As g0 >= 1, every shape is PRIMARY or OTHER, by whether its cones all
+    have order n; summed along each residue mod n, ``more[tag][g]`` holds the classes of
+    cell g from rests g - n, g - 2n and so on.  As g0 = 0, only the shapes of one or
+    two cones change tag (``_shape_tag``), so their counts move from the one to the
+    other in ``zero``."""
+    top = genera[-1]
+    primary, total, few = _rest_series(n, twist_pairs(n), top)
+    nothing = [0] * (top + 1)
+    zero, more = {tag: nothing[:] for tag in _TAGS}, dict.fromkeys(_TAGS, nothing)
+    for tag, counts in ((RootTag.PRIMARY, primary),
+                        (RootTag.OTHER, [t - p for t, p in zip(total, primary)])):
+        zero[tag] = counts
+        more[tag] = sums = [0] * n + counts  # sums[g] = counts[g - n] + counts[g - 2n] + ...
+        for g in range(2 * n, top + 1):
+            sums[g] += sums[g - n]
+    for (r, cones, all_n), k in few.items():
+        zero[_shape_tag(1, cones, all_n)][r] -= k
+        zero[_shape_tag(0, cones, all_n)][r] += k
     if n == 3 and 3 in genera:  # in cell (3, 3) one PRIMARY class is the cube root
         zero[RootTag.PRIMARY][3] -= 1
         zero[RootTag.CUBE_OF_T4][3] += 1

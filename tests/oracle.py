@@ -1,8 +1,11 @@
-"""A brute-force oracle for ``dehnroots.enumeration.datasets``, for the tests.
+"""Independent computations for the tests: a brute-force oracle and a count.
 
 ``oracle_datasets`` tries every raw residue tuple and keeps what ``validate``
 accepts.  It shares no code with the residue search it checks, and is
-exponential, so it is guarded to a small range.
+exponential, so it is guarded to a small range.  ``independent_count`` counts
+the classes of a cell shape by shape, by residue sums over Z/n, without the
+Fourier transform, and reaches the genus ceiling; ``independent_tags`` reads
+DE_ROOT and the all-n tags off it by their definitions.
 """
 
 from itertools import product
@@ -58,3 +61,66 @@ def oracle_datasets(g, n):
                         if validate(candidate).valid and candidate.genus == g:
                             out.add(candidate)
     return sorted(out)
+
+
+def _units(d):
+    return [u for u in range(1, d) if gcd(u, d) == 1]
+
+
+def _order_counts(divs, twice):
+    """Each list [(order, count), ...], one count per (order, doubled weight) in
+    divs, whose doubled weights sum to twice."""
+    if not divs:
+        if twice == 0:
+            yield []
+        return
+    (order, weight), rest = divs[0], divs[1:]
+    for count in range(twice // weight + 1):
+        for tail in _order_counts(rest, twice - count * weight):
+            yield [(order, count)] + tail
+
+
+def _multisets_by_sum(d, k):
+    """How many size-k multisets of units of Z/d have each residue sum mod d."""
+    table = [[1] + [0] * (d - 1)] + [[0] * d for _ in range(k)]  # table[size][sum]
+    for u in _units(d):
+        for size in range(1, k + 1):  # ascending sizes, so u may repeat
+            for r in range(d):
+                table[size][(r + u) % d] += table[size - 1][r]
+    return table[k]
+
+
+def independent_count(g, n, g0s=None, cones=None, orders=None):
+    """The number of classes of genus g and degree n, counted by residue sums; where
+    given, only those with a quotient genus in ``g0s``, ``cones`` cones and every cone
+    order in ``orders``."""
+    wanted = [0] * n  # twist pairs a <= b by -(a + b) mod n, from a brute-force scan
+    for a in _units(n):
+        for b in _units(n):
+            if a <= b and (a + b - a * b) % n == 0:
+                wanted[-(a + b) % n] += 1
+    divs = [(d, n - n // d) for d in range(2, n + 1)
+            if n % d == 0 and (orders is None or d in orders)]
+    total = 0
+    for g0 in range(g // n + 1) if g0s is None else [g0 for g0 in g0s if g0 * n <= g]:
+        for runs in _order_counts(divs, 2 * (g - g0 * n)):
+            if cones is not None and sum(k for _, k in runs) != cones:
+                continue
+            sums = [1] + [0] * (n - 1)  # cone assignments by sum (n/n_i)*c_i mod n
+            for d, k in runs:
+                grown = [0] * n
+                for s, ways in enumerate(_multisets_by_sum(d, k)):
+                    for r in range(n):
+                        grown[(r + n // d * s) % n] += sums[r] * ways
+                sums = grown
+            total += sum(w * c for w, c in zip(wanted, sums))
+    return total
+
+
+def independent_tags(g, n):
+    """(DE_ROOT, PRIMARY + MARGALIT_SCHLEIMER + CUBE_OF_T4) of the cell (g, n) from the
+    definitions of the tags, by ``independent_count``: the classes of g0 = 0 and two
+    cones, and those whose cones all have order n, but the two-cone ones of g0 = 0."""
+    two = independent_count(g, n, g0s=[0], cones=2)
+    return two, (independent_count(g, n, orders=[n])
+                 - independent_count(g, n, g0s=[0], cones=2, orders=[n]))

@@ -1,6 +1,12 @@
+import json
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from math import cos, gcd, lcm, pi
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -29,7 +35,7 @@ from dehnroots.enumeration import (
 from dehnroots.numtheory import divisors
 from dehnroots.special_roots import (class_count, classify, ms_count, ms_roots, pair_table,
                                     t_set)
-from oracle import oracle_datasets
+from oracle import independent_count, independent_tags, oracle_datasets
 
 
 def test_cone_multisets_examples():
@@ -415,55 +421,6 @@ def test_class_count_grows_under_stabilization():
             assert sum(class_count(g + n, n).values()) >= sum(class_count(g, n).values()), (g, n)
 
 
-def _units(d):
-    return [u for u in range(1, d) if gcd(u, d) == 1]
-
-
-def _order_counts(divs, twice):
-    """Each list [(order, count), ...], one count per (order, doubled weight) in
-    divs, whose doubled weights sum to twice."""
-    if not divs:
-        if twice == 0:
-            yield []
-        return
-    (order, weight), rest = divs[0], divs[1:]
-    for count in range(twice // weight + 1):
-        for tail in _order_counts(rest, twice - count * weight):
-            yield [(order, count)] + tail
-
-
-def _multisets_by_sum(d, k):
-    """How many size-k multisets of units of Z/d have each residue sum mod d."""
-    table = [[1] + [0] * (d - 1)] + [[0] * d for _ in range(k)]  # table[size][sum]
-    for u in _units(d):
-        for size in range(1, k + 1):  # ascending sizes, so u may repeat
-            for r in range(d):
-                table[size][(r + u) % d] += table[size - 1][r]
-    return table[k]
-
-
-def _independent_count(g, n):
-    """The number of classes of genus g and degree n, counted by residue sums."""
-    wanted = [0] * n  # twist pairs a <= b by -(a + b) mod n, from a brute-force scan
-    for a in _units(n):
-        for b in _units(n):
-            if a <= b and (a + b - a * b) % n == 0:
-                wanted[-(a + b) % n] += 1
-    divs = [(d, n - n // d) for d in range(2, n + 1) if n % d == 0]
-    total = 0
-    for g0 in range(g // n + 1):
-        for runs in _order_counts(divs, 2 * (g - g0 * n)):
-            sums = [1] + [0] * (n - 1)  # cone assignments by sum (n/n_i)*c_i mod n
-            for d, k in runs:
-                grown = [0] * n
-                for s, ways in enumerate(_multisets_by_sum(d, k)):
-                    for r in range(n):
-                        grown[(r + n // d * s) % n] += sums[r] * ways
-                sums = grown
-            total += sum(w * c for w, c in zip(wanted, sums))
-    return total
-
-
 def test_run_transform_matches_newtons_identity():
     # k*H_k(e) = sum_(i=1..k) c_d(i*e)*H_(k-i)(e), with c_d(m) summed over the units of Z/d
     # directly, so the Ramanujan closed form and the period of c_d are not assumed
@@ -482,7 +439,7 @@ def test_listing_matches_an_independent_count_past_the_oracle():
     for g in range(13, 31):
         for n in range(3, 2 * g + 2, 2):
             classes = datasets(g, n)
-            assert len(classes) == _independent_count(g, n), (g, n)
+            assert len(classes) == independent_count(g, n), (g, n)
             # the residue walk and classify against the Fourier count and the shape rule
             assert class_count(g, n) == dict(Counter(classify(ds) for ds in classes)), (g, n)
             assert len(set(classes)) == len(classes), (g, n)
@@ -517,7 +474,7 @@ def test_listing_matches_the_independent_count_in_large_cells():
     for (g, n), count in {(80, 15): 196_736, (400, 3): 9_045, (100, 33): 38_800,
                           (120, 45): 53_580}.items():
         classes = datasets(g, n)
-        assert len(classes) == _independent_count(g, n) == count, (g, n)
+        assert len(classes) == independent_count(g, n) == count, (g, n)
         assert all(x < y for x, y in zip(classes, classes[1:])), (g, n)
 
 
@@ -527,7 +484,66 @@ def test_class_count_matches_the_independent_count_at_the_ceiling():
     for (g, n), count in {(400, 3): 9_045, (400, 15): 7_992_576_330_344,
                           (400, 45): 37_477_637_925_500, (400, 801): 131,
                           (300, 105): 7_086_624, (99, 19): 10_171_980}.items():
-        assert sum(class_count(g, n).values()) == _independent_count(g, n) == count, (g, n)
+        assert sum(class_count(g, n).values()) == independent_count(g, n) == count, (g, n)
+
+
+def _tag_checks(g, n):
+    counts = class_count(g, n)
+    all_n = sum(counts.get(tag, 0) for tag in ("PRIMARY", "MARGALIT_SCHLEIMER", "CUBE_OF_T4"))
+    assert (counts.get("DE_ROOT", 0), all_n) == independent_tags(g, n), (g, n)
+
+
+def test_tags_match_their_definitions():
+    # DE_ROOT and the all-n tags of class_count against the independent count restricted
+    # by their definitions, not by the shape rule: every cell with g <= 40, and the
+    # ceiling cells above
+    for g in range(41):
+        for n in range(3, 2 * g + 2, 2):
+            _tag_checks(g, n)
+    for g, n in ((400, 3), (400, 15), (400, 45), (400, 801), (300, 105), (99, 19)):
+        _tag_checks(g, n)
+
+
+def test_pair_table_matches_the_shape_by_shape_count():
+    # the table's series against the listing's per-shape count, summed over the shapes
+    # that the listing walks for each cell
+    rows = {(row.genus, row.degree): row.class_count for row in pair_table(60, 121)}
+    for g in range(61):
+        for n in range(3, 2 * g + 2, 2):
+            shapes = _order_runs(n, range(g % n, g + 1, n))
+            count = sum(enumeration._shape_counts(n, shapes, twist_pairs(n))) if shapes else 0
+            assert rows.pop((g, n), 0) == count, (g, n)
+    assert not rows
+
+
+_FULL_TABLE = """\
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+from dehnroots.special_roots import pair_table
+print(json.dumps([row[:3] for row in pair_table(400, 801, class_cap=10**30)]))
+"""
+
+
+@pytest.fixture(scope="module")
+def full_table():
+    """[(g, n, classes)] of pair_table(400, 801) with the cap lifted, from a child whose
+    address space is limited to 256 MB."""
+    package_root = Path(enumeration.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _FULL_TABLE], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return [tuple(row) for row in json.loads(proc.stdout)]
+
+
+def test_the_full_pair_table_fits_in_256_mb(full_table):
+    assert len(full_table) == 15_958
+    assert sum(classes for _, _, classes in full_table) == 47_249_824_957_211_708
+    assert max(full_table, key=lambda row: row[2])[:2] == (392, 29)
+
+
+def test_the_full_pair_table_matches_the_independent_count_on_a_sample(full_table):
+    for g, n, classes in random.Random(33).sample(full_table, 30):
+        assert classes == independent_count(g, n), (g, n)
 
 
 def test_has_root_matches_the_residue_search():

@@ -1,7 +1,8 @@
 """A committed mutation table: each row, keyed by its test id, names a function, an exact
 snippet of its source, a replacement, and an independent check.  The check must pass on
 the code as it is and fail on the mutant, compiled in the function's module and set in
-its place, so each row shows that some check outside the function sees that defect."""
+its place, in every module that imported it by name, so each row shows that some check
+outside the function sees that defect."""
 
 import contextlib
 import inspect
@@ -14,7 +15,7 @@ from math import gcd
 import pytest
 
 from dehnroots import cli, dataset, enumeration, fractional, numtheory, special_roots
-from oracle import oracle_datasets
+from oracle import independent_count, independent_tags, oracle_datasets
 
 
 def _covers_check():
@@ -28,6 +29,25 @@ def _run_transform_check():
     # the Fourier count against the listing, in cells with runs of several cones
     for g, n in ((10, 3), (20, 9), (30, 15)):
         assert sum(special_roots.class_count(g, n).values()) == len(enumeration.datasets(g, n))
+
+
+def _tags_check():
+    # DE_ROOT and the all-n tags of class_count against the independent count restricted by
+    # the tags' definitions
+    for g in range(1, 21):
+        for n in range(3, 2 * g + 2, 2):
+            counts = special_roots.class_count(g, n)
+            all_n = sum(counts.get(tag, 0) for tag in ("PRIMARY", "MARGALIT_SCHLEIMER",
+                                                        "CUBE_OF_T4"))
+            assert (counts.get("DE_ROOT", 0), all_n) == independent_tags(g, n), (g, n)
+
+
+def _table_check():
+    # every cell of the pair table against the independent count
+    rows = {(row.genus, row.degree): row.class_count for row in special_roots.pair_table(24, 49)}
+    for g in range(25):
+        for n in range(3, 2 * g + 2, 2):
+            assert rows.get((g, n), 0) == independent_count(g, n), (g, n)
 
 
 def _de_roots_check():
@@ -111,6 +131,14 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                      "bits = (covers | 2) & mask", _covers_check),
     "_run_transform": (enumeration, "_run_transform", "sums[j % len(c)] += row[e]",
                        "sums[(j + 1) % len(c)] += row[e]", _run_transform_check),
+    "_rest_series_doubled_order": (enumeration, "_rest_series",  # H_1^2 where H_2 is due
+                                   "+= weight * _run_transform(d, 2)[gcd(e, d)]",
+                                   "+= h * _run_transform(d, 1)[gcd(e, d)]", _tags_check),
+    "_rest_series_primary": (enumeration, "_rest_series",  # read after the last factor
+                             "primary[::lone] = [a // n for a in all_n]",
+                             "primary = [t // n for t in total]", _tags_check),
+    "_degree_cells_late_period": (special_roots, "_degree_cells",  # g0 >= 1 sums from g0 = 2
+                                  "[0] * n + counts", "[0] * 2 * n + counts", _table_check),
     "de_roots": (special_roots, "de_roots", "if gcd(g, d1) > 1:", "if False:", _de_roots_check),
     "_print_classes": (cli, "_print_classes", "if start == chunks[-1]:", "if start == chunks[0]:",
                        _print_classes_check),
@@ -132,9 +160,12 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
 }
 
 
+MODULES = (cli, dataset, enumeration, fractional, numtheory, special_roots)
+
+
 def _clear_caches():
     # a mutant must not read what the code computed, nor leave its own results behind
-    for module in (cli, dataset, enumeration, fractional, numtheory, special_roots):
+    for module in MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -143,7 +174,8 @@ def _clear_caches():
 @pytest.mark.parametrize("module, name, snippet, replacement, check", MUTANTS.values(),
                          ids=list(MUTANTS))
 def test_mutant_fails_its_check(monkeypatch, module, name, snippet, replacement, check):
-    source = inspect.getsource(getattr(module, name))
+    original = getattr(module, name)
+    source = inspect.getsource(original)
     assert source.count(snippet) == 1, "%s.%s no longer holds %r" % (
         module.__name__, name, snippet)
     check()
@@ -153,7 +185,10 @@ def test_mutant_fails_its_check(monkeypatch, module, name, snippet, replacement,
     _clear_caches()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, mutant[name])
+            for holder in MODULES:  # special_roots, say, imports _rest_series by name
+                for attr, value in list(vars(holder).items()):
+                    if value is original:
+                        patch.setattr(holder, attr, mutant[name])
             with pytest.raises(AssertionError):
                 check()
     finally:

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from dehnroots import special_roots
+from dehnroots import enumeration, special_roots
 from dehnroots.dataset import DataSet, RangeExceeded, format_dataset, parse_dataset, validate
 from dehnroots.enumeration import datasets, has_root, root_degrees
 from dehnroots.numtheory import divisors
@@ -288,9 +288,9 @@ def test_maximal_tag_is_read_off_the_shape():
 
 def test_pair_table_matches_class_count_cell_by_cell():
     # class_count and the table share one counter (_degree_cells), so this checks only the
-    # rests each call selects and the sums per residue mod n: one genus against a whole
-    # column.  The per-tag counts meet an independent check in test_enumeration's
-    # listing test.  (36, 73) reaches past 2*g_max + 1
+    # series truncated at one genus against a whole column, the sums per residue mod n and
+    # class_count's lcm-rule shortcut for a cell without a root.  The per-tag counts meet
+    # independent checks in test_enumeration.  (36, 73) reaches past 2*g_max + 1
     for g_max, n_max in ((60, 61), (36, 73)):
         rows = {(row.genus, row.degree): row for row in pair_table(g_max, n_max)}
         for g in range(g_max + 1):
@@ -336,55 +336,37 @@ def test_pair_table_memory_follows_its_cells():
     assert peak < 8 * 2**20, peak
 
 
-def test_pair_table_lists_each_rest_once(monkeypatch):
-    # the table walks degree by degree: one cone-order walk over every rest a cell reads,
-    # one count pass over all of its shapes and at most one twist-pair solve per degree
-    walks, counts, solves = Counter(), Counter(), Counter()
-    order_runs, shape_counts, solve = (special_roots._order_runs, special_roots._shape_counts,
-                                       special_roots.twist_pairs)
-
-    def walked(n, rests):
-        walks[n] += 1
-        # only rising rests r <= 48
-        assert list(rests) == sorted(set(rests)) and rests[-1] <= 48
-        return order_runs(n, rests)
-
-    def counted(n, shapes, pairs):
-        counts[n] += 1
-        return shape_counts(n, shapes, pairs)
+def _solves_without_a_shape(monkeypatch, query):
+    """The twist-pair solves per degree of ``query()``, which must walk, count and prepare
+    no cone-order shape: the listing's shape code fails the query if it runs."""
+    solves, solve = Counter(), special_roots.twist_pairs
 
     def solved(n, power=1):
         solves[n] += 1
         return solve(n, power)
 
-    monkeypatch.setattr(special_roots, "_order_runs", walked)
-    monkeypatch.setattr(special_roots, "_shape_counts", counted)
+    def walked(*args):
+        raise AssertionError("a cone-order shape was walked: %r" % (args[:1],))
+
     monkeypatch.setattr(special_roots, "twist_pairs", solved)
-    pair_table(48, 33)
-    degrees = dict.fromkeys(range(3, 34, 2), 1)
-    assert walks == degrees and counts == degrees
-    assert set(solves.values()) == {1} and set(solves) <= set(degrees)
+    for name in ("_order_runs", "_shape_counts", "_shape"):
+        monkeypatch.setattr(enumeration, name, walked)
+    query()
+    return solves
 
 
-def test_class_count_walks_only_its_own_rests(monkeypatch):
-    # one cell reads the rests g, g - n, ..., g mod n and no others: (400, 15) has 3,825
-    # shapes over its 27 rests, where every rest <= 400 would list 54,490
-    walks, passes = [], []
-    order_runs, shape_counts = special_roots._order_runs, special_roots._shape_counts
+def test_pair_table_solves_each_degree_once_and_walks_no_shape(monkeypatch):
+    # the table counts each degree's column from one series pass over every rest its cells
+    # read, with the twist pairs solved once per degree
+    solves = _solves_without_a_shape(monkeypatch, lambda: pair_table(48, 33))
+    assert solves == dict.fromkeys(range(3, 34, 2), 1)
 
-    def walked(n, rests):
-        walks.append((n, list(rests)))
-        return order_runs(n, rests)
 
-    def counted(n, shapes, pairs):
-        passes.append(len(shapes))
-        return shape_counts(n, shapes, pairs)
-
-    monkeypatch.setattr(special_roots, "_order_runs", walked)
-    monkeypatch.setattr(special_roots, "_shape_counts", counted)
-    class_count(400, 15)
-    assert walks == [(15, [400 - 15 * g0 for g0 in reversed(range(27))])]
-    assert passes == [3825]
+def test_class_count_solves_its_degree_once_and_walks_no_shape(monkeypatch):
+    # (400, 15) has 3,825 shapes over its 27 rests g - g0*n, none of them walked
+    counts = {}
+    solves = _solves_without_a_shape(monkeypatch, lambda: counts.update(class_count(400, 15)))
+    assert solves == {15: 1} and sum(counts.values()) == 7_992_576_330_344
 
 
 def test_large_degree_classification():
