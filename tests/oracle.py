@@ -5,7 +5,8 @@ accepts.  It shares no code with the residue search it checks, and is
 exponential, so it is guarded to a small range.  ``independent_count`` counts
 the classes of a cell shape by shape, by residue sums over Z/n, without the
 Fourier transform, and reaches the genus ceiling; ``independent_tags`` reads
-DE_ROOT and the all-n tags off it by their definitions.
+DE_ROOT and the all-n tags off it by their definitions.  ``figure1_csv`` spells
+the pair table's CSV out tag by tag, without runs.
 """
 
 from itertools import product
@@ -90,14 +91,15 @@ def _multisets_by_sum(d, k):
     return table[k]
 
 
-def independent_count(g, n, g0s=None, cones=None, orders=None):
+def independent_count(g, n, g0s=None, cones=None, orders=None, power=1):
     """The number of classes of genus g and degree n, counted by residue sums; where
     given, only those with a quotient genus in ``g0s``, ``cones`` cones and every cone
-    order in ``orders``."""
+    order in ``orders``.  With a ``power`` l, the twist pairs are those of
+    a + b = l*a*b mod n: the candidates of the power-l twist, of any degree n >= 2."""
     wanted = [0] * n  # twist pairs a <= b by -(a + b) mod n, from a brute-force scan
     for a in _units(n):
         for b in _units(n):
-            if a <= b and (a + b - a * b) % n == 0:
+            if a <= b and (a + b - power * a * b) % n == 0:
                 wanted[-(a + b) % n] += 1
     divs = [(d, n - n // d) for d in range(2, n + 1)
             if n % d == 0 and (orders is None or d in orders)]
@@ -124,3 +126,13 @@ def independent_tags(g, n):
     two = independent_count(g, n, g0s=[0], cones=2)
     return two, (independent_count(g, n, orders=[n])
                  - independent_count(g, n, g0s=[0], cones=2, orders=[n]))
+
+
+def figure1_csv(rows):
+    """The bytes of ``figure1`` for the ``PairRow``s: each tag repeated by its count,
+    the whole row's tags joined by "+"."""
+    lines = ["g,n,classes,tags\n"]
+    for row in rows:
+        tags = "+".join(tag for tag, k in row.tags for _ in range(k))
+        lines.append("%d,%d,%d,%s\n" % (row.genus, row.degree, row.class_count, tags))
+    return "".join(lines).encode()

@@ -21,6 +21,7 @@ from dehnroots.cli import main
 from dehnroots.dataset import RangeExceeded, format_dataset, parse_dataset
 from dehnroots.enumeration import ClassCapExceeded, datasets
 from dehnroots.special_roots import PairRow, pair_table
+from oracle import figure1_csv
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,31 @@ def test_figure1_csv(tmp_path, capsys):
     assert all(int(r[2]) >= 1 for r in rows)
     raw = out_path.read_bytes()
     assert b"\r" not in raw
+
+
+def test_figure1_slices_tag_runs_at_the_run_width(tmp_path, capsys, monkeypatch):
+    # runs 3 tags wide: the first tag's runs, one short as the head spells its first tag,
+    # reach one below and at the width, and the later tags' runs one below and one past it
+    rows = pair_table(17, 9)
+    assert {2, 3} <= {row.tags[0][1] - 1 for row in rows}
+    assert {2, 4} <= {k for row in rows for _, k in row.tags[1:]}
+    monkeypatch.setattr(cli, "_RUN_WIDTH", 3)
+    path = tmp_path / "pairs.csv"
+    code, _, _ = run_cli(
+        capsys, "figure1", "--max-genus", "17", "--max-degree", "9", "--output", str(path)
+    )
+    assert code == 0
+    assert path.read_bytes() == figure1_csv(rows)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_figure1_write_error_at_the_final_flush_exits_4(capsys):
+    # the table fits the write buffer, so the device refuses it only as the file closes
+    code, out, err = run_cli(
+        capsys, "figure1", "--max-genus", "8", "--max-degree", "9", "--output", "/dev/full"
+    )
+    assert (code, out) == (4, "")
+    assert err == "cannot write /dev/full: [Errno 28] No space left on device\n"
 
 
 def test_figure1_genus_zero_header_only(tmp_path, capsys):

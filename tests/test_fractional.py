@@ -12,7 +12,8 @@ from dehnroots.dataset import (
     validate,
 )
 from dehnroots.enumeration import datasets
-from dehnroots.fractional import fractional_datasets
+from dehnroots.fractional import MAX_DEGREE, MAX_GENUS, fractional_datasets
+from oracle import independent_count
 
 
 def test_golden_candidates():
@@ -60,6 +61,16 @@ def test_power_one_matches_ordinary_enumeration():
             assert [
                 (x.degree, x.quotient_genus, x.a, x.b, x.cones) for x in frac
             ] == [(x.degree, x.quotient_genus, x.a, x.b, x.cones) for x in plain]
+
+
+def test_candidate_counts_match_an_independent_count():
+    # every cell of the range and powers 1 to 4, against residue sums over the twist pairs
+    # of a + b = l*a*b, found by a scan of all unit pairs
+    for power in range(1, 5):
+        for n in range(2, MAX_DEGREE + 1):
+            for g in range(1, MAX_GENUS + 1):
+                assert len(fractional_datasets(g, n, power)) == independent_count(
+                    g, n, power=power), (g, n, power)
 
 
 def test_candidates_satisfy_all_conditions():

@@ -8,6 +8,7 @@ import contextlib
 import inspect
 import io
 import json
+import tempfile
 from argparse import Namespace
 from collections import defaultdict
 from math import gcd
@@ -15,7 +16,7 @@ from math import gcd
 import pytest
 
 from dehnroots import cli, dataset, enumeration, fractional, numtheory, special_roots
-from oracle import independent_count, independent_tags, oracle_datasets
+from oracle import figure1_csv, independent_count, independent_tags, oracle_datasets
 
 
 def _covers_check():
@@ -99,6 +100,18 @@ def _main_listing_check():
         assert out.getvalue() == "".join(dataset.format_dataset(ds) + "\n" for ds in classes), argv
 
 
+def _write_csv_check():
+    # figure1 with runs 3 tags wide against the table spelled out tag by tag; its runs are
+    # below, at and past the width
+    rows = special_roots.pair_table(17, 9)
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_RUN_WIDTH", 3)
+        path = "%s/pairs.csv" % scratch
+        assert cli._write_csv(rows, Namespace(output=path)) == 0
+        with open(path, "rb") as handle:
+            assert handle.read() == figure1_csv(rows)
+
+
 def _twist_pairs_check():
     # the sieved pairs against a scan of all unit pairs, and their count against ms_count
     for power in (1, 2, 3, 4):
@@ -150,6 +163,7 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                                 "% (n, g0, a, b, d, c)", _main_listing_check),
     "_print_classes_line_form": (cli, "_print_classes", "chunk[0][0] == 2 * args.genus + 1",
                                  "chunk[0][0] == 2 * args.genus - 1", _main_listing_check),
+    "_write_csv": (cli, "_write_csv", "k - (i == 0)", "k", _write_csv_check),
     "_search": (enumeration, "_search", "if found:", "if True:", _search_check),
     "_solve": (enumeration, "_shape", ">= low and last in cones", "> low and last in cones",
                _solve_check),
