@@ -4,7 +4,10 @@ Each row of ``COMMANDS`` is a subcommand: name, help text, arguments (name
 or flag and ``add_argument`` keywords), the library query run on the parsed
 arguments, and the name of the printer for the query's output shape.
 ``build_parser`` adds one subparser per row, and ``main`` parses with one
-such parser built once per process, then runs the query and the printer.
+such parser built once per process, then runs the query and the printer with
+the cyclic collector paused: a listing builds millions of acyclic tuples, which
+a collection only re-traverses and never frees.  ``main`` enables it again on
+every way out, exit code or exception, if it was enabled when ``main`` began.
 Queries call the library through module attributes looked up at call time
 (``special_roots.de_roots``), and ``main`` looks the printer up by its name
 in this module, so a wrapper set on either sees every call.
@@ -35,6 +38,7 @@ ParseError, RangeExceeded and PreconditionViolated), 3 class cap exceeded,
 """
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache
@@ -306,10 +310,16 @@ def _parser():
 
 
 def main(argv=None):
+    """Parse ``argv``, run its query and printer, and return the exit code.  The cyclic
+    collector is paused for the query and the printer, which leave no cycle behind, so a
+    collection would free nothing and only re-traverse every class built so far; the
+    ``finally`` enables it again if it was enabled on the way in."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return globals()[args.printer](args.query(args), args) or EXIT_OK
     except ClassCapExceeded as exc:
@@ -321,6 +331,9 @@ def main(argv=None):
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

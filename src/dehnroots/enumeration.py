@@ -29,14 +29,14 @@ against the cap before it returns the cell's block stream (``_search``), which
 and the fractional candidates iterate, so a cell past the cap fails at once and
 in bounded memory.  A prepared shape is its own solver (``_shape``): a function of
 the target -(a + b) over the multisets of every run but the last with their
-residue sums, the unit sums of the last run's multisets short of one unit,
-and a table of tails per need.  Per twist pair it makes one divisibility check
-per head; the tails of a need are solved in one pass the first time any twist
-pair meets it, and kept for the others, so they cost one pass per shape and
-need, and memory holds each tail of the shape once at most.  The blocks come
-in canonical order, without a sort of the whole cell, one per (n, g0, a, b),
-and the listings flatten them.  Each order's units (``_units``) and each
-degree's divisors (``_divisors``) are tabled once.
+residue sums, and a table of the last run's tails per need.  The table is filled
+in one pass per shape over the last run's multisets, bucketed by unit sum, and
+keeps only the needs that the cell's twist-pair targets meet through a head, so
+memory holds each tail of the shape once at most and no need's that no pair
+reads.  Per twist pair the solver makes one divisibility check and one lookup
+per head.  The blocks come in canonical order, without a sort of the whole cell,
+one per (n, g0, a, b), and the listings flatten them.  Each order's units
+(``_units``) and each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
 ``_root_genera``, without twist pairs, counts or the search: cone orders have lcm
@@ -194,43 +194,45 @@ def _units(d):
     return tuple(pairs), pairs
 
 
-def _shape(n, runs):
-    """The solver of one cone-order shape, prepared once for all its twist pairs: target ->
-    the cone tuples ((c_1, n_1), ...) of the runs [(order, count), ...] with sum
-    (n/n_i)*c_i = target mod n, in lexicographic order.  The heads are every multiset of
-    every run but the last, as (residue mod n, cone tuple); one passes only if the last
-    run's step n/order divides its remainder, leaving the last run a need.  One pass over
-    the last run's multisets short of one unit, kept as their unit sums and lowest allowed
-    last units, solves a need's tails: each with its last unit if that is a unit not below
-    the multiset's last.  ``solved`` keeps them per need, for every head and twist pair."""
+def _multisets(order, count):
+    """(unit sum, cone tuple) of every size-``count`` multiset of units of Z/order, rising."""
+    units, cones = _units(order)
+    return zip(map(sum, combinations_with_replacement(units, count)),
+               combinations_with_replacement(tuple(cones.values()), count))
+
+
+def _shape(n, runs, targets):
+    """The solver of one cone-order shape, prepared once for the ``targets`` -(a + b) mod n
+    of its twist pairs: target -> the cone tuples ((c_1, n_1), ...) of the runs [(order,
+    count), ...] with sum (n/n_i)*c_i = target mod n, in lexicographic order.  The heads
+    are every multiset of every run but the last, as (residue mod n, cone tuple); one
+    passes only if the last run's step n/order divides its remainder, leaving the last run
+    a need mod order.  One pass over the last run's multisets fills ``tails``, need ->
+    those with that unit sum mod order, for the needs the targets meet through a head
+    only, so memory holds each tail of the shape once at most; solving is a lookup."""
     if not runs:  # no cones: (IV) reads a + b = 0
         return lambda target: [()] if target % n == 0 else []
     heads = [(0, ())]
     for order, count in runs[:-1]:
-        step, (units, cones) = n // order, _units(order)
-        run = list(zip(map(sum, combinations_with_replacement(units, count)),
-                       combinations_with_replacement(tuple(cones.values()), count)))
+        step, run = n // order, list(_multisets(order, count))
         heads = [((r + step * s) % n, head + cs) for r, head in heads for s, cs in run]
     order, count = runs[-1]
-    step, (units, cones) = n // order, _units(order)
-    pairs = tuple(cones.values())
-    totals = list(map(sum, combinations_with_replacement(units, count - 1)))
-    lows = (list(map(itemgetter(-1), combinations_with_replacement(units, count - 1)))
-            if count > 1 else [1])
-    solved = {}  # need -> its tails
+    step = n // order
+    residues = {residue for residue, _ in heads}
+    tails = [None] * order  # None for a need that no target meets
+    for gap in {(target - residue) % n for target in targets for residue in residues}:
+        if gap % step == 0:
+            tails[gap // step] = []
+    for total, tail in _multisets(order, count):
+        if (kept := tails[total % order]) is not None:
+            kept.append(tail)
 
     def solve(target):
         found = []
         for residue, head in heads:
             need, off = divmod((target - residue) % n, step)
-            if off:
-                continue
-            if need not in solved:
-                solved[need] = [combo + (cones[last],) for combo, total, low in zip(
-                    combinations_with_replacement(pairs, count - 1), totals, lows)
-                    if (last := (need - total) % order) >= low and last in cones]
-            if tails := solved[need]:
-                found += [head + tail for tail in tails]
+            if not off and (kept := tails[need]):
+                found += [head + tail for tail in kept]
         return found
     return solve
 
@@ -252,17 +254,19 @@ def _search(g, n, shapes, pairs):
     """Yield the classes of genus g, degree n in canonical order as blocks (n, g0, a, b,
     found), one per (n, g0, a, b) with classes, ``found`` their cone tuples.  ``shapes``
     is [(rest, runs)] with rising rests and g0 = (g - rest)/n, ``pairs`` the rising twist
-    pairs.  Each shape's solver is prepared once (``_shape``), a rest at a time, falling so
-    g0 rises; per pair the solvers of the rest run, and their cones are sorted together if
-    several.  The empty cone multiset is kept: for power 1 it fails (IV), as a + b = a*b
-    is a unit, but higher powers allow it."""
+    pairs.  Each shape's solver is prepared once (``_shape``) for the pairs' targets, a rest
+    at a time, falling so g0 rises; per pair the solvers of the rest run, and their cones
+    are sorted together if several.  The empty cone multiset is kept: for power 1 it fails
+    (IV), as a + b = a*b is a unit, but higher powers allow it."""
+    targets = {-(a + b) % n for a, b in pairs}
     for rest, group in groupby(reversed(shapes), key=itemgetter(0)):
-        g0, solvers = (g - rest) // n, [_shape(n, runs) for _, runs in group]
+        g0, solvers = (g - rest) // n, [_shape(n, runs, targets) for _, runs in group]
         for a, b in pairs:
             found = (solvers[0](-(a + b)) if len(solvers) == 1 else
                      sorted([cones for solve in solvers for cones in solve(-(a + b))]))
             if found:
                 yield n, g0, a, b, found
+        del solvers  # so the next rest's tails reuse this rest's memory
 
 
 def _listed(cells):

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import hashlib
 import importlib
 import io
@@ -482,6 +483,106 @@ def test_exit_codes(monkeypatch):
         )
         == 4
     )
+
+
+def _raising_query(genus):
+    raise ValueError("internal failure")
+
+
+# (argv, DEHN_ROOTS_CLASS_CAP or None, exit code or the exception main raises): one per way
+# out of main
+_EXITS = {
+    "ok": (["ms-count", "--degree", "21"], None, 0),
+    "argparse": (["roots", "--genus", "x"], None, 2),
+    "range": (["roots", "--genus", "401"], None, 2),
+    "cap": (["roots", "--genus", "10"], "10", 3),
+    "late-write": (["figure1", "--max-genus", "8", "--max-degree", "9", "--output", "/dev/full"],
+                   None, 4),
+    "raised": (["de-roots", "5"], None, ValueError),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("exit_name", list(_EXITS))
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, exit_name, collecting):
+    # main pauses the cyclic collector for the query and the printer only, and on every
+    # way out enables it again if, and only if, it was enabled on the way in
+    argv, cap, outcome = _EXITS[exit_name]
+    if exit_name == "late-write" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if cap is not None:
+        monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", cap)
+    if outcome is ValueError:
+        monkeypatch.setattr(special_roots, "de_roots", _raising_query)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if outcome is ValueError:
+            with pytest.raises(ValueError, match="internal failure"):
+                main(argv)
+        else:
+            assert main(argv) == outcome
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_a_command_leaves_nothing_for_the_collector(capsys, monkeypatch, tmp_path):
+    # the premise of pausing the collector: with the parser built (its first build leaves
+    # cyclic objects), a query and its printer leave no cycle behind, on the cap exit too,
+    # so a collection while they run would free nothing
+    argvs = {
+        "roots": ["roots", "--genus", "12", "--format", "json"],
+        "de-roots": ["de-roots", "54572"],
+        "de-root-genera": ["de-root-genera", "45"],
+        "figure1": ["figure1", "--max-genus", "12", "--max-degree", "15",
+                    "--output", str(tmp_path / "pairs.csv")],
+        "t-set": ["t-set", "--degree", "9"],
+        "genus-set": ["genus-set", "--degree", "15", "--max-genus", "60"],
+        "root-set": ["root-set", "--genus", "60"],
+        "ms-roots": ["ms-roots", "--genus", "40"],
+        "ms-count": ["ms-count", "--degree", "21"],
+        "de-construct": ["de-construct", "--d", "3", "--e", "5"],
+        "fractional": ["fractional", "--genus", "6", "--degree", "10", "--power", "3"],
+        "bezout-avoid": ["bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "7"],
+        "validate": ["validate", "(7, 0, (1,3); (1,7), (2,7), (3,7))"],
+    }
+    assert list(argvs) == [row[0] for row in cli.COMMANDS]
+    cli._parser()
+    was = gc.isenabled()
+    gc.collect()
+    try:
+        for name, argv in argvs.items():
+            gc.disable()
+            assert main(argv) == 0, name
+            assert gc.collect() == 0, name
+        monkeypatch.setenv("DEHN_ROOTS_CLASS_CAP", "10")
+        gc.disable()
+        assert main(["roots", "--genus", "10"]) == 3
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+_ROOTS_UNDER_256_MB = """\
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+sys.argv = ["dehn-roots", "roots", "--genus", "80", "--degree", "15"]
+runpy.run_module("dehnroots.cli", run_name="__main__")
+"""
+
+
+def test_a_listing_past_the_benchmark_range_runs_in_a_fresh_process_under_256_mb():
+    # 196,736 classes of genus 80, degree 15, in a child whose address space is limited to
+    # 256 MB: the listing's bytes as they were before the collector was paused
+    package_root = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _ROOTS_UNDER_256_MB], capture_output=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(package_root)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "ed74176028343736fc7863ee2b4a09464389dc78d09cd57daf52f36762b84227")
 
 
 def test_failed_stdout_write_exits_4(capsys, monkeypatch):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
 from math import cos, gcd, lcm, pi
@@ -176,6 +177,35 @@ def test_units_are_the_rising_units_of_each_order():
         units, pairs = enumeration._units(d)
         assert units == tuple(c for c in range(d) if gcd(c, d) == 1), d
         assert pairs == {c: (c, d) for c in units}, d
+
+
+def test_a_single_run_shape_solves_each_target_alone():
+    # the one-pass tails table of a shape of one run, prepared for one target at a time,
+    # against the unit multisets spelled out from ordered tuples; every order up to 45 and
+    # count up to 5 whose ordered tuples number at most 10**5
+    for d in range(2, 46):
+        units = [c for c in range(1, d) if gcd(c, d) == 1]
+        for count in range(1, 6):
+            if len(units) ** count > 10**5:
+                break
+            multisets = sorted({tuple(sorted(t)) for t in product(units, repeat=count)})
+            for t in range(d):
+                expected = [tuple((c, d) for c in m) for m in multisets if sum(m) % d == t]
+                assert enumeration._shape(d, ((d, count),), {t})(t) == expected, (d, count, t)
+
+
+def test_a_shape_keeps_the_tails_of_the_needs_its_targets_meet_only():
+    # a shape of one run of 20 cones of order 7 has 53,130 unit multisets; prepared for one
+    # target it keeps about a seventh of them, not every need's
+    def peak(targets):
+        tracemalloc.start()
+        try:
+            enumeration._shape(7, ((7, 20),), targets)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak({3}) < peak(set(range(7))) / 2
 
 
 def test_listed_classes_share_their_cone_pairs():

@@ -165,10 +165,14 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                                  "chunk[0][0] == 2 * args.genus - 1", _main_listing_check),
     "_write_csv": (cli, "_write_csv", "k - (i == 0)", "k", _write_csv_check),
     "_search": (enumeration, "_search", "if found:", "if True:", _search_check),
-    "_solve": (enumeration, "_shape", ">= low and last in cones", "> low and last in cones",
+    "_solve": (enumeration, "_shape", "tails[total % order]", "tails[(total + 1) % order]",
                _solve_check),
-    "_solve_shared_tails": (enumeration, "_shape", "solved[need] = [",  # a need reads the next's
-                            "solved[need] = solved[(need + 1) % order] = [", _solve_check),
+    "_solve_shared_tails": (enumeration, "_shape",  # a need's list takes the next's tails
+                            "tails[gap // step] = []",
+                            "tails[gap // step] = tails[(gap // step + 1) % order] = []",
+                            _solve_check),
+    "_shape_wanted_needs": (enumeration, "_shape",  # the needs of the head residue 0 alone
+                            "(target - residue) % n for", "target % n for", _solve_check),
     "twist_pairs": (enumeration, "twist_pairs", "pow(power * a - 1, -1, n)",
                     "pow(power * a - 1, 1, n)", _twist_pairs_check),
 }
