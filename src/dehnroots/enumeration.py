@@ -19,24 +19,24 @@ cone residues satisfying (I)-(IV); the pieces run over
 g - g0*n it reads and gets one (rest, runs) per cone-order multiset, with the
 runs of equal order.  ``_shape_counts`` counts each shape's classes without
 building one, for the class cap of a listing, which walks the shapes anyway.
-``_rest_series`` counts the classes of every shape of each rest at once, as
-the coefficients of one truncated power series per divisor of the degree, so
-``special_roots.class_count`` and the pair table ``figure1`` writes
-(``pair_table``) walk no shape.  ``_cell`` is the one counted cell behind every
-listing: it walks a cell's shapes, solves its twist pairs and checks its total
-against the cap before it returns the cell's block stream (``_search``), which
-``datasets`` (every degree counted first, for a whole genus), ``primary_datasets``
-and the fractional candidates iterate, so a cell past the cap fails at once and
-in bounded memory.  A prepared shape is its own solver (``_shape``): a function of
-the target -(a + b) over the multisets of every run but the last with their
-residue sums, and a table of the last run's tails per need.  The table is filled
-in one pass per shape over the last run's multisets, bucketed by unit sum, and
-keeps only the needs that the cell's twist-pair targets meet through a head, so
-memory holds each tail of the shape once at most and no need's that no pair
-reads.  Per twist pair the solver makes one divisibility check and one lookup
-per head.  The blocks come in canonical order, without a sort of the whole cell,
-one per (n, g0, a, b), and the listings flatten them.  Each order's units
-(``_units``) and each degree's divisors (``_divisors``) are tabled once.
+``_rest_series`` counts the classes of every shape of each rest at once, as the
+coefficients of one truncated power series per divisor of the degree, so
+``special_roots.class_count`` and the pair table ``figure1`` writes (``pair_table``)
+walk no shape; ``special_roots`` alone decides the tags.  ``_cell`` is the one counted
+cell behind every listing: it checks the genus ceiling, walks a cell's shapes, solves
+its twist pairs and checks its total against the cap before it returns the cell's block
+stream (``_search``), which ``datasets`` (every degree counted first, for a whole
+genus), ``primary_datasets`` and the fractional candidates iterate, so a cell past the
+cap fails at once and in bounded memory.  A prepared shape is its own solver
+(``_shape``): a function of the target -(a + b) over the multisets of every run but the
+last with their residue sums, and a table of the last run's tails per need.  The table is
+filled in one pass per shape over the last run's multisets, bucketed by unit sum, and
+keeps only the needs that the cell's twist-pair targets meet through a head, so memory
+holds each tail of the shape once at most and no need's that no pair reads.  Per twist
+pair the solver makes one divisibility check and one lookup per head.  The blocks come in
+canonical order, without a sort of the whole cell, one per (n, g0, a, b), and the
+listings flatten them.  Each order's units (``_units``) and each degree's divisors
+(``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
 ``_root_genera``, without twist pairs, counts or the search: cone orders have lcm
@@ -48,7 +48,6 @@ large-degree classification: 2g+1 and ``special_roots.de_roots``.
 """
 
 import os
-from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations_with_replacement, groupby, repeat
 from operator import itemgetter
@@ -238,10 +237,11 @@ def _shape(n, runs, targets):
 
 
 def _cell(g, n, class_cap, power=1, primary=False):
-    """The blocks ``_search`` yields for the cell (g, n) with the power-l twist pairs, once
-    its classes are counted within the class cap, before any shape is prepared: the shapes
-    of its rests g - g0*n, only the all-n ones if ``primary``; the pairs are solved once,
-    and not without a shape."""
+    """The blocks ``_search`` yields for the cell (g, n), g <= 400, with the power-l twist
+    pairs, once its classes are counted within the class cap, before any shape is prepared:
+    the shapes of its rests g - g0*n, only the all-n ones if ``primary``; the pairs are
+    solved once, and not without a shape."""
+    _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
     shapes = _order_runs(n, range(g % n, g + 1, n))
     if primary:
         shapes = [(r, runs) for r, runs in shapes if all(order == n for order, _ in runs)]
@@ -322,19 +322,18 @@ def _run_transform(order, k):
 
 def _pair_weights(n, pairs):
     """{e: V(e)} over the divisors e of n with V(e) != 0, where V(e) is the sum of
-    c_(n/e)(a + b) over the twist pairs ``pairs``: the weight of e in a Fourier count.
-    c_(n/e)(s) depends on s only through gcd(n, s), so the pairs are counted by that."""
-    by_gcd = Counter(gcd(a + b, n) for a, b in pairs)
-    weights = {e: sum(_ramanujan(n // e, gcd(n // e, f)) * m for f, m in by_gcd.items())
-               for e in _divisors(n)}
+    c_(n/e)(a + b) over the nonempty twist pairs ``pairs``: the weight of e in a Fourier
+    count.  c_(n/e)(s) depends on s only through gcd(n, s), which is gcd(l, n) for every
+    pair, as (III) reads a + b = l*a*b mod n with a*b a unit: the first pair gives it."""
+    f = gcd(sum(pairs[0]), n)
+    weights = {e: len(pairs) * _ramanujan(n // e, gcd(n // e, f)) for e in _divisors(n)}
     return {e: weight for e, weight in weights.items() if weight}
 
 
 def _rest_series(n, pairs, top):
-    """(primary, total, few): the classes of degree n with the twist pairs ``pairs``,
-    summed over the cone-order shapes of each rest r <= top, without walking a shape.
-    primary[r] counts those whose cones all have order n, total[r] all of them, and
-    few[(r, cones, all of order n)] those of one or two cones, nonzero entries only.
+    """(primary, total): the classes of degree n with the twist pairs ``pairs``, summed
+    over the cone-order shapes of each rest r <= top, without walking a shape.
+    primary[r] counts those whose cones all have order n, total[r] all of them.
 
     Summed over every shape of rest r, the counts of ``_shape_counts`` read
 
@@ -343,11 +342,11 @@ def _rest_series(n, pairs, top):
 
     as a shape takes k_d cones of order d, and H_0 = 1.  The product runs with order
     n first, so the partial product after that factor is the all-n series.  Truncated
-    past x^top, a factor costs about top^2/w_d additions per e.  The one- and two-cone
-    shapes are direct products, tau(n)^2 per e.  n must be odd, for w_d to be whole."""
+    past x^top, a factor costs about top^2/w_d additions per e.  n must be odd, for
+    w_d to be whole."""
     orders = [(d, (n - n // d) // 2) for d in reversed(_divisors(n)[1:])]  # n first
     lone = orders[0][1]  # the weight of a cone of order n
-    all_n, total, few = [0] * (top // lone + 1), [0] * (top + 1), Counter()
+    all_n, total = [0] * (top // lone + 1), [0] * (top + 1)
     for e, weight in _pair_weights(n, pairs).items():
         # V(e) times the order-n factor: the all-n series, nonzero at multiples of lone
         runs = [weight * _run_transform(n, k)[e] for k in range(top // lone + 1)]
@@ -361,16 +360,9 @@ def _rest_series(n, pairs, top):
                     grown[shift:] = [x + h * y for x, y in zip(grown[shift:], series)]
             series = grown
         total = [t + x for t, x in zip(total, series)]
-        for i, (d, step) in enumerate(orders):
-            h = weight * _run_transform(d, 1)[gcd(e, d)]
-            few[step, 1, d == n] += h
-            few[2 * step, 2, d == n] += weight * _run_transform(d, 2)[gcd(e, d)]
-            for d2, step2 in orders[i + 1:]:
-                few[step + step2, 2, False] += h * _run_transform(d2, 1)[gcd(e, d2)]
     primary = [0] * (top + 1)
     primary[::lone] = [a // n for a in all_n]
-    return primary, [t // n for t in total], {
-        key: k // n for key, k in few.items() if key[0] <= top and k}
+    return primary, [t // n for t in total]
 
 
 def _shape_counts(n, shapes, pairs):
@@ -470,8 +462,6 @@ def datasets(g, n=None, class_cap=None):
     is built, when a cell counts more than ``class_cap`` classes (default 10**7).
     """
     degrees = range(3, 2 * g + 2, 2) if n is None else [n] if _degree_occurs(g, n) else []
-    if degrees:  # checked before the range is walked, which a huge g makes endless
-        _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
     return _listed([_cell(g, d, class_cap) for d in degrees])  # all counted before one is listed
 
 
@@ -516,5 +506,4 @@ def primary_datasets(g, n, class_cap=None):
     shapes, one per g0, are counted against the class cap and listed."""
     if not _degree_occurs(g, n):
         return []
-    _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
     return _listed([_cell(g, n, class_cap, primary=True)])

@@ -29,15 +29,16 @@ Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
 the genus-4 surface).  A tag depends only on the cone-order shape of a
 class (``_shape_tag``), except for that cube root, so classes are counted
-per tag from ``enumeration._rest_series`` without listing any.
+per tag without listing any.
 
 One counter, ``_degree_cells``, serves one cell (``class_count``) and the
 whole table behind the paper's pair plot (``pair_table``, ``figure1``): a
 shape of rest r = g - g0*n counts the same classes for every g0, and its
 tag only depends on whether g0 = 0, and then only for one or two cones.  So
-one series pass per degree counts every rest up to the largest wanted
-genus, the all-n shapes, all shapes and the one- and two-cone shapes apart,
-and the cells sum them per residue of r mod n; no shape is walked.
+one series pass per degree counts the all-n shapes and all shapes of every rest
+up to the largest wanted genus, and the cells sum them per residue of r mod n;
+the one- and two-cone shapes, listed from the divisors of n, are counted one by
+one to move between tags at g0 = 0.  No shape is walked.
 Every cell of the table is checked against the class cap before a row is
 returned.  A row holds its tags as (tag, classes) pairs in tag order, so
 the table's memory follows its cells, not its classes; ``figure1`` writes
@@ -46,12 +47,12 @@ each pair in bounded chunks.  Neither runs the residue search.
 
 import enum
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import isqrt, lcm
 
 from .dataset import DataSet, _canonical
-from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _rest_series,
-                          has_root, twist_pairs)
+from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _divisors,
+                          _rest_series, _shape_counts, has_root, twist_pairs)
 from .numtheory import (
     FACTOR_LIMIT,
     RangeExceeded,
@@ -267,10 +268,10 @@ def _degree_cells(n, genera):
     solved once.  As g0 >= 1, every shape is PRIMARY or OTHER, by whether its cones all
     have order n; summed along each residue mod n, ``more[tag][g]`` holds the classes of
     cell g from rests g - n, g - 2n and so on.  As g0 = 0, only the shapes of one or
-    two cones change tag (``_shape_tag``), so their counts move from the one to the
-    other in ``zero``."""
-    top = genera[-1]
-    primary, total, few = _rest_series(n, twist_pairs(n), top)
+    two cones change tag (``_shape_tag``): listed from the divisors of n and counted one
+    by one (``_shape_counts``), they move from the one tag to the other in ``zero``."""
+    top, pairs = genera[-1], twist_pairs(n)
+    primary, total = _rest_series(n, pairs, top)
     nothing = [0] * (top + 1)
     zero, more = {tag: nothing[:] for tag in _TAGS}, dict.fromkeys(_TAGS, nothing)
     for tag, counts in ((RootTag.PRIMARY, primary),
@@ -279,7 +280,12 @@ def _degree_cells(n, genera):
         more[tag] = sums = [0] * n + counts  # sums[g] = counts[g - n] + counts[g - 2n] + ...
         for g in range(2 * n, top + 1):
             sums[g] += sums[g - n]
-    for (r, cones, all_n), k in few.items():
+    weight = {d: (n - n // d) // 2 for d in _divisors(n)[1:]}
+    few = [((d, 1),) for d in weight] + [((d, 2),) if d == e else ((d, 1), (e, 1))
+                                         for d, e in combinations_with_replacement(weight, 2)]
+    shapes = [(r, runs) for runs in few if (r := sum(weight[d] * k for d, k in runs)) <= top]
+    for (r, runs), k in zip(shapes, _shape_counts(n, shapes, pairs)):
+        cones, all_n = sum(count for _, count in runs), all(d == n for d, _ in runs)
         zero[_shape_tag(1, cones, all_n)][r] -= k
         zero[_shape_tag(0, cones, all_n)][r] += k
     if n == 3 and 3 in genera:  # in cell (3, 3) one PRIMARY class is the cube root

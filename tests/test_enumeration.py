@@ -423,6 +423,10 @@ def test_has_root_past_the_abstract_bound_and_at_its_ceiling():
     assert has_root(GENUS_SET_MAX_GENUS, 2 * GENUS_SET_MAX_GENUS + 1) is True
     with pytest.raises(RangeExceeded, match="^has_root is supported up to g = 10000, got 10001$"):
         has_root(GENUS_SET_MAX_GENUS + 1, 2 * GENUS_SET_MAX_GENUS + 3)
+    # exactly at the bound, 2g = (n-2)(n-1) = 20,022, past the ceiling, and one genus below
+    assert has_root(10011, 143) is True
+    with pytest.raises(RangeExceeded, match="^has_root is supported up to g = 10000, got 10010$"):
+        has_root(10010, 143)
 
 
 def test_class_cap_is_checked_on_the_count_before_listing():

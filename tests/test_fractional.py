@@ -11,7 +11,7 @@ from dehnroots.dataset import (
     format_dataset,
     validate,
 )
-from dehnroots.enumeration import datasets
+from dehnroots.enumeration import _order_runs, _shape_counts, datasets, twist_pairs
 from dehnroots.fractional import MAX_DEGREE, MAX_GENUS, fractional_datasets
 from oracle import independent_count
 
@@ -71,6 +71,21 @@ def test_candidate_counts_match_an_independent_count():
             for g in range(1, MAX_GENUS + 1):
                 assert len(fractional_datasets(g, n, power)) == independent_count(
                     g, n, power=power), (g, n, power)
+
+
+def test_class_cap_count_matches_the_listing():
+    # the per-shape Fourier count that the class cap reads, against the listing, in every
+    # cell of the range and powers 1 to 6; gcd(power, n) > 1 reaches the shared pair gcd
+    shared = 0
+    for g in range(1, MAX_GENUS + 1):
+        for n in range(2, MAX_DEGREE + 1):
+            shapes = _order_runs(n, range(g % n, g + 1, n))
+            for power in range(1, 7):
+                pairs = twist_pairs(n, power)
+                count = sum(_shape_counts(n, shapes, pairs)) if pairs else 0
+                assert count == len(fractional_datasets(g, n, power)), (g, n, power)
+                shared += count > 0 and gcd(power, n) > 1
+    assert shared == 239
 
 
 def test_candidates_satisfy_all_conditions():

@@ -43,6 +43,27 @@ def _tags_check():
             assert (counts.get("DE_ROOT", 0), all_n) == independent_tags(g, n), (g, n)
 
 
+def _fractional_count_check():
+    # the power-l class-cap count against the length of the listing, in every cell of the
+    # fractional range
+    for g in range(1, fractional.MAX_GENUS + 1):
+        for n in range(2, fractional.MAX_DEGREE + 1):
+            shapes = enumeration._order_runs(n, range(g % n, g + 1, n))
+            for power in range(1, 7):
+                pairs = enumeration.twist_pairs(n, power)
+                count = sum(enumeration._shape_counts(n, shapes, pairs)) if pairs else 0
+                assert count == len(fractional.fractional_datasets(g, n, power)), (g, n, power)
+
+
+def _has_root_bound_check():
+    # exactly at the abstract's bound, 2g = (n-2)(n-1), past the genus ceiling
+    try:
+        found = enumeration.has_root(10011, 143)
+    except numtheory.RangeExceeded as exc:
+        found = exc
+    assert found is True, found
+
+
 def _table_check():
     # every cell of the pair table against the independent count
     rows = {(row.genus, row.degree): row.class_count for row in special_roots.pair_table(24, 49)}
@@ -144,9 +165,13 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                      "bits = (covers | 2) & mask", _covers_check),
     "_run_transform": (enumeration, "_run_transform", "sums[j % len(c)] += row[e]",
                        "sums[(j + 1) % len(c)] += row[e]", _run_transform_check),
-    "_rest_series_doubled_order": (enumeration, "_rest_series",  # H_1^2 where H_2 is due
-                                   "+= weight * _run_transform(d, 2)[gcd(e, d)]",
-                                   "+= h * _run_transform(d, 1)[gcd(e, d)]", _tags_check),
+    "_degree_cells_doubled_order": (special_roots, "_degree_cells",  # H_1^2 where H_2 is due
+                                    "((d, 2),) if d == e else ((d, 1), (e, 1))",
+                                    "((d, 1), (e, 1))", _tags_check),
+    "_pair_weights_shared_gcd": (enumeration, "_pair_weights", "f = gcd(sum(pairs[0]), n)",
+                                 "f = 1", _fractional_count_check),
+    "has_root_bound": (enumeration, "has_root", "2 * g >= (n - 2) * (n - 1)",
+                       "2 * g > (n - 2) * (n - 1)", _has_root_bound_check),
     "_rest_series_primary": (enumeration, "_rest_series",  # read after the last factor
                              "primary[::lone] = [a // n for a in all_n]",
                              "primary = [t // n for t in total]", _tags_check),

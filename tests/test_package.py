@@ -1,6 +1,9 @@
 import doctest
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import dehnroots
 from dehnroots import dataset, enumeration, fractional, numtheory, special_roots
@@ -34,3 +37,15 @@ def test_readme_quick_start():
     result = doctest.testfile(str(readme), module_relative=False,
                               optionflags=doctest.NORMALIZE_WHITESPACE)
     assert (result.failed, result.attempted) == (0, 5)
+
+
+def test_ci_workflow_parses_and_runs_the_tier1_command():
+    # an invalid workflow file runs no job at all, and reports nothing
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    assert workflow[True] == ["push", "pull_request"]  # PyYAML reads the key on: as True
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
+                        (root / "ROADMAP.md").read_text()).group(1)
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    assert any(run.startswith(command) for run in runs), runs

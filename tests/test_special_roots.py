@@ -337,8 +337,9 @@ def test_pair_table_memory_follows_its_cells():
 
 
 def _solves_without_a_shape(monkeypatch, query):
-    """The twist-pair solves per degree of ``query()``, which must walk, count and prepare
-    no cone-order shape: the listing's shape code fails the query if it runs."""
+    """The twist-pair solves per degree of ``query()``, which must walk and prepare no
+    cone-order shape: the listing's shape code fails the query if it runs.  Only the one-
+    and two-cone shapes that ``_degree_cells`` lists itself are counted, by name."""
     solves, solve = Counter(), special_roots.twist_pairs
 
     def solved(n, power=1):
