@@ -15,28 +15,28 @@ cone residues satisfying (I)-(IV); the pieces run over
   * cone residues, one multiset of units per run of equal cone order, so
     each class appears exactly once.
 
-``_order_runs`` walks the first two once per cell: the caller names the rests
-g - g0*n it reads and gets one (rest, runs) per cone-order multiset, with the
-runs of equal order.  ``_shape_counts`` counts each shape's classes without
-building one, for the class cap of a listing, which walks the shapes anyway.
-``_rest_series`` counts the classes of every shape of each rest at once, as the
-coefficients of one truncated power series per divisor of the degree, so
-``special_roots.class_count`` and the pair table ``figure1`` writes (``pair_table``)
-walk no shape; ``special_roots`` alone decides the tags.  ``_cell`` is the one counted
-cell behind every listing: it checks the genus ceiling, walks a cell's shapes, solves
-its twist pairs and checks its total against the cap before it returns the cell's block
-stream (``_search``), which ``datasets`` (every degree counted first, for a whole
-genus), ``primary_datasets`` and the fractional candidates iterate, so a cell past the
-cap fails at once and in bounded memory.  A prepared shape is its own solver
-(``_shape``): a function of the target -(a + b) over the multisets of every run but the
-last with their residue sums, and a table of the last run's tails per need.  The table is
-filled in one pass per shape over the last run's multisets, bucketed by unit sum, and
-keeps only the needs that the cell's twist-pair targets meet through a head, so memory
-holds each tail of the shape once at most and no need's that no pair reads.  Per twist
-pair the solver makes one divisibility check and one lookup per head.  The blocks come in
-canonical order, without a sort of the whole cell, one per (n, g0, a, b), and the
-listings flatten them.  Each order's units (``_units``) and each degree's divisors
-(``_divisors``) are tabled once.
+``_order_runs`` walks the first two once per cell: the caller names the rests g - g0*n it
+reads and gets one (rest, runs) per cone-order multiset, with the runs of equal order.
+``_shape_counts`` counts each shape's classes without building one, for the class cap of a
+listing, which walks the shapes anyway.  ``_rest_series`` counts the classes of every
+shape of each rest at once, as the coefficients of one truncated power series per divisor
+of the degree, so ``special_roots.class_count`` and the pair table ``figure1`` writes
+(``pair_table``) walk no shape; ``special_roots`` alone decides the tags.  Both counters
+read the number of twist pairs and gcd(l, n), which all pairs share (``_pair_weights``),
+so neither solves a pair.  ``_cell`` is the one counted cell behind every listing: it
+checks the genus ceiling, walks a cell's shapes, solves its twist pairs for the search and
+checks its total against the cap before it returns the cell's block stream (``_search``),
+which ``datasets`` (every degree counted first, for a whole genus), ``primary_datasets``
+and the fractional candidates iterate, so a cell past the cap fails at once and in bounded
+memory.  A prepared shape is its own solver (``_shape``): a function of the target
+-(a + b) over the multisets of every run but the last with their residue sums, and a table
+of the last run's tails per need.  The table is filled in one pass per shape over the last
+run's multisets, bucketed by unit sum, and keeps only the needs that the cell's twist-pair
+targets meet through a head, so memory holds each tail of the shape once at most and no
+need's that no pair reads.  Per twist pair the solver makes one divisibility check and one
+lookup per head.  The blocks come in canonical order, without a sort of the whole cell,
+one per (n, g0, a, b), and the listings flatten them.  Each order's units (``_units``) and
+each degree's divisors (``_divisors``) are tabled once.
 
 Existence (``has_root``, ``genus_set``) is decided by the lcm rule in
 ``_root_genera``, without twist pairs, counts or the search: cone orders have lcm
@@ -240,13 +240,13 @@ def _cell(g, n, class_cap, power=1, primary=False):
     """The blocks ``_search`` yields for the cell (g, n), g <= 400, with the power-l twist
     pairs, once its classes are counted within the class cap, before any shape is prepared:
     the shapes of its rests g - g0*n, only the all-n ones if ``primary``; the pairs are
-    solved once, and not without a shape."""
+    solved once, for the search, and not without a shape; the count reads how many."""
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
     shapes = _order_runs(n, range(g % n, g + 1, n))
     if primary:
         shapes = [(r, runs) for r, runs in shapes if all(order == n for order, _ in runs)]
     pairs = twist_pairs(n, power) if shapes else []
-    _check_class_cap(g, n, sum(_shape_counts(n, shapes, pairs)) if pairs else 0, class_cap)
+    _check_class_cap(g, n, sum(_shape_counts(n, shapes, len(pairs), power)), class_cap)
     return _search(g, n, shapes, pairs)
 
 
@@ -320,19 +320,18 @@ def _run_transform(order, k):
     return rows[k]
 
 
-def _pair_weights(n, pairs):
-    """{e: V(e)} over the divisors e of n with V(e) != 0, where V(e) is the sum of
-    c_(n/e)(a + b) over the nonempty twist pairs ``pairs``: the weight of e in a Fourier
-    count.  c_(n/e)(s) depends on s only through gcd(n, s), which is gcd(l, n) for every
-    pair, as (III) reads a + b = l*a*b mod n with a*b a unit: the first pair gives it."""
-    f = gcd(sum(pairs[0]), n)
-    weights = {e: len(pairs) * _ramanujan(n // e, gcd(n // e, f)) for e in _divisors(n)}
+def _pair_weights(n, count, power):
+    """{e: V(e)} over the divisors e of n with V(e) != 0, where V(e), the weight of e in a
+    Fourier count, sums c_(n/e)(a + b) over the ``count`` power-l twist pairs of degree n.
+    c_(n/e)(s) depends on s only through gcd(n, s), which is gcd(l, n) for every pair, as
+    (III) reads a + b = l*a*b mod n with a*b a unit: V(e) = count * c_(n/e)(l)."""
+    weights = {e: count * _ramanujan(n // e, gcd(n // e, power)) for e in _divisors(n)}
     return {e: weight for e, weight in weights.items() if weight}
 
 
-def _rest_series(n, pairs, top):
-    """(primary, total): the classes of degree n with the twist pairs ``pairs``, summed
-    over the cone-order shapes of each rest r <= top, without walking a shape.
+def _rest_series(n, count, top):
+    """(primary, total): the classes of degree n with ``count`` twist pairs, summed over
+    the cone-order shapes of each rest r <= top, walking no shape and solving no pair.
     primary[r] counts those whose cones all have order n, total[r] all of them.
 
     Summed over every shape of rest r, the counts of ``_shape_counts`` read
@@ -347,7 +346,7 @@ def _rest_series(n, pairs, top):
     orders = [(d, (n - n // d) // 2) for d in reversed(_divisors(n)[1:])]  # n first
     lone = orders[0][1]  # the weight of a cone of order n
     all_n, total = [0] * (top // lone + 1), [0] * (top + 1)
-    for e, weight in _pair_weights(n, pairs).items():
+    for e, weight in _pair_weights(n, count, 1).items():
         # V(e) times the order-n factor: the all-n series, nonzero at multiples of lone
         runs = [weight * _run_transform(n, k)[e] for k in range(top // lone + 1)]
         all_n = [a + x for a, x in zip(all_n, runs)]
@@ -365,25 +364,24 @@ def _rest_series(n, pairs, top):
     return primary, [t // n for t in total]
 
 
-def _shape_counts(n, shapes, pairs):
+def _shape_counts(n, shapes, count, power):
     """Yield, for each (rest, runs) of ``shapes``, the number of classes ``_search``
-    lists for that shape with the twist pairs ``pairs`` of degree n, without building one.
+    lists for that shape with ``count`` power-l twist pairs of degree n, building none.
 
     A run of k cones of order d adds (n/d) times a size-k multiset of units of
     Z/d; the runs' sums convolve over Z/n, and a class needs the total to meet
     -(a + b) for a twist pair (a, b).  In the Fourier domain the convolution is
     a product, and every factor depends on t only through e = gcd(t, n), so
 
-        count = (1/n) * sum over e | n of V(e) * prod over runs of H_k(gcd(e, d)),
+        classes = (1/n) * sum over e | n of V(e) * prod over runs of H_k(gcd(e, d)),
 
-    with V(e) the sum of c_(n/e)(a + b) over the pairs.  That is tau(n) products
-    per shape; callers solve the pairs only for a cell with a shape.  The cost
-    follows the number of shapes: (400, 15), the slowest cell inside the g <= 400
-    ceiling, has 3,825.
+    with V(e) the sum of c_(n/e)(a + b) over the pairs (``_pair_weights``).  That is
+    tau(n) products per shape.  The cost follows the number of shapes: (400, 15), the
+    slowest cell inside the g <= 400 ceiling, has 3,825.
     """
-    weights = _pair_weights(n, pairs)
+    weights = _pair_weights(n, count, power)
     for _, runs in shapes:
-        transforms = [(order, _run_transform(order, count)) for order, count in runs]
+        transforms = [(order, _run_transform(order, k)) for order, k in runs]
         total = 0
         for e, weight in weights.items():
             for order, transform in transforms:

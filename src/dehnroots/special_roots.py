@@ -38,7 +38,7 @@ tag only depends on whether g0 = 0, and then only for one or two cones.  So
 one series pass per degree counts the all-n shapes and all shapes of every rest
 up to the largest wanted genus, and the cells sum them per residue of r mod n;
 the one- and two-cone shapes, listed from the divisors of n, are counted one by
-one to move between tags at g0 = 0.  No shape is walked.
+one to move between tags at g0 = 0.  No shape is walked, no twist pair solved.
 Every cell of the table is checked against the class cap before a row is
 returned.  A row holds its tags as (tag, classes) pairs in tag order, so
 the table's memory follows its cells, not its classes; ``figure1`` writes
@@ -264,14 +264,14 @@ def _degree_cells(n, genera):
 
     Cell g holds the shapes of rest g - g0*n for each g0 >= 0.  A shape's count does
     not depend on g0, and its tag only on whether g0 = 0, so one series pass
-    (``_rest_series``) counts every rest up to the largest genus, by the twist pairs
-    solved once.  As g0 >= 1, every shape is PRIMARY or OTHER, by whether its cones all
-    have order n; summed along each residue mod n, ``more[tag][g]`` holds the classes of
-    cell g from rests g - n, g - 2n and so on.  As g0 = 0, only the shapes of one or
+    (``_rest_series``) counts every rest up to the largest genus, by the number of twist
+    pairs, none solved.  As g0 >= 1, every shape is PRIMARY or OTHER, by whether its cones
+    all have order n; summed along each residue mod n, ``more[tag][g]`` holds the classes
+    of cell g from rests g - n, g - 2n and so on.  As g0 = 0, only the shapes of one or
     two cones change tag (``_shape_tag``): listed from the divisors of n and counted one
     by one (``_shape_counts``), they move from the one tag to the other in ``zero``."""
-    top, pairs = genera[-1], twist_pairs(n)
-    primary, total = _rest_series(n, pairs, top)
+    top, count = genera[-1], ms_count(n)
+    primary, total = _rest_series(n, count, top)
     nothing = [0] * (top + 1)
     zero, more = {tag: nothing[:] for tag in _TAGS}, dict.fromkeys(_TAGS, nothing)
     for tag, counts in ((RootTag.PRIMARY, primary),
@@ -284,8 +284,8 @@ def _degree_cells(n, genera):
     few = [((d, 1),) for d in weight] + [((d, 2),) if d == e else ((d, 1), (e, 1))
                                          for d, e in combinations_with_replacement(weight, 2)]
     shapes = [(r, runs) for runs in few if (r := sum(weight[d] * k for d, k in runs)) <= top]
-    for (r, runs), k in zip(shapes, _shape_counts(n, shapes, pairs)):
-        cones, all_n = sum(count for _, count in runs), all(d == n for d, _ in runs)
+    for (r, runs), k in zip(shapes, _shape_counts(n, shapes, count, 1)):
+        cones, all_n = sum(c for _, c in runs), all(d == n for d, _ in runs)
         zero[_shape_tag(1, cones, all_n)][r] -= k
         zero[_shape_tag(0, cones, all_n)][r] += k
     if n == 3 and 3 in genera:  # in cell (3, 3) one PRIMARY class is the cube root

@@ -468,6 +468,29 @@ def test_run_transform_matches_newtons_identity():
         assert [_run_transform(d, k) for k in range(61)] == rows, d
 
 
+def test_pair_weights_read_the_pair_count_and_the_shared_gcd():
+    # the counters read only how many power-l twist pairs there are: every pair shares
+    # gcd(a + b, n) = gcd(l, n), the weights match c_(n/e)(a + b) summed over the solved
+    # pairs, with c_q summed over the units of Z/q directly, and no pair counts nothing
+    sums = {}
+
+    def ramanujan(q, m):
+        if q not in sums:
+            units = [u for u in range(q) if gcd(u, q) == 1]
+            sums[q] = [round(sum(cos(2 * pi * u * s / q) for u in units)) for s in range(q)]
+        return sums[q][m % q]
+
+    for n in range(2, 201):
+        shapes = _order_runs(n, range(13))
+        for power in range(1, 7):
+            pairs = twist_pairs(n, power)
+            assert {gcd(a + b, n) for a, b in pairs} <= {gcd(power, n)}, (n, power)
+            weights = {e: sum(ramanujan(n // e, a + b) for a, b in pairs) for e in divisors(n)}
+            assert enumeration._pair_weights(n, len(pairs), power) == {
+                e: weight for e, weight in weights.items() if weight}, (n, power)
+            assert list(enumeration._shape_counts(n, shapes, 0, power)) == [0] * len(shapes)
+
+
 def test_listing_matches_an_independent_count_past_the_oracle():
     # distinct, valid classes of genus g, as many as the count: the listing is exact
     for g in range(13, 31):
@@ -545,7 +568,7 @@ def test_pair_table_matches_the_shape_by_shape_count():
     for g in range(61):
         for n in range(3, 2 * g + 2, 2):
             shapes = _order_runs(n, range(g % n, g + 1, n))
-            count = sum(enumeration._shape_counts(n, shapes, twist_pairs(n))) if shapes else 0
+            count = sum(enumeration._shape_counts(n, shapes, len(twist_pairs(n)), 1))
             assert rows.pop((g, n), 0) == count, (g, n)
     assert not rows
 

@@ -50,8 +50,8 @@ def _fractional_count_check():
         for n in range(2, fractional.MAX_DEGREE + 1):
             shapes = enumeration._order_runs(n, range(g % n, g + 1, n))
             for power in range(1, 7):
-                pairs = enumeration.twist_pairs(n, power)
-                count = sum(enumeration._shape_counts(n, shapes, pairs)) if pairs else 0
+                pairs = len(enumeration.twist_pairs(n, power))
+                count = sum(enumeration._shape_counts(n, shapes, pairs, power))
                 assert count == len(fractional.fractional_datasets(g, n, power)), (g, n, power)
 
 
@@ -168,8 +168,10 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
     "_degree_cells_doubled_order": (special_roots, "_degree_cells",  # H_1^2 where H_2 is due
                                     "((d, 2),) if d == e else ((d, 1), (e, 1))",
                                     "((d, 1), (e, 1))", _tags_check),
-    "_pair_weights_shared_gcd": (enumeration, "_pair_weights", "f = gcd(sum(pairs[0]), n)",
-                                 "f = 1", _fractional_count_check),
+    "_pair_weights_shared_gcd": (enumeration, "_pair_weights",  # gcd(l, n) read as 1
+                                 "gcd(n // e, power)", "gcd(n // e, 1)", _fractional_count_check),
+    "_degree_cells_pair_count": (special_roots, "_degree_cells", "ms_count(n)",
+                                 "ms_count(n) + 1", _table_check),
     "has_root_bound": (enumeration, "has_root", "2 * g >= (n - 2) * (n - 1)",
                        "2 * g > (n - 2) * (n - 1)", _has_root_bound_check),
     "_rest_series_primary": (enumeration, "_rest_series",  # read after the last factor

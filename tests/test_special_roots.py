@@ -1,7 +1,6 @@
 import pickle
 import random
 import tracemalloc
-from collections import Counter
 from math import gcd, lcm
 
 import pytest
@@ -336,38 +335,30 @@ def test_pair_table_memory_follows_its_cells():
     assert peak < 8 * 2**20, peak
 
 
-def _solves_without_a_shape(monkeypatch, query):
-    """The twist-pair solves per degree of ``query()``, which must walk and prepare no
-    cone-order shape: the listing's shape code fails the query if it runs.  Only the one-
-    and two-cone shapes that ``_degree_cells`` lists itself are counted, by name."""
-    solves, solve = Counter(), special_roots.twist_pairs
+def _refuse_pairs_and_shapes(monkeypatch):
+    """Make the twist-pair solver and the listing's shape code fail the query if they run.
+    Only the one- and two-cone shapes that ``_degree_cells`` lists itself are counted, by
+    name."""
+    def refused(*args):
+        raise AssertionError("a twist pair was solved or a shape walked: %r" % (args[:1],))
 
-    def solved(n, power=1):
-        solves[n] += 1
-        return solve(n, power)
-
-    def walked(*args):
-        raise AssertionError("a cone-order shape was walked: %r" % (args[:1],))
-
-    monkeypatch.setattr(special_roots, "twist_pairs", solved)
+    for module in (enumeration, special_roots):
+        monkeypatch.setattr(module, "twist_pairs", refused)
     for name in ("_order_runs", "_shape_counts", "_shape"):
-        monkeypatch.setattr(enumeration, name, walked)
-    query()
-    return solves
+        monkeypatch.setattr(enumeration, name, refused)
 
 
-def test_pair_table_solves_each_degree_once_and_walks_no_shape(monkeypatch):
+def test_pair_table_solves_no_pair_and_walks_no_shape(monkeypatch):
     # the table counts each degree's column from one series pass over every rest its cells
-    # read, with the twist pairs solved once per degree
-    solves = _solves_without_a_shape(monkeypatch, lambda: pair_table(48, 33))
-    assert solves == dict.fromkeys(range(3, 34, 2), 1)
+    # read, with the number of twist pairs and not the pairs
+    _refuse_pairs_and_shapes(monkeypatch)
+    assert sum(row.class_count for row in pair_table(48, 33)) == 338_628
 
 
-def test_class_count_solves_its_degree_once_and_walks_no_shape(monkeypatch):
+def test_class_count_solves_no_pair_and_walks_no_shape(monkeypatch):
     # (400, 15) has 3,825 shapes over its 27 rests g - g0*n, none of them walked
-    counts = {}
-    solves = _solves_without_a_shape(monkeypatch, lambda: counts.update(class_count(400, 15)))
-    assert solves == {15: 1} and sum(counts.values()) == 7_992_576_330_344
+    _refuse_pairs_and_shapes(monkeypatch)
+    assert sum(class_count(400, 15).values()) == 7_992_576_330_344
 
 
 def test_large_degree_classification():
