@@ -109,11 +109,11 @@ def _print_classes(classes, args):
     chunk: its head, once, then per class the cones and the close; a text block is one
     join of its classes' cone texts, each between the close and the head.  A JSON close
     holds the tag, classified once per shape (g0 = 0, cone count, all of order n, as the
-    first is; ``special_roots._shape_tag``); in a genus-3 listing the shape of three cones
-    of order n is the cube root's alone, as 3(n-1)/2 = 3 forces n = 3.  A listing rises in
-    degree to 2g+1, whose classes are the Margalit-Schleimer (n, 0, (a,b); (-a-b, n)), so
-    a text chunk that opens at that degree holds one cone per class, no two alike: there
-    a line is one format of its six integers, without a cone table."""
+    first is, the shape ``special_roots.classify`` reads); in a genus-3 listing the shape of
+    three cones of order n is the cube root's alone, as 3(n-1)/2 = 3 forces n = 3.  A listing
+    rises to degree 2g+1, whose classes (n, 0, (a,b); (-a-b, n)) are the Margalit-Schleimer
+    roots, so a text chunk that opens at that degree holds one cone per class, no two alike:
+    there a line is one format of its six integers, without a cone table."""
     cone = _Forms(_CONE_JSON if args.format == "json" else _CONE_TEXT_FORM).__getitem__
     closes, write, chunks = {}, sys.stdout.write, range(0, len(classes), _CLASSES_PER_WRITE)
     if args.format == "json" and not chunks:

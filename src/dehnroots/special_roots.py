@@ -27,32 +27,28 @@ progressions per d1 up to that root and factors no number.
 
 Every root of degree n >= g is a Margalit-Schleimer root, a (d,e)-root,
 or the unique degree-3 root at genus 3 (the cube root of the twist on
-the genus-4 surface).  A tag depends only on the cone-order shape of a
-class (``_shape_tag``), except for that cube root, so classes are counted
-per tag without listing any.
+the genus-4 surface).  ``classify`` reads each tag, the cube root's too,
+off the class's shape.
 
 One counter, ``_degree_cells``, serves one cell (``class_count``) and the
-whole table behind the paper's pair plot (``pair_table``, ``figure1``): a
-shape of rest r = g - g0*n counts the same classes for every g0, and its
-tag only depends on whether g0 = 0, and then only for one or two cones.  So
-one series pass per degree counts the all-n shapes and all shapes of every rest
-up to the largest wanted genus, and the cells sum them per residue of r mod n;
-the one- and two-cone shapes, listed from the divisors of n, are counted one by
-one to move between tags at g0 = 0.  No shape is walked, no twist pair solved.
-Every cell of the table is checked against the class cap before a row is
-returned.  A row holds its tags as (tag, classes) pairs in tag order, so
-the table's memory follows its cells, not its classes; ``figure1`` writes
-each pair in bounded chunks.  Neither runs the residue search.
+whole table behind the paper's pair plot (``pair_table``, ``figure1``): one
+series pass per degree counts every rest g - g0*n up to the largest wanted
+genus, walking no shape and solving no twist pair, and that classification
+tags each cell whole.  Every cell of the table is checked against the class
+cap before a row is returned.  A row holds its tags as (tag, classes) pairs
+in tag order, so the table's memory follows its cells, not its classes;
+``figure1`` writes each pair in bounded chunks.  Neither runs the residue
+search.
 """
 
 import enum
 from collections import namedtuple
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 from math import isqrt, lcm
 
 from .dataset import DataSet, _canonical
-from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _divisors,
-                          _rest_series, _shape_counts, has_root, twist_pairs)
+from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, _rest_series,
+                          has_root, twist_pairs)
 from .numtheory import (
     FACTOR_LIMIT,
     RangeExceeded,
@@ -215,31 +211,24 @@ def de_construct(d, e):
     return DataSet(n, 0, 2, 2, ((-4 * witness.c1 % d, d), (-4 * witness.c2 % e, e)))
 
 
-_CUBE_OF_T4 = (3, 0, 2, 2, ((1, 3), (2, 3), (2, 3)))
-_TAGS = sorted(RootTag)  # the order a row holds its tags in
-
-
-def _shape_tag(g0, cones, primary):
-    """The tag of every class of quotient genus g0 with ``cones`` cones, all of order n
-    exactly when ``primary``, but the cube root: MARGALIT_SCHLEIMER > DE_ROOT > PRIMARY >
-    OTHER.  The genus is not needed: n = 2g+1 exactly when g0 = 0 and there is one cone, of
-    order n, as g0 >= 1 gives g >= n, a cone of order n_i adds (n - n/n_i)/2 <= (n-1)/2 to
-    g, and two or more add >= 2n/3."""
-    if g0 == 0 and cones == 2:
-        return RootTag.DE_ROOT
-    if g0 == 0 and cones == 1 and primary:
-        return RootTag.MARGALIT_SCHLEIMER
-    return RootTag.PRIMARY if primary else RootTag.OTHER
-
-
 def classify(ds):
-    """The RootTag of a valid data set: its shape's tag, or CUBE_OF_T4 for the cube root,
-    the one class whose tag reads its residues (its shape is PRIMARY)."""
-    n, g0, cones = ds.degree, ds.quotient_genus, ds.cones
-    tag = _shape_tag(g0, len(cones), not cones or cones[0][1] == n == cones[-1][1])
-    if tag is RootTag.PRIMARY and (n, g0, ds.a, ds.b, cones) == _CUBE_OF_T4:
-        return RootTag.CUBE_OF_T4
-    return tag
+    """The RootTag of a valid data set, read off its shape: its quotient genus g0, its
+    cone count and whether all its cones have order n.  MARGALIT_SCHLEIMER > DE_ROOT >
+    PRIMARY > OTHER.  The genus is not needed: n = 2g+1 exactly when g0 = 0 and there is
+    one cone, of order n, as g0 >= 1 gives g >= n, a cone of order n_i adds
+    (n - n/n_i)/2 <= (n-1)/2 to g, and two or more add >= 2n/3.  The cube root is the only
+    valid class of degree 3 with g0 = 0 and three cones: n = 3 has the one twist pair
+    (2, 2), and of the unit residues only {1, 2, 2} meet (IV)."""
+    n, g0, cones = ds.degree, ds.quotient_genus, len(ds.cones)
+    primary = not cones or ds.cones[0][1] == n == ds.cones[-1][1]
+    if g0 == 0:
+        if cones == 2:
+            return RootTag.DE_ROOT
+        if cones == 1 and primary:
+            return RootTag.MARGALIT_SCHLEIMER
+        if n == cones == 3:
+            return RootTag.CUBE_OF_T4
+    return RootTag.PRIMARY if primary else RootTag.OTHER
 
 
 PairRow = namedtuple("PairRow", "genus degree class_count tags")
@@ -249,8 +238,9 @@ its ``class_count`` and ``tags``, the nonzero (RootTag, classes) pairs in tag or
 
 def class_count(g, n):
     """{RootTag: number of classes} of genus g <= 400 and degree n, nonzero entries
-    only, counted by the series of ``_degree_cells`` without building a class.  A cell
-    without a root (the lcm rule, ``has_root``) is empty at once."""
+    only, counted by the series of ``_degree_cells`` and tagged by the n >= g
+    classification, without building a class.  A cell without a root (the lcm rule,
+    ``has_root``) is empty at once."""
     if not _degree_occurs(g, n):
         return {}
     _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
@@ -259,39 +249,33 @@ def class_count(g, n):
 
 def _degree_cells(n, genera):
     """{g: {tag: classes}} of the cells (g, n) for the rising ``genera``, nonzero entries
-    in tag order: the one tag counter, behind one cell (``class_count``) and behind a
-    whole column of the table (``pair_table``).
+    in tag order: the one tag counter, behind ``class_count`` and ``pair_table``.
 
-    Cell g holds the shapes of rest g - g0*n for each g0 >= 0.  A shape's count does
-    not depend on g0, and its tag only on whether g0 = 0, so one series pass
-    (``_rest_series``) counts every rest up to the largest genus, by the number of twist
-    pairs, none solved.  As g0 >= 1, every shape is PRIMARY or OTHER, by whether its cones
-    all have order n; summed along each residue mod n, ``more[tag][g]`` holds the classes
-    of cell g from rests g - n, g - 2n and so on.  As g0 = 0, only the shapes of one or
-    two cones change tag (``_shape_tag``): listed from the divisors of n and counted one
-    by one (``_shape_counts``), they move from the one tag to the other in ``zero``."""
-    top, count = genera[-1], ms_count(n)
-    primary, total = _rest_series(n, count, top)
-    nothing = [0] * (top + 1)
-    zero, more = {tag: nothing[:] for tag in _TAGS}, dict.fromkeys(_TAGS, nothing)
-    for tag, counts in ((RootTag.PRIMARY, primary),
-                        (RootTag.OTHER, [t - p for t, p in zip(total, primary)])):
-        zero[tag] = counts
-        more[tag] = sums = [0] * n + counts  # sums[g] = counts[g - n] + counts[g - 2n] + ...
-        for g in range(2 * n, top + 1):
-            sums[g] += sums[g - n]
-    weight = {d: (n - n // d) // 2 for d in _divisors(n)[1:]}
-    few = [((d, 1),) for d in weight] + [((d, 2),) if d == e else ((d, 1), (e, 1))
-                                         for d, e in combinations_with_replacement(weight, 2)]
-    shapes = [(r, runs) for runs in few if (r := sum(weight[d] * k for d, k in runs)) <= top]
-    for (r, runs), k in zip(shapes, _shape_counts(n, shapes, count, 1)):
-        cones, all_n = sum(c for _, c in runs), all(d == n for d, _ in runs)
-        zero[_shape_tag(1, cones, all_n)][r] -= k
-        zero[_shape_tag(0, cones, all_n)][r] += k
-    if n == 3 and 3 in genera:  # in cell (3, 3) one PRIMARY class is the cube root
-        zero[RootTag.PRIMARY][3] -= 1
-        zero[RootTag.CUBE_OF_T4][3] += 1
-    return {g: {tag: k for tag in _TAGS if (k := zero[tag][g] + more[tag][g])} for g in genera}
+    Cell g holds the shapes of rest g - g0*n for each g0 >= 0, each counting the same for
+    every g0, so one series pass (``_rest_series``) counts every rest up to the largest
+    genus by the number of twist pairs.  The paper's n >= g classification tags each cell
+    whole.  A cell g < n has g0 = 0 and at most two cones, each weighing at least n/3, and
+    one cone of order d < n has no class, as n/d would divide a + b = ab, a unit: so it is
+    all MARGALIT_SCHLEIMER if n = 2g+1, all DE_ROOT otherwise.  In a cell g >= n, two cones
+    at g0 = 0 weigh at most n - 1 < g, so each class is PRIMARY or OTHER, by whether its
+    cones all have order n, summed in place over the rests g, g - n, ...; but cell (3, 3)
+    holds the cube root alone."""
+    top = genera[-1]
+    primary, total = _rest_series(n, ms_count(n), top)
+    other = [t - p for t, p in zip(total, primary)]
+    for counts in primary, other:
+        for g in range(n, len(counts)):  # counts[g] sums the rests g, g - n, g - 2n, ...
+            counts[g] += counts[g - n]
+    cells = {}
+    for g in genera:
+        if g < n:
+            tags = ((RootTag.MARGALIT_SCHLEIMER if n == 2 * g + 1 else RootTag.DE_ROOT, total[g]),)
+        elif g == n == 3:
+            tags = ((RootTag.CUBE_OF_T4, primary[g]),)
+        else:  # in tag order
+            tags = ((RootTag.OTHER, other[g]), (RootTag.PRIMARY, primary[g]))
+        cells[g] = {tag: k for tag, k in tags if k}
+    return cells
 
 
 def pair_table(g_max, n_max, class_cap=None):

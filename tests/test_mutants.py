@@ -10,7 +10,7 @@ import io
 import json
 import tempfile
 from argparse import Namespace
-from collections import defaultdict
+from collections import Counter, defaultdict
 from math import gcd
 
 import pytest
@@ -41,6 +41,16 @@ def _tags_check():
             all_n = sum(counts.get(tag, 0) for tag in ("PRIMARY", "MARGALIT_SCHLEIMER",
                                                         "CUBE_OF_T4"))
             assert (counts.get("DE_ROOT", 0), all_n) == independent_tags(g, n), (g, n)
+
+
+def _classify_check():
+    # classify over every listed class against class_count, tag by tag: _tags_check lumps
+    # CUBE_OF_T4 with PRIMARY, and reads no class
+    for g in range(13):
+        for n in range(3, 2 * g + 2, 2):
+            classes = enumeration.datasets(g, n)
+            assert Counter(map(special_roots.classify, classes)) == special_roots.class_count(
+                g, n), (g, n)
 
 
 def _fractional_count_check():
@@ -165,9 +175,6 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                      "bits = (covers | 2) & mask", _covers_check),
     "_run_transform": (enumeration, "_run_transform", "sums[j % len(c)] += row[e]",
                        "sums[(j + 1) % len(c)] += row[e]", _run_transform_check),
-    "_degree_cells_doubled_order": (special_roots, "_degree_cells",  # H_1^2 where H_2 is due
-                                    "((d, 2),) if d == e else ((d, 1), (e, 1))",
-                                    "((d, 1), (e, 1))", _tags_check),
     "_pair_weights_shared_gcd": (enumeration, "_pair_weights",  # gcd(l, n) read as 1
                                  "gcd(n // e, power)", "gcd(n // e, 1)", _fractional_count_check),
     "_degree_cells_pair_count": (special_roots, "_degree_cells", "ms_count(n)",
@@ -178,7 +185,16 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                              "primary[::lone] = [a // n for a in all_n]",
                              "primary = [t // n for t in total]", _tags_check),
     "_degree_cells_late_period": (special_roots, "_degree_cells",  # g0 >= 1 sums from g0 = 2
-                                  "[0] * n + counts", "[0] * 2 * n + counts", _table_check),
+                                  "range(n, len(counts))", "range(2 * n, len(counts))",
+                                  _table_check),
+    "_degree_cells_low_cells": (special_roots, "_degree_cells",  # cell g = n tagged as g < n
+                                "if g < n:", "if g <= n:", _tags_check),
+    "_degree_cells_maximal": (special_roots, "_degree_cells", "n == 2 * g + 1", "n == 2 * g - 1",
+                              _tags_check),
+    "_degree_cells_cube": (special_roots, "_degree_cells", "g == n == 3", "g == n == 5",
+                           _classify_check),
+    "classify_cube": (special_roots, "classify", "n == cones == 3", "cones == 3",
+                      _classify_check),
     "de_roots": (special_roots, "de_roots", "if gcd(g, d1) > 1:", "if False:", _de_roots_check),
     "_print_classes": (cli, "_print_classes", "if start == chunks[-1]:", "if start == chunks[0]:",
                        _print_classes_check),

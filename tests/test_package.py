@@ -49,3 +49,17 @@ def test_ci_workflow_parses_and_runs_the_tier1_command():
                         (root / "ROADMAP.md").read_text()).group(1)
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     assert any(run.startswith(command) for run in runs), runs
+
+
+def test_ci_installs_exactly_the_test_extra():
+    # one list of test dependencies: the workflow installs the test extra's packages, no
+    # more and no fewer
+    tomllib = pytest.importorskip("tomllib")
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    extra = tomllib.loads((root / "pyproject.toml").read_text())[
+        "project"]["optional-dependencies"]["test"]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text())
+    installs = [step["run"].split() for step in workflow["jobs"]["tests"]["steps"]
+                if "pip install" in step.get("run", "")]
+    assert installs == [["python", "-m", "pip", "install", *extra]], installs

@@ -337,14 +337,15 @@ def test_pair_table_memory_follows_its_cells():
 
 def _refuse_pairs_and_shapes(monkeypatch):
     """Make the twist-pair solver and the listing's shape code fail the query if they run.
-    Only the one- and two-cone shapes that ``_degree_cells`` lists itself are counted, by
-    name."""
+    ``special_roots`` imports none of the shape code, so it runs only through
+    ``enumeration``."""
     def refused(*args):
         raise AssertionError("a twist pair was solved or a shape walked: %r" % (args[:1],))
 
     for module in (enumeration, special_roots):
         monkeypatch.setattr(module, "twist_pairs", refused)
     for name in ("_order_runs", "_shape_counts", "_shape"):
+        assert not hasattr(special_roots, name), name
         monkeypatch.setattr(enumeration, name, refused)
 
 
@@ -410,6 +411,23 @@ def test_class_count_of_large_degree_is_ms_de_or_the_cube():
             assert set(counts) <= allowed and all(counts.values()), (g, n, counts)
             if 5 * n >= 6 * (g + 2) and n <= 2 * g:
                 assert counts == {}, (g, n)
+
+
+def test_the_cap_lifted_table_holds_the_large_degree_classification():
+    # the paper's n >= g classification over the whole genus range: each odd n > g with
+    # g <= 400 (40,400 cells, populated or not) holds the per-shape count of its one rest g,
+    # all MARGALIT_SCHLEIMER at n = 2g+1 and all DE_ROOT below; no cell with n <= g holds
+    # either tag, and only (3, 3) holds CUBE_OF_T4
+    rows = {(row.genus, row.degree): dict(row.tags)
+            for row in pair_table(400, 801, class_cap=10**30)}
+    for g in range(401):
+        for n in range(max(3, (g + 1) | 1), 2 * g + 2, 2):
+            shapes = enumeration._order_runs(n, [g])
+            count = sum(enumeration._shape_counts(n, shapes, ms_count(n), 1))
+            tag = RootTag.MARGALIT_SCHLEIMER if n == 2 * g + 1 else RootTag.DE_ROOT
+            assert rows.pop((g, n), {}) == ({tag: count} if count else {}), (g, n)
+    assert rows.pop((3, 3)) == {RootTag.CUBE_OF_T4: 1}
+    assert all(set(tags) <= {RootTag.OTHER, RootTag.PRIMARY} for tags in rows.values())
 
 
 def test_class_count_at_maximal_degree_is_ms_count():
