@@ -49,7 +49,7 @@ from . import enumeration, fractional, numtheory, special_roots
 from .dataset import (_CONE_TEXT_FORM, _TEXT_FORM, ParseError, RangeExceeded, format_dataset,
                       parse_dataset, validate)
 from .enumeration import ClassCapExceeded, class_cap_from_env
-from .numtheory import PreconditionViolated
+from .numtheory import PreconditionViolated, _show
 
 __all__ = ["COMMANDS", "build_parser", "main"]
 
@@ -224,7 +224,7 @@ def _primes(text):
     try:
         return {int(chunk) for chunk in text.split(",") if chunk.strip()}
     except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
+        raise argparse.ArgumentTypeError("expected comma-separated integers, got %s" % _show(text))
 
 
 def _int(name):

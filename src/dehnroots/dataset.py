@@ -66,7 +66,7 @@ class ParseError(ValueError):
 
 def _check_range(name, value, low):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise RangeExceeded("%s must be an integer, got %r" % (name, value))
+        raise RangeExceeded("%s must be an integer, got %s" % (name, _show(value)))
     if value < low or value > VALUE_LIMIT:
         raise RangeExceeded(
             "%s must lie in [%d, %d], got %s" % (name, low, VALUE_LIMIT, _show(value))
@@ -240,13 +240,6 @@ def format_dataset(ds):
 _TOKEN = re.compile(r"-?[0-9]+|[(),;]")  # ASCII digits only: \d takes any Unicode digit
 # The text form over its tokens, each integer read as "i"; the cone list may be empty
 _FORM = re.compile(r"\(i,i,\(i,i\);(\(i,i\)(,\(i,i\))*)?\)")
-_QUOTE_LIMIT = 40
-
-
-def _quoted(text):
-    """repr(text) for an error message, cut to its first _QUOTE_LIMIT characters and
-    "...", so the message stays bounded however long the stray text is."""
-    return repr(text) if len(text) <= _QUOTE_LIMIT else repr(text[:_QUOTE_LIMIT]) + "..."
 
 
 def parse_dataset(text):
@@ -260,11 +253,11 @@ def parse_dataset(text):
     pos = 0
     for match in _TOKEN.finditer(text):
         if stray := text[pos : match.start()].strip():
-            raise ParseError("unexpected %s in data set text" % _quoted(stray))
+            raise ParseError("unexpected %s in data set text" % _show(stray))
         tokens.append(match.group())
         pos = match.end()
     if stray := text[pos:].strip():
-        raise ParseError("unexpected trailing %s" % _quoted(stray))
+        raise ParseError("unexpected trailing %s" % _show(stray))
     form = _FORM.match("".join([t if t in "(),;" else "i" for t in tokens]))
     if not form:
         raise ParseError("expected the form (n, g0, (a,b); (c1,n1), ...)")
@@ -276,6 +269,6 @@ def parse_dataset(text):
     except ValueError:  # longer than the interpreter's integer-string limit
         raise ParseError("integer of %d digits is too long" % len(token)) from None
     if form.end() < len(tokens):
-        raise ParseError("unexpected trailing %s" % _quoted(tokens[form.end()]))
+        raise ParseError("unexpected trailing %s" % _show(tokens[form.end()]))
     degree, quotient_genus, a, b, *rest = values
     return DataSet(degree, quotient_genus, a, b, tuple(zip(rest[::2], rest[1::2])))

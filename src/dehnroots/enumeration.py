@@ -53,7 +53,8 @@ from itertools import combinations_with_replacement, groupby, repeat
 from operator import itemgetter
 
 from .dataset import RangeExceeded, _canonical
-from .numtheory import _check_ceiling, _show, divisors, factorize, gcd, mod_inverse
+from .numtheory import (_check_ceiling, _check_odd_degree, _show, divisors, factorize, gcd,
+                        mod_inverse)
 
 __all__ = [
     "ClassCapExceeded",
@@ -97,7 +98,7 @@ def class_cap_from_env():
     except ValueError:
         cap = 0
     if cap < 1:
-        raise RangeExceeded("%s must be a positive integer, got %r" % (CAP_ENV_VAR, raw))
+        raise RangeExceeded("%s must be a positive integer, got %s" % (CAP_ENV_VAR, _show(raw)))
     return cap
 
 
@@ -145,8 +146,7 @@ def cone_multisets(n, target):
     """All multisets of cone orders for degree n with weights summing to target, each
     ascending, in lexicographic order: () alone for target 0, none for a negative one.
     The target must not exceed CONE_MULTISETS_MAX_TARGET."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("degree must be odd and >= 3, got %r" % (n,))
+    _check_odd_degree(n)
     _check_ceiling(target, CONE_MULTISETS_MAX_TARGET, "cone_multisets is supported up to target")
     if target < 0:
         return []
@@ -186,18 +186,18 @@ def twist_pairs(n, power=1):
 
 @cache
 def _units(d):
-    """(units, pairs) of Z/d: its rising units and {c: (c, d)}, the cone pairs all classes
+    """(units, cones) of Z/d: its rising units and their cone pairs (c, d), which all classes
     share.  Kept for every order: an order divides a listed degree n <= 801 (2g+1 at the
     genus ceiling) or a fractional degree n <= 30, so no order exceeds 801."""
-    pairs = {c: (c, d) for c in range(1, d) if gcd(c, d) == 1}
-    return tuple(pairs), pairs
+    units = tuple(c for c in range(1, d) if gcd(c, d) == 1)
+    return units, tuple((c, d) for c in units)
 
 
 def _multisets(order, count):
     """(unit sum, cone tuple) of every size-``count`` multiset of units of Z/order, rising."""
     units, cones = _units(order)
     return zip(map(sum, combinations_with_replacement(units, count)),
-               combinations_with_replacement(tuple(cones.values()), count))
+               combinations_with_replacement(cones, count))
 
 
 def _shape(n, runs, targets):

@@ -35,6 +35,7 @@ __all__ = [
 # Documented ceiling for trial-division factoring: sqrt(10**12) = 10**6
 # candidate divisors is still sub-second.
 FACTOR_LIMIT = 10**12
+_QUOTE_LIMIT = 40  # the most characters of a string that an error message quotes
 
 
 class NotAUnit(ValueError):
@@ -54,8 +55,11 @@ class RangeExceeded(ValueError):
 
 
 def _show(value):
-    """repr(value) for an error message; an integer too long for the interpreter's
-    decimal conversion shows as its bit length, so the message itself cannot raise."""
+    """A value as an error message quotes it, bounded and unable to raise: a string past
+    _QUOTE_LIMIT characters as the repr of its start and "...", an integer past the digit
+    limit as its bit length, else its repr, or its type's name where that repr raises."""
+    if isinstance(value, str) and len(value) > _QUOTE_LIMIT:
+        return repr(value[:_QUOTE_LIMIT]) + "..."
     try:
         return repr(value)
     except ValueError:
@@ -68,6 +72,12 @@ def _check_ceiling(value, limit, supported):
     """Raise RangeExceeded("<supported> = <limit>, got <value>") if value > limit."""
     if value > limit:
         raise RangeExceeded("%s = %d, got %s" % (supported, limit, _show(value)))
+
+
+def _check_odd_degree(n, name="degree"):
+    """Raise RangeExceeded("<name> must be odd and >= 3, got <n>") unless n is."""
+    if n < 3 or n % 2 == 0:
+        raise RangeExceeded("%s must be odd and >= 3, got %s" % (name, _show(n)))
 
 
 def ext_gcd(a, b):
@@ -91,7 +101,7 @@ def ext_gcd(a, b):
 def mod_inverse(a, n):
     """Inverse of a mod n, as a residue in [1, n-1].  Requires n >= 2."""
     if n < 2:
-        raise ValueError("modulus must be >= 2, got %r" % (n,))
+        raise ValueError("modulus must be >= 2, got %s" % _show(n))
     try:
         return pow(a, -1, n)
     except ValueError:
@@ -161,7 +171,7 @@ def crt(pairs):
     x, modulus = 0, 1
     for r, m in pairs:
         if m < 1:
-            raise ValueError("moduli must be >= 1, got %r" % (m,))
+            raise ValueError("moduli must be >= 1, got %s" % _show(m))
         if gcd(modulus, m) != 1:
             raise ModuliNotCoprime("modulus %s is not coprime to the others" % _show(m))
         if m == 1:
@@ -188,7 +198,7 @@ class BezoutWitness(namedtuple("BezoutWitness", "c1 c2 d1 d2")):
     def __new__(cls, c1, c2, d1, d2):
         self = super().__new__(cls, c1, c2, d1, d2)
         if c1 * d1 + c2 * d2 != 1:
-            raise ValueError("not a Bezout identity: %r" % (self,))
+            raise ValueError("not a Bezout identity: %s" % _show(self))
         return self
 
 
@@ -221,7 +231,7 @@ def bezout_avoiding_primes(d1, d2, avoid):
         if q > FACTOR_LIMIT:
             raise PreconditionViolated("avoided prime %s exceeds %d" % (_show(q), FACTOR_LIMIT))
         if q < 2 or not all(q % p for p in small[:bisect_right(small, isqrt(q))]):
-            raise PreconditionViolated("%r is not prime" % (q,))
+            raise PreconditionViolated("%s is not prime" % _show(q))
     if 2 in avoid and d1 % 2 == 1 and d2 % 2 == 1:
         raise PreconditionViolated("with 2 in the avoided set, d1 and d2 cannot both be odd")
 

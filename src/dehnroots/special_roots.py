@@ -51,9 +51,8 @@ from .enumeration import (DATASETS_MAX_GENUS, _check_class_cap, _degree_occurs, 
                           has_root, twist_pairs)
 from .numtheory import (
     FACTOR_LIMIT,
-    RangeExceeded,
     _check_ceiling,
-    _show,
+    _check_odd_degree,
     bezout_avoiding_primes,
     coprime_divisor_pairs,
     factorize,
@@ -90,11 +89,6 @@ class RootTag(str, enum.Enum):
     OTHER = "OTHER"
 
     __str__ = str.__str__  # str(tag), "%s" and f-strings give the value
-
-
-def _check_odd_degree(n, name="degree"):
-    if n < 3 or n % 2 == 0:
-        raise RangeExceeded("%s must be odd and >= 3, got %s" % (name, _show(n)))
 
 
 def t_set(n):

@@ -4,8 +4,11 @@ held at 3.  Each run must end in a documented exit code (0, 2, 3 or 4) without a
 traceback.  A command added to the table is swept without being named here.  Values at a
 ceiling that do real work stay with their own tests (``test_cli.py``).  The library's
 counters and existence entry points are swept by pairs of arguments at and past their
-ceilings, each call returning or refusing with a documented exception."""
+ceilings, each call returning or refusing with a documented exception.  A value too long
+to quote whole, a 5,000-digit integer or a 100,000-character string, reaches every error
+message that quotes what it was given, which must still come out short."""
 
+import argparse
 import signal
 from itertools import product
 from time import perf_counter
@@ -14,7 +17,7 @@ import pytest
 
 from dehnroots import cli, dataset, enumeration, fractional, numtheory, special_roots
 from dehnroots.enumeration import ClassCapExceeded
-from dehnroots.numtheory import PreconditionViolated, RangeExceeded
+from dehnroots.numtheory import ModuliNotCoprime, NotAUnit, PreconditionViolated, RangeExceeded
 
 # The ceiling the README documents for an argument; past it the library refuses the value.
 CEILINGS = {
@@ -125,21 +128,47 @@ EXISTENCE_DEGREES = COUNT_DEGREES + (2 * enumeration.GENUS_SET_MAX_GENUS + 1,
                                      2 * enumeration.GENUS_SET_MAX_GENUS + 3)
 CONE_ORDERS = (-1, 2, 3, 10**6 - 1, 10**6 + 1, 10**6 + 3, numtheory.FACTOR_LIMIT - 1,
                numtheory.FACTOR_LIMIT + 1)
+# Values too long to quote whole: 5,000 digits, past the interpreter's 4,300-digit limit on
+# decimal conversion, and 100,000 characters
+HUGE = 10**5000 - 1
+LONG = "x" * 100_000
+MESSAGE_LIMIT = 200  # characters, for the name and message of any refusal
+# (function, arguments): the refusal of a huge value, as its name and the start of its
+# message
+HUGE_REFUSALS = {
+    (enumeration.cone_multisets, (-HUGE, 3)):
+        "RangeExceeded: degree must be odd and >= 3, got -<16610-bit integer>",
+    (enumeration.cone_multisets, (HUGE + 1, 3)):
+        "RangeExceeded: degree must be odd and >= 3, got <16610-bit integer>",
+    (numtheory.bezout_avoiding_primes, (3, 5, frozenset([-HUGE]))):
+        "PreconditionViolated: -<16610-bit integer> is not prime",
+    (numtheory.bezout_avoiding_primes, (3, 5, frozenset([HUGE]))):
+        "PreconditionViolated: avoided prime <16610-bit integer> exceeds",
+    (dataset.DataSet, (LONG, 0, 1, 1, ())): "RangeExceeded: degree must be an integer, got 'xxx",
+    (dataset.DataSet, (-HUGE, 0, 1, 1, ())): "RangeExceeded: degree must lie in [2, ",
+    (dataset.DataSet, (3, HUGE, 1, 1, ())): "RangeExceeded: quotient genus must lie in [0, ",
+}
 LIBRARY_CALLS = (
     [(special_roots.class_count, args) for args in product(COUNT_GENERA, COUNT_DEGREES)]
     + [(special_roots.pair_table, args) for args in product(COUNT_GENERA, COUNT_DEGREES)]
     + [(enumeration.has_root, args) for args in product(EXISTENCE_GENERA, EXISTENCE_DEGREES)]
     + [(enumeration.genus_set, (n, g)) for g, n in product(EXISTENCE_GENERA, EXISTENCE_DEGREES)]
-    + [(special_roots.de_construct, args) for args in product(CONE_ORDERS, CONE_ORDERS)])
+    + [(special_roots.de_construct, args) for args in product(CONE_ORDERS, CONE_ORDERS)]
+    + list(HUGE_REFUSALS))
 
 
 def _outcome(function, args):
-    """"returned", or the name of the documented exception that ``function`` refused with."""
+    """"returned", or the documented exception that ``function`` refused with: its name,
+    then ": " and its message."""
     try:
         function(*args)
     except (RangeExceeded, ClassCapExceeded, PreconditionViolated) as exc:
-        return type(exc).__name__
+        return "%s: %s" % (type(exc).__name__, exc)
     return "returned"
+
+
+def _refusal(outcome):
+    return outcome.partition(":")[0]
 
 
 def test_library_pairs_return_or_refuse_in_time(alarm):
@@ -149,6 +178,7 @@ def test_library_pairs_return_or_refuse_in_time(alarm):
     for function, args in LIBRARY_CALLS:
         outcome = _limited(lambda: _outcome(function, args))
         assert outcome != OVERRAN, (function.__name__, args)
+        assert len(outcome) < MESSAGE_LIMIT, outcome[:MESSAGE_LIMIT]
         outcomes[function.__name__, args] = outcome
     at_ceiling = [("class_count", (400, 801)), ("has_root", (10**4, 20001)),
                   ("genus_set", (20001, 10**4)), ("de_construct", (10**6 - 1, 10**6 + 1))]
@@ -156,8 +186,68 @@ def test_library_pairs_return_or_refuse_in_time(alarm):
                     ("has_root", (10**4 + 1, 801)), ("genus_set", (3, 10**4 + 1)),
                     ("de_construct", (10**6 + 1, 10**6 + 3))]
     assert {outcomes[call] for call in at_ceiling} == {"returned"}
-    assert {outcomes[call] for call in past_ceiling} == {"RangeExceeded"}
-    assert outcomes["pair_table", (400, 801)] == "ClassCapExceeded"
+    assert {_refusal(outcomes[call]) for call in past_ceiling} == {"RangeExceeded"}
+    assert _refusal(outcomes["pair_table", (400, 801)]) == "ClassCapExceeded"
+    for (function, args), refusal in HUGE_REFUSALS.items():
+        outcome = outcomes[function.__name__, args]
+        assert outcome.startswith(refusal), outcome
+
+
+# The refusals of a huge value that the library sweep cannot make, as the exception is not
+# one of its three or the value comes from the environment: (function, arguments,
+# DEHN_ROOTS_CLASS_CAP or None, exception, the start of its message)
+QUOTED_HUGE = {
+    "mod_inverse_floor": (numtheory.mod_inverse, (3, -HUGE), None, ValueError,
+                          "modulus must be >= 2, got -<16610-bit integer>"),
+    "mod_inverse_unit": (numtheory.mod_inverse, (3, HUGE), None, NotAUnit,
+                         "3 is not a unit mod <16610-bit integer> (gcd = 3)"),
+    "crt_floor": (numtheory.crt, ([(0, -HUGE)],), None, ValueError,
+                  "moduli must be >= 1, got -<16610-bit integer>"),
+    "crt_coprime": (numtheory.crt, ([(0, 3), (0, HUGE)],), None, ModuliNotCoprime,
+                    "modulus <16610-bit integer> is not coprime"),
+    "BezoutWitness": (numtheory.BezoutWitness, (HUGE, 0, 1, 0), None, ValueError,
+                      "not a Bezout identity: <BezoutWitness holding"),
+    "BezoutWitness_negative": (numtheory.BezoutWitness, (-HUGE, 0, 1, 0), None, ValueError,
+                               "not a Bezout identity: <BezoutWitness holding"),
+    "class_cap_long": (enumeration.class_cap_from_env, (), LONG, RangeExceeded,
+                       "DEHN_ROOTS_CLASS_CAP must be a positive integer, got 'xxx"),
+    "class_cap_huge": (enumeration.class_cap_from_env, (), "9" * 5000, RangeExceeded,
+                       "DEHN_ROOTS_CLASS_CAP must be a positive integer, got '999"),
+    "class_cap_negative": (enumeration.class_cap_from_env, (), "-" + "9" * 5000, RangeExceeded,
+                           "DEHN_ROOTS_CLASS_CAP must be a positive integer, got '-99"),
+    "primes_long": (cli._primes, (LONG,), None, argparse.ArgumentTypeError,
+                    "expected comma-separated integers, got 'xxx"),
+    "primes_huge": (cli._primes, ("9" * 5000,), None, argparse.ArgumentTypeError,
+                    "expected comma-separated integers, got '999"),
+    "primes_negative": (cli._primes, ("-" + "9" * 5000,), None, argparse.ArgumentTypeError,
+                        "expected comma-separated integers, got '-99"),
+}
+
+
+@pytest.mark.parametrize("function, args, cap, exception, start", QUOTED_HUGE.values(),
+                         ids=list(QUOTED_HUGE))
+def test_a_huge_value_is_refused_in_a_short_message(monkeypatch, function, args, cap,
+                                                    exception, start):
+    if cap is not None:
+        monkeypatch.setenv(enumeration.CAP_ENV_VAR, cap)
+    with pytest.raises(exception) as refused:
+        function(*args)
+    assert type(refused.value) is exception
+    message = str(refused.value)
+    assert message.startswith(start) and len(message) < MESSAGE_LIMIT, message[:MESSAGE_LIMIT]
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["roots", "--genus", "3"], LONG),
+    (["bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "9" * 5000], None),
+], ids=["class_cap", "primes"])
+def test_a_huge_value_on_the_command_line_exits_2_in_under_1_kb(monkeypatch, capsys, argv,
+                                                                 cap):
+    if cap is not None:
+        monkeypatch.setenv(enumeration.CAP_ENV_VAR, cap)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.encode()) < 1024, err[:1024]
 
 
 def test_every_ceiling_names_a_swept_argument():

@@ -174,9 +174,9 @@ def test_a_whole_genus_lists_each_degree_in_turn():
 
 def test_units_are_the_rising_units_of_each_order():
     for d in range(2, 201):  # cone orders are >= 2, where 0 is no unit
-        units, pairs = enumeration._units(d)
+        units, cones = enumeration._units(d)
         assert units == tuple(c for c in range(d) if gcd(c, d) == 1), d
-        assert pairs == {c: (c, d) for c in units}, d
+        assert cones == tuple((c, d) for c in units), d
 
 
 def test_a_single_run_shape_solves_each_target_alone():

@@ -131,6 +131,15 @@ def _main_listing_check():
         assert out.getvalue() == "".join(dataset.format_dataset(ds) + "\n" for ds in classes), argv
 
 
+def _show_check():
+    # a refused DEHN_ROOTS_CLASS_CAP of 100,000 characters, through main, in under 1 KB
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setenv(enumeration.CAP_ENV_VAR, "x" * 100_000)
+        assert cli.main(["roots", "--genus", "3"]) == 2
+    assert len(err.getvalue()) < 1024
+
+
 def _write_csv_check():
     # figure1 with runs 3 tags wide against the table spelled out tag by tag; its runs are
     # below, at and past the width
@@ -207,6 +216,7 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
     "_print_classes_line_form": (cli, "_print_classes", "chunk[0][0] == 2 * args.genus + 1",
                                  "chunk[0][0] == 2 * args.genus - 1", _main_listing_check),
     "_write_csv": (cli, "_write_csv", "k - (i == 0)", "k", _write_csv_check),
+    "_show_cut": (numtheory, "_show", "len(value) > _QUOTE_LIMIT", "False", _show_check),
     "_search": (enumeration, "_search", "if found:", "if True:", _search_check),
     "_solve": (enumeration, "_shape", "tails[total % order]", "tails[(total + 1) % order]",
                _solve_check),

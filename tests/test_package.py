@@ -1,3 +1,4 @@
+import ast
 import doctest
 import re
 import sys
@@ -63,3 +64,32 @@ def test_ci_installs_exactly_the_test_extra():
     installs = [step["run"].split() for step in workflow["jobs"]["tests"]["steps"]
                 if "pip install" in step.get("run", "")]
     assert installs == [["python", "-m", "pip", "install", *extra]], installs
+
+
+# The raises that may quote a value with repr, by module and scope: the invalid-choice text
+# copies argparse's own, which quotes an argv word whole
+REPR_QUOTES_ALLOWED = {("cli", "_Parser._check_value")}
+
+
+def _repr_quotes(node, scope=()):
+    """Yield the scope of each raise under ``node`` whose text formats with %r or !r."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _repr_quotes(child, scope + (child.name,))
+        elif isinstance(child, ast.Raise):
+            if any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                   and ("%r" in part.value or "!r}" in part.value)
+                   or isinstance(part, ast.FormattedValue) and part.conversion == ord("r")
+                   for part in ast.walk(child)):
+                yield ".".join(scope)
+        else:
+            yield from _repr_quotes(child, scope)
+
+
+def test_no_raise_quotes_a_value_with_repr():
+    # an error quotes a value it was given through numtheory._show, which bounds a long
+    # string and an integer past the interpreter's digit limit; a bare repr does neither
+    found = set()
+    for path in Path(dehnroots.__file__).parent.glob("*.py"):
+        found |= {(path.stem, scope) for scope in _repr_quotes(ast.parse(path.read_text()))}
+    assert found == REPR_QUOTES_ALLOWED
