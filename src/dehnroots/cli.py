@@ -46,8 +46,8 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import enumeration, fractional, numtheory, special_roots
-from .dataset import (_CONE_TEXT_FORM, _TEXT_FORM, ParseError, RangeExceeded, format_dataset,
-                      parse_dataset, validate)
+from .dataset import (_CONE_TEXT_FORM, _TEXT_FORM, ParseError, RangeExceeded, _read_int,
+                      format_dataset, parse_dataset, validate)
 from .enumeration import ClassCapExceeded, class_cap_from_env
 from .numtheory import PreconditionViolated, _show
 
@@ -215,21 +215,20 @@ def _write_csv(rows, args):
     return EXIT_OK
 
 
-def _validated(text):
-    ds = parse_dataset(text)
-    return ds, validate(ds)
-
-
 def _primes(text):
-    try:
-        return {int(chunk) for chunk in text.split(",") if chunk.strip()}
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers, got %s" % _show(text))
+    malformed = "expected comma-separated integers, got %s" % _show(text)
+    return {_read_int(chunk, argparse.ArgumentTypeError, malformed)
+            for chunk in text.split(",") if chunk.strip()}
+
+
+def _integer(text):
+    """The parser's integer type: a refusal quotes the text through ``_show``."""
+    return _read_int(text, argparse.ArgumentTypeError, "invalid int value: %s" % _show(text))
 
 
 def _int(name):
     """An integer positional, or a required integer flag."""
-    return name, {"type": int, "required": True} if name.startswith("--") else {"type": int}
+    return name, {"type": _integer} | ({"required": True} if name.startswith("--") else {})
 
 
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
@@ -238,7 +237,7 @@ _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 # runs; it returns an exit code or None for 0
 COMMANDS = (
     ("roots", "root classes for a genus (and optional degree)",
-     (_int("--genus"), ("--degree", {"type": int, "default": None}), _FORMAT),
+     (_int("--genus"), ("--degree", {"type": _integer, "default": None}), _FORMAT),
      lambda a: enumeration.datasets(a.genus, a.degree, class_cap_from_env()), "_print_classes"),
     ("de-roots", "degrees of (d,e)-roots for a genus", (_int("genus"), _FORMAT),
      lambda a: special_roots.de_roots(a.genus), "_print_int_list"),
@@ -269,7 +268,7 @@ COMMANDS = (
      (_int("--d1"), _int("--d2"), ("--primes", {"type": _primes, "default": ""}), _FORMAT),
      lambda a: numtheory.bezout_avoiding_primes(a.d1, a.d2, a.primes), "_print_witness"),
     ("validate", "validate a data set in text form", (("dataset", {}), _FORMAT),
-     lambda a: _validated(a.dataset), "_print_report"),
+     lambda a: (ds := parse_dataset(a.dataset), validate(ds)), "_print_report"),
 )
 
 
@@ -279,8 +278,8 @@ class _Parser(argparse.ArgumentParser):
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
-            raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)" % (
-                value, ", ".join(map(repr, action.choices))))
+            raise argparse.ArgumentError(action, "invalid choice: %s (choose from %s)" % (
+                _show(value), ", ".join(map(repr, action.choices))))
 
 
 def build_parser():

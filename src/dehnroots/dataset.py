@@ -240,6 +240,19 @@ def format_dataset(ds):
 _TOKEN = re.compile(r"-?[0-9]+|[(),;]")  # ASCII digits only: \d takes any Unicode digit
 # The text form over its tokens, each integer read as "i"; the cone list may be empty
 _FORM = re.compile(r"\(i,i,\(i,i\);(\(i,i\)(,\(i,i\))*)?\)")
+# An ASCII integer as int() reads it, which int() refuses only past its digit limit
+_DECIMAL = re.compile(r"\s*[-+]?([0-9]+)\s*")
+
+
+def _read_int(text, error, malformed, what="integer"):
+    """int(text), else ``error(malformed)``; an integer past the interpreter's 4,300-digit limit
+    on decimal conversion, which a quote would cut, is refused by its digit count instead."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = _DECIMAL.fullmatch(text)
+        raise error("%s of %d digits is too long" % (what, len(digits[1])) if digits
+                    else malformed) from None
 
 
 def parse_dataset(text):
@@ -261,13 +274,7 @@ def parse_dataset(text):
     form = _FORM.match("".join([t if t in "(),;" else "i" for t in tokens]))
     if not form:
         raise ParseError("expected the form (n, g0, (a,b); (c1,n1), ...)")
-    values = []
-    try:
-        for token in tokens[: form.end()]:
-            if token not in "(),;":
-                values.append(int(token))
-    except ValueError:  # longer than the interpreter's integer-string limit
-        raise ParseError("integer of %d digits is too long" % len(token)) from None
+    values = [_read_int(t, ParseError, "") for t in tokens[: form.end()] if t not in "(),;"]
     if form.end() < len(tokens):
         raise ParseError("unexpected trailing %s" % _show(tokens[form.end()]))
     degree, quotient_genus, a, b, *rest = values

@@ -16,7 +16,7 @@ cone residues satisfying (I)-(IV); the pieces run over
     each class appears exactly once.
 
 ``_order_runs`` walks the first two once per cell: the caller names the rests g - g0*n it
-reads and gets one (rest, runs) per cone-order multiset, with the runs of equal order.
+reads and gets one list of cone-order multisets per rest, as runs of equal order.
 ``_shape_counts`` counts each shape's classes without building one, for the class cap of a
 listing, which walks the shapes anyway.  ``_rest_series`` counts the classes of every
 shape of each rest at once, as the coefficients of one truncated power series per divisor
@@ -49,10 +49,9 @@ large-degree classification: 2g+1 and ``special_roots.de_roots``.
 
 import os
 from functools import cache, lru_cache
-from itertools import combinations_with_replacement, groupby, repeat
-from operator import itemgetter
+from itertools import chain, combinations_with_replacement, repeat
 
-from .dataset import RangeExceeded, _canonical
+from .dataset import RangeExceeded, _canonical, _read_int
 from .numtheory import (_check_ceiling, _check_odd_degree, _show, divisors, factorize, gcd,
                         mod_inverse)
 
@@ -93,12 +92,9 @@ def class_cap_from_env():
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CLASS_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise RangeExceeded("%s must be a positive integer, got %s" % (CAP_ENV_VAR, _show(raw)))
+    malformed = "%s must be a positive integer, got %s" % (CAP_ENV_VAR, _show(raw))
+    if (cap := _read_int(raw, RangeExceeded, malformed, CAP_ENV_VAR)) < 1:
+        raise RangeExceeded(malformed)
     return cap
 
 
@@ -110,11 +106,11 @@ def _divisors(n):
 
 
 def _order_runs(n, rests):
-    """[(rest, runs)] for the rising ``rests``: each multiset of divisors > 1 of n whose cone
-    weights sum to a rest, as runs ((order, count), ...) with rising order, lexicographic
-    per rest.  The walk reads doubled weights n - n/d, integral for even n too.  A node is a
-    run prefix; its children take a later divisor, rising, with its count, highest first,
-    and are kept only if the divisors after theirs reach a wanted weight (``need``)."""
+    """[[runs, ...] per rest]: for each of ``rests``, in their order, the multisets of
+    divisors > 1 of n whose cone weights sum to it, as runs ((order, count), ...) of rising
+    order, lexicographic.  The walk reads doubled weights n - n/d, integral for even n too.
+    A node is a run prefix; its children take a later divisor, rising, with its count,
+    highest first, kept only if the divisors after theirs reach a wanted weight (``need``)."""
     wanted = sum(1 << 2 * r for r in rests)
     top = wanted.bit_length() - 1
     # n - n/d grows with d, so the divisors that fit under top are a prefix
@@ -139,7 +135,7 @@ def _order_runs(n, rests):
             for count in range(1, (top - total) // weight + 1):
                 if after >> (total + count * weight) & 1:
                     stack.append((total + count * weight, j + 1, runs + ((order, count),)))
-    return [(r, runs) for r in rests for runs in found.get(2 * r, [])]
+    return [found.get(2 * r, []) for r in rests]
 
 
 def cone_multisets(n, target):
@@ -151,7 +147,7 @@ def cone_multisets(n, target):
     if target < 0:
         return []
     return [sum(((order,) * count for order, count in runs), ())
-            for _, runs in _order_runs(n, [target])]
+            for runs in _order_runs(n, [target])[0]]
 
 
 def twist_pairs(n, power=1):
@@ -239,34 +235,33 @@ def _shape(n, runs, targets):
 def _cell(g, n, class_cap, power=1, primary=False):
     """The blocks ``_search`` yields for the cell (g, n), g <= 400, with the power-l twist
     pairs, once its classes are counted within the class cap, before any shape is prepared:
-    the shapes of its rests g - g0*n, only the all-n ones if ``primary``; the pairs are
-    solved once, for the search, and not without a shape; the count reads how many."""
+    cell[g0] holds the shapes of the rest g - g0*n, only the all-n ones if ``primary``; the
+    pairs are solved once, for the search, and not without a shape; the count reads how many."""
     _check_ceiling(g, DATASETS_MAX_GENUS, "datasets is supported up to g")
-    shapes = _order_runs(n, range(g % n, g + 1, n))
+    cell = _order_runs(n, range(g, -1, -n))
     if primary:
-        shapes = [(r, runs) for r, runs in shapes if all(order == n for order, _ in runs)]
-    pairs = twist_pairs(n, power) if shapes else []
-    _check_class_cap(g, n, sum(_shape_counts(n, shapes, len(pairs), power)), class_cap)
-    return _search(g, n, shapes, pairs)
+        cell = [[runs for runs in rest if all(d == n for d, _ in runs)] for rest in cell]
+    pairs = twist_pairs(n, power) if any(cell) else []
+    _check_class_cap(g, n, sum(_shape_counts(n, cell, len(pairs), power)), class_cap)
+    return _search(n, cell, pairs)
 
 
-def _search(g, n, shapes, pairs):
-    """Yield the classes of genus g, degree n in canonical order as blocks (n, g0, a, b,
-    found), one per (n, g0, a, b) with classes, ``found`` their cone tuples.  ``shapes``
-    is [(rest, runs)] with rising rests and g0 = (g - rest)/n, ``pairs`` the rising twist
-    pairs.  Each shape's solver is prepared once (``_shape``) for the pairs' targets, a rest
-    at a time, falling so g0 rises; per pair the solvers of the rest run, and their cones
-    are sorted together if several.  The empty cone multiset is kept: for power 1 it fails
-    (IV), as a + b = a*b is a unit, but higher powers allow it."""
+def _search(n, cell, pairs):
+    """Yield the classes of a cell of degree n in canonical order as blocks (n, g0, a, b,
+    found), one per (n, g0, a, b) with classes, ``found`` their cone tuples.  ``cell[g0]``
+    holds the shapes of quotient genus g0, ``pairs`` the rising twist pairs.  A g0 at a
+    time, each shape's solver is prepared once (``_shape``) for the pairs' targets, and per
+    pair they run, their cones sorted together if several.  The empty cone multiset is kept:
+    for power 1 it fails (IV), as a + b = a*b is a unit, but higher powers allow it."""
     targets = {-(a + b) % n for a, b in pairs}
-    for rest, group in groupby(reversed(shapes), key=itemgetter(0)):
-        g0, solvers = (g - rest) // n, [_shape(n, runs, targets) for _, runs in group]
-        for a, b in pairs:
+    for g0, shapes in enumerate(cell):
+        solvers = [_shape(n, runs, targets) for runs in shapes]
+        for a, b in pairs if solvers else ():
             found = (solvers[0](-(a + b)) if len(solvers) == 1 else
                      sorted([cones for solve in solvers for cones in solve(-(a + b))]))
             if found:
                 yield n, g0, a, b, found
-        del solvers  # so the next rest's tails reuse this rest's memory
+        del solvers  # so the next g0's tails reuse this g0's memory
 
 
 def _listed(cells):
@@ -364,8 +359,8 @@ def _rest_series(n, count, top):
     return primary, [t // n for t in total]
 
 
-def _shape_counts(n, shapes, count, power):
-    """Yield, for each (rest, runs) of ``shapes``, the number of classes ``_search``
+def _shape_counts(n, cell, count, power):
+    """Yield, for each shape of ``cell``, in order, the number of classes ``_search``
     lists for that shape with ``count`` power-l twist pairs of degree n, building none.
 
     A run of k cones of order d adds (n/d) times a size-k multiset of units of
@@ -380,7 +375,7 @@ def _shape_counts(n, shapes, count, power):
     slowest cell inside the g <= 400 ceiling, has 3,825.
     """
     weights = _pair_weights(n, count, power)
-    for _, runs in shapes:
+    for runs in chain.from_iterable(cell):
         transforms = [(order, _run_transform(order, k)) for order, k in runs]
         total = 0
         for e, weight in weights.items():
@@ -476,16 +471,14 @@ def has_root(g, n):
 
 def root_degrees(g):
     """The odd degrees n in [3, 2g+1] of roots of the twist on genus g+1 (g <= 10**4).
-    Those up to g have a root at once below the abstract's bound, (n-2)(n-1) <= 2g, and
-    otherwise when bit g of the lcm rule's ``_root_genera(n, g)`` is set.  Every root of
-    degree n > g is a Margalit-Schleimer root, of degree 2g+1, or a (d,e)-root, whose
-    degrees ``special_roots.de_roots`` lists, rising and between g and 2g+1."""
+    Those up to g are the ones ``has_root`` accepts.  Every root of degree n > g is a
+    Margalit-Schleimer root, of degree 2g+1, or a (d,e)-root, whose degrees
+    ``special_roots.de_roots`` lists, rising and between g and 2g+1."""
     _check_ceiling(g, GENUS_SET_MAX_GENUS, "root_degrees is supported up to g")
     if g < 1:
         return []
     from . import special_roots  # it imports this module; looked up per call, as cli does
-    low = [n for n in range(3, g + 1, 2)
-           if (n - 2) * (n - 1) <= 2 * g or _root_genera(n, g) >> g & 1]
+    low = [n for n in range(3, g + 1, 2) if has_root(g, n)]
     return low + special_roots.de_roots(g) + [2 * g + 1]
 
 

@@ -6,12 +6,16 @@ exponential, so it is guarded to a small range.  ``independent_count`` counts
 the classes of a cell shape by shape, by residue sums over Z/n, without the
 Fourier transform, and reaches the genus ceiling; ``independent_tags`` reads
 DE_ROOT and the all-n tags off it by their definitions.  ``figure1_csv`` spells
-the pair table's CSV out tag by tag, without runs.
+the pair table's CSV out tag by tag, without runs.  ``shape_count`` is not
+independent: it is the listing's own per-shape count, the one the class cap
+reads, summed over a cell, which the pair table and the listings are checked
+against.
 """
 
 from itertools import product
 from math import gcd
 
+from dehnroots import enumeration
 from dehnroots.dataset import DataSet, validate
 from dehnroots.numtheory import divisors
 
@@ -136,3 +140,11 @@ def figure1_csv(rows):
         tags = "+".join(tag for tag, k in row.tags for _ in range(k))
         lines.append("%d,%d,%d,%s\n" % (row.genus, row.degree, row.class_count, tags))
     return "".join(lines).encode()
+
+
+def shape_count(g, n, pairs, power=1):
+    """The classes of the cell (g, n) with ``pairs`` power-l twist pairs, summed shape by
+    shape by ``_shape_counts`` over the cell that ``_cell`` walks: the rests g, g - n, ...
+    The functions are looked up in ``enumeration`` per call, so a mutant set there counts."""
+    cell = enumeration._order_runs(n, range(g, -1, -n))
+    return sum(enumeration._shape_counts(n, cell, pairs, power))

@@ -1,6 +1,7 @@
 """The boundary sweep: every integer argument of every command, read from ``cli.COMMANDS``,
 at its extreme values, run through ``main`` in process with the other integer arguments
-held at 3.  Each run must end in a documented exit code (0, 2, 3 or 4) without a
+held at 3, and every pair of integer arguments of a command at 3, 10**6 - 1, its ceiling
+and one past it.  Each run must end in a documented exit code (0, 2, 3 or 4) without a
 traceback.  A command added to the table is swept without being named here.  Values at a
 ceiling that do real work stay with their own tests (``test_cli.py``).  The library's
 counters and existence entry points are swept by pairs of arguments at and past their
@@ -10,7 +11,7 @@ message that quotes what it was given, which must still come out short."""
 
 import argparse
 import signal
-from itertools import product
+from itertools import combinations, product
 from time import perf_counter
 
 import pytest
@@ -48,20 +49,20 @@ RUN_LIMIT_S = 2.0  # for one run, which fails past it rather than hang the suite
 
 
 def _int_arguments(arguments):
-    return [flag for flag, keywords in arguments if keywords.get("type") is int]
+    return [flag for flag, keywords in arguments if keywords.get("type") is cli._integer]
 
 
 SWEPT = [(name, arguments) for name, _, arguments, _, _ in cli.COMMANDS
          if _int_arguments(arguments)]
 
 
-def _argv(name, arguments, swept, value, tmp_path):
-    """The command line with ``value`` for the argument ``swept``, 3 for the other
-    integers, and the other required arguments filled in."""
+def _argv(name, arguments, values, tmp_path):
+    """The command line with ``values[flag]`` for the integer arguments it names, 3 for
+    the other integers, and the other required arguments filled in."""
     argv = [name]
     for flag, keywords in arguments:
-        if keywords.get("type") is int:
-            text = value if flag == swept else SMALL
+        if keywords.get("type") is cli._integer:
+            text = values.get(flag, SMALL)
         elif keywords.get("required"):
             text = str(tmp_path / "out")  # figure1's --output
         else:
@@ -107,7 +108,7 @@ def test_extreme_integers_exit_with_a_documented_code(alarm, capsys, tmp_path):
             ceiling = CEILINGS.get((name, swept))
             past = () if ceiling is None else (str(ceiling + 1),)
             for value in EXTREMES + past:
-                argv = _argv(name, arguments, swept, value, tmp_path)
+                argv = _argv(name, arguments, {swept: value}, tmp_path)
                 shown = " ".join(arg if len(arg) < 20 else arg[:8] + "..." for arg in argv)
                 code = _limited(lambda: cli.main(argv))  # an exception past main fails here
                 assert code in (0, 2, 3, 4), (shown, code)
@@ -211,16 +212,24 @@ QUOTED_HUGE = {
                                "not a Bezout identity: <BezoutWitness holding"),
     "class_cap_long": (enumeration.class_cap_from_env, (), LONG, RangeExceeded,
                        "DEHN_ROOTS_CLASS_CAP must be a positive integer, got 'xxx"),
+    # an integer past the interpreter's 4,300-digit limit is named by its length, as
+    # parse_dataset names it, not refused as malformed
     "class_cap_huge": (enumeration.class_cap_from_env, (), "9" * 5000, RangeExceeded,
-                       "DEHN_ROOTS_CLASS_CAP must be a positive integer, got '999"),
+                       "DEHN_ROOTS_CLASS_CAP of 5000 digits is too long"),
     "class_cap_negative": (enumeration.class_cap_from_env, (), "-" + "9" * 5000, RangeExceeded,
-                           "DEHN_ROOTS_CLASS_CAP must be a positive integer, got '-99"),
+                           "DEHN_ROOTS_CLASS_CAP of 5000 digits is too long"),
     "primes_long": (cli._primes, (LONG,), None, argparse.ArgumentTypeError,
                     "expected comma-separated integers, got 'xxx"),
     "primes_huge": (cli._primes, ("9" * 5000,), None, argparse.ArgumentTypeError,
-                    "expected comma-separated integers, got '999"),
+                    "integer of 5000 digits is too long"),
     "primes_negative": (cli._primes, ("-" + "9" * 5000,), None, argparse.ArgumentTypeError,
-                        "expected comma-separated integers, got '-99"),
+                        "integer of 5000 digits is too long"),
+    "integer_long": (cli._integer, (LONG,), None, argparse.ArgumentTypeError,
+                     "invalid int value: 'xxx"),
+    "integer_huge": (cli._integer, ("9" * 5000,), None, argparse.ArgumentTypeError,
+                     "integer of 5000 digits is too long"),
+    "integer_negative": (cli._integer, ("-" + "9" * 5000,), None, argparse.ArgumentTypeError,
+                         "integer of 5000 digits is too long"),
 }
 
 
@@ -237,20 +246,103 @@ def test_a_huge_value_is_refused_in_a_short_message(monkeypatch, function, args,
     assert message.startswith(start) and len(message) < MESSAGE_LIMIT, message[:MESSAGE_LIMIT]
 
 
-@pytest.mark.parametrize("argv, cap", [
-    (["roots", "--genus", "3"], LONG),
-    (["bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "9" * 5000], None),
-], ids=["class_cap", "primes"])
+# (argv, DEHN_ROOTS_CLASS_CAP or None, the end of stderr)
+HUGE_ON_THE_COMMAND_LINE = {
+    "class_cap": (["roots", "--genus", "3"], LONG,
+                  "error: DEHN_ROOTS_CLASS_CAP must be a positive integer, got '%s'...\n"
+                  % LONG[:40]),
+    "class_cap_huge": (["roots", "--genus", "3"], "9" * 5000,
+                       "error: DEHN_ROOTS_CLASS_CAP of 5000 digits is too long\n"),
+    "primes": (["bezout-avoid", "--d1", "3", "--d2", "5", "--primes", "9" * 5000], None,
+               "error: argument --primes: integer of 5000 digits is too long\n"),
+    "genus": (["roots", "--genus", "9" * 5000], None,
+              "error: argument --genus: integer of 5000 digits is too long\n"),
+    "degree_negative": (["roots", "--genus", "3", "--degree", "-" + "9" * 5000], None,
+                        "error: argument --degree: integer of 5000 digits is too long\n"),
+    "positional": (["de-roots", "9" * 5000], None,
+                   "error: argument genus: integer of 5000 digits is too long\n"),
+    "format": (["roots", "--genus", "3", "--format", LONG], None,
+               "error: argument --format: invalid choice: '%s'... (choose from 'text', 'json')\n"
+               % LONG[:40]),
+}
+
+
+@pytest.mark.parametrize("argv, cap, end", HUGE_ON_THE_COMMAND_LINE.values(),
+                         ids=list(HUGE_ON_THE_COMMAND_LINE))
 def test_a_huge_value_on_the_command_line_exits_2_in_under_1_kb(monkeypatch, capsys, argv,
-                                                                 cap):
+                                                                 cap, end):
     if cap is not None:
         monkeypatch.setenv(enumeration.CAP_ENV_VAR, cap)
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.encode()) < 1024, err[:1024]
+    assert err.endswith(end), err[-200:]
 
 
 def test_every_ceiling_names_a_swept_argument():
-    # a renamed command or flag must not leave its ceiling unswept
+    # a renamed command or flag must not leave its ceiling unswept, and the sweep must find
+    # every integer argument, so that a change of the parser's integer type cannot empty it
     swept = {(name, flag) for name, arguments in SWEPT for flag in _int_arguments(arguments)}
-    assert set(CEILINGS) <= swept
+    assert set(CEILINGS) <= swept and len(swept) == 19
+
+
+# The CLI pairs: for each command with two or more integer arguments, every pair of them
+# drawn from 3, 10**6 - 1 and, where the README documents one, the argument's ceiling and
+# one past it, odd for de-construct's orders: 10**12 - 1 at its lcm ceiling, 10**12 + 1 past
+# it.  The other integers stay at 3.  Left out, as it does real work at a ceiling: ``roots
+# --genus 400 --degree 3``, 9,045 classes, which test_enumeration lists against the
+# independent count and test_cli runs in JSON under 256 MB.
+ODD_ARGUMENTS = {("de-construct", "--d"), ("de-construct", "--e")}
+PAIRS_LEFT_OUT = {("roots", "--genus", "400", "--degree", "3")}
+# Past the genus ceiling, a degree above 2g+1 still answers at once with the empty list, by
+# the theorem that no root has it (``datasets``, ``genus_set``): exit 0, not 2
+EMPTY_PAST_A_CEILING = {("roots", "--genus", "401", "--degree", "999999"): "",
+                        ("genus-set", "--degree", "999999", "--max-genus", "10001"): "[  ]\n"}
+PAIRS_BUDGET_S = 5.0  # with BUDGET_S, within the 15 s of both sweeps
+
+
+def _pair_values(name, flag):
+    """(values, past): the values the pair sweep draws for an argument, as text, and the
+    one of them past its ceiling, if it has one."""
+    values, ceiling = [SMALL, str(10**6 - 1)], CEILINGS.get((name, flag))
+    if ceiling is None:
+        return values, None
+    at, past = ceiling, ceiling + 1
+    if (name, flag) in ODD_ARGUMENTS:
+        at, past = at - (at % 2 == 0), past + (past % 2 == 0)
+    return values + [str(at), str(past)], str(past)
+
+
+def _pair_runs(tmp_path):
+    """{argv: past a ceiling?} over every command's pairs, each command line once."""
+    runs = {}
+    for name, arguments in SWEPT:
+        for first, second in combinations(_int_arguments(arguments), 2):
+            (firsts, past_first), (seconds, past_second) = (
+                _pair_values(name, first), _pair_values(name, second))
+            for x, y in product(firsts, seconds):
+                argv = tuple(_argv(name, arguments, {first: x, second: y}, tmp_path))
+                runs[argv] = runs.get(argv, False) or x == past_first or y == past_second
+    return runs
+
+
+def test_pairs_of_extreme_integers_exit_with_a_documented_code(alarm, capsys, tmp_path):
+    start = perf_counter()
+    runs = _pair_runs(tmp_path)
+    assert {argv[0] for argv in runs} == {"roots", "figure1", "genus-set", "de-construct",
+                                          "fractional", "bezout-avoid"}
+    assert PAIRS_LEFT_OUT | set(EMPTY_PAST_A_CEILING) <= set(runs)
+    codes = set()
+    for argv, past in runs.items():
+        if argv in PAIRS_LEFT_OUT:
+            continue
+        code = _limited(lambda: cli.main(list(argv)))  # an exception past main fails here
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, code)
+        if argv in EMPTY_PAST_A_CEILING:
+            assert (code, out) == (0, EMPTY_PAST_A_CEILING[argv]), argv
+        elif past:  # past a ceiling: refused
+            assert code == 2, (argv, code)
+        codes.add(code)
+    assert codes == {0, 2, 3}, codes  # figure1 past the class cap exits 3
+    assert perf_counter() - start < PAIRS_BUDGET_S

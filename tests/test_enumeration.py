@@ -36,7 +36,7 @@ from dehnroots.enumeration import (
 from dehnroots.numtheory import divisors
 from dehnroots.special_roots import (class_count, classify, ms_count, ms_roots, pair_table,
                                     t_set)
-from oracle import independent_count, independent_tags, oracle_datasets
+from oracle import independent_count, independent_tags, oracle_datasets, shape_count
 
 
 def test_cone_multisets_examples():
@@ -143,7 +143,7 @@ def test_twist_pairs_are_solved_once_per_listed_cell(monkeypatch):
     # degree by degree, for a whole genus and through the CLI; a cell without a cone-order
     # shape solves none
     degrees = range(3, 62, 2)
-    shaped = {n for n in degrees if _order_runs(n, range(30 % n, 31, n))}
+    shaped = {n for n in degrees if any(_order_runs(n, range(30, -1, -n)))}
     assert len(shaped) == 15
     solves, walks = Counter(), Counter()
     solve, walk = enumeration.twist_pairs, enumeration._order_runs
@@ -253,10 +253,11 @@ def test_order_runs_match_a_brute_force_over_counts():
     for n in range(2, 61):
         brute = _brute_order_runs(n, top)
         for rest in range(top // 2 + 1):
-            assert _order_runs(n, [rest]) == [(rest, runs) for runs in brute.get(2 * rest, [])]
-        for rests in (range(top // 2 + 1), range(n % 7, top // 2 + 1, 3)):
-            expected = [(r, runs) for r in rests for runs in brute.get(2 * r, [])]
-            assert _order_runs(n, rests) == expected, n
+            assert _order_runs(n, [rest]) == [brute.get(2 * rest, [])]
+        # rising rests, and falling ones, as a cell asks for them: g, g - n, ...
+        for rests in (range(top // 2 + 1), range(n % 7, top // 2 + 1, 3),
+                      range(top // 2, -1, -n)):
+            assert _order_runs(n, rests) == [brute.get(2 * r, []) for r in rests], n
 
 
 def test_has_root_deeper_than_recursion_limit():
@@ -481,14 +482,14 @@ def test_pair_weights_read_the_pair_count_and_the_shared_gcd():
         return sums[q][m % q]
 
     for n in range(2, 201):
-        shapes = _order_runs(n, range(13))
+        cell = _order_runs(n, range(13))
         for power in range(1, 7):
             pairs = twist_pairs(n, power)
             assert {gcd(a + b, n) for a, b in pairs} <= {gcd(power, n)}, (n, power)
             weights = {e: sum(ramanujan(n // e, a + b) for a, b in pairs) for e in divisors(n)}
             assert enumeration._pair_weights(n, len(pairs), power) == {
                 e: weight for e, weight in weights.items() if weight}, (n, power)
-            assert list(enumeration._shape_counts(n, shapes, 0, power)) == [0] * len(shapes)
+            assert list(enumeration._shape_counts(n, cell, 0, power)) == [0] * sum(map(len, cell))
 
 
 def test_listing_matches_an_independent_count_past_the_oracle():
@@ -567,9 +568,7 @@ def test_pair_table_matches_the_shape_by_shape_count():
     rows = {(row.genus, row.degree): row.class_count for row in pair_table(60, 121)}
     for g in range(61):
         for n in range(3, 2 * g + 2, 2):
-            shapes = _order_runs(n, range(g % n, g + 1, n))
-            count = sum(enumeration._shape_counts(n, shapes, len(twist_pairs(n)), 1))
-            assert rows.pop((g, n), 0) == count, (g, n)
+            assert rows.pop((g, n), 0) == shape_count(g, n, len(twist_pairs(n))), (g, n)
     assert not rows
 
 

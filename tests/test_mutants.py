@@ -16,7 +16,7 @@ from math import gcd
 import pytest
 
 from dehnroots import cli, dataset, enumeration, fractional, numtheory, special_roots
-from oracle import figure1_csv, independent_count, independent_tags, oracle_datasets
+from oracle import figure1_csv, independent_count, independent_tags, oracle_datasets, shape_count
 
 
 def _covers_check():
@@ -58,10 +58,8 @@ def _fractional_count_check():
     # fractional range
     for g in range(1, fractional.MAX_GENUS + 1):
         for n in range(2, fractional.MAX_DEGREE + 1):
-            shapes = enumeration._order_runs(n, range(g % n, g + 1, n))
             for power in range(1, 7):
-                pairs = len(enumeration.twist_pairs(n, power))
-                count = sum(enumeration._shape_counts(n, shapes, pairs, power))
+                count = shape_count(g, n, len(enumeration.twist_pairs(n, power)), power)
                 assert count == len(fractional.fractional_datasets(g, n, power)), (g, n, power)
 
 
@@ -164,6 +162,20 @@ def _twist_pairs_check():
         assert len(enumeration.twist_pairs(n)) == special_roots.ms_count(n), n
 
 
+def _read_int_check():
+    # through main, an integer past the interpreter's digit limit, of either sign and with
+    # spaces around it, is named by its digit count, and one with a trailing letter is not
+    huge = "9" * 5000
+    for text, end in ((huge, "integer of 5000 digits is too long\n"),
+                      ("-" + huge, "integer of 5000 digits is too long\n"),
+                      (" +%s " % huge, "integer of 5000 digits is too long\n"),
+                      (huge + "x", "invalid int value: '%s'...\n" % huge[:40])):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["roots", "--genus", text]) == 2
+        assert err.getvalue().endswith("argument --genus: " + end), err.getvalue()[-200:]
+
+
 def _search_check():
     # every block the residue search yields holds classes
     for g in range(1, 13):
@@ -217,7 +229,14 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                                  "chunk[0][0] == 2 * args.genus - 1", _main_listing_check),
     "_write_csv": (cli, "_write_csv", "k - (i == 0)", "k", _write_csv_check),
     "_show_cut": (numtheory, "_show", "len(value) > _QUOTE_LIMIT", "False", _show_check),
+    "_read_int": (dataset, "_read_int", "len(digits[1])", "len(text)", _read_int_check),
+    "_read_int_whole": (dataset, "_read_int", "_DECIMAL.fullmatch(text)",
+                        "_DECIMAL.match(text)", _read_int_check),
     "_search": (enumeration, "_search", "if found:", "if True:", _search_check),
+    "_search_g0": (enumeration, "_search", "enumerate(cell)", "enumerate(cell, 1)",
+                   _solve_check),
+    "_cell_rest_order": (enumeration, "_cell",  # the rests rising, so g0 counts down
+                         "range(g, -1, -n)", "range(g % n, g + 1, n)", _solve_check),
     "_solve": (enumeration, "_shape", "tails[total % order]", "tails[(total + 1) % order]",
                _solve_check),
     "_solve_shared_tails": (enumeration, "_shape",  # a need's list takes the next's tails

@@ -66,11 +66,6 @@ def test_ci_installs_exactly_the_test_extra():
     assert installs == [["python", "-m", "pip", "install", *extra]], installs
 
 
-# The raises that may quote a value with repr, by module and scope: the invalid-choice text
-# copies argparse's own, which quotes an argv word whole
-REPR_QUOTES_ALLOWED = {("cli", "_Parser._check_value")}
-
-
 def _repr_quotes(node, scope=()):
     """Yield the scope of each raise under ``node`` whose text formats with %r or !r."""
     for child in ast.iter_child_nodes(node):
@@ -92,4 +87,4 @@ def test_no_raise_quotes_a_value_with_repr():
     found = set()
     for path in Path(dehnroots.__file__).parent.glob("*.py"):
         found |= {(path.stem, scope) for scope in _repr_quotes(ast.parse(path.read_text()))}
-    assert found == REPR_QUOTES_ALLOWED
+    assert found == set(), found

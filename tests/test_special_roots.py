@@ -25,6 +25,7 @@ from dehnroots.special_roots import (
     pair_table,
     t_set,
 )
+from oracle import shape_count
 
 
 def test_t_set_examples():
@@ -422,8 +423,7 @@ def test_the_cap_lifted_table_holds_the_large_degree_classification():
             for row in pair_table(400, 801, class_cap=10**30)}
     for g in range(401):
         for n in range(max(3, (g + 1) | 1), 2 * g + 2, 2):
-            shapes = enumeration._order_runs(n, [g])
-            count = sum(enumeration._shape_counts(n, shapes, ms_count(n), 1))
+            count = shape_count(g, n, ms_count(n))
             tag = RootTag.MARGALIT_SCHLEIMER if n == 2 * g + 1 else RootTag.DE_ROOT
             assert rows.pop((g, n), {}) == ({tag: count} if count else {}), (g, n)
     assert rows.pop((3, 3)) == {RootTag.CUBE_OF_T4: 1}
