@@ -23,7 +23,8 @@ bytes through a 1 MiB buffer, one raw write per MiB, each run of one tag as
 slices of 2^12 copies of it, so its memory does not follow the classes.
 Class listings (``roots``, ``ms-roots``) write the bytes ``json.dumps(docs,
 indent=2)`` or ``format_dataset`` gives, one join of template parts and one
-write per 16,384 classes, so their memory does not grow with the listing.  A
+write per 16,384 classes, or sooner once their cones pass 2^24 characters, so
+their memory does not grow with the listing.  A
 chunk goes a block of classes with one (n, g0, a, b) at a time: each block's
 head is formatted once, each cone pair's form once per listing, and each JSON
 tag once per cone-order shape (``classify`` on its first class); a text block
@@ -100,13 +101,17 @@ class _Forms(dict):
 # About 2^16 parts, 6-10 MB of JSON: a genus-36 listing (15,788 classes) is still one
 # write, which a StringIO keeps without a copy, and a larger one holds a chunk at a time.
 _CLASSES_PER_WRITE = 1 << 14
+# A chunk is also cut once its cones pass 2^24 characters: the 9,045 classes of genus 400,
+# degree 3 hold up to 400 cones each, 93 MB of JSON, which 16,384 classes would keep whole.
+_CHARS_PER_WRITE = 1 << 24
 
 
 def _print_classes(classes, args):
     """``json.dumps(docs, indent=2)`` or ``format_dataset`` lines of the ``DataSet``s, one
-    join of parts and one write per ``_CLASSES_PER_WRITE`` classes, so neither the text
-    nor its encoded copy grows with the listing.  Per block of one (n, g0, a, b) in a
-    chunk: its head, once, then per class the cones and the close; a text block is one
+    join of parts and one write per ``_CLASSES_PER_WRITE`` classes, and sooner once the
+    cones gathered since the last write pass ``_CHARS_PER_WRITE`` characters, so neither
+    the text nor its encoded copy grows with the listing.  Per block of one (n, g0, a, b)
+    in a chunk: its head, once, then per class the cones and the close; a text block is one
     join of its classes' cone texts, each between the close and the head.  A JSON close
     holds the tag, classified once per shape (g0 = 0, cone count, all of order n, as the
     first is, the shape ``special_roots.classify`` reads); in a genus-3 listing the shape of
@@ -118,10 +123,20 @@ def _print_classes(classes, args):
     closes, write, chunks = {}, sys.stdout.write, range(0, len(classes), _CLASSES_PER_WRITE)
     if args.format == "json" and not chunks:
         write("[]\n")
+    parts, size, opening = [], 0, "[" if args.format == "json" else ""
+
+    def flush():
+        """Write the parts gathered since the last write; the JSON list opens in place of
+        the first comma of the first write."""
+        nonlocal parts, size, opening
+        if opening:
+            parts[0], opening = opening + parts[0][1:], ""
+        write("".join(parts))
+        parts, size = [], 0
+
     for start in chunks:
         chunk = classes[start:start + _CLASSES_PER_WRITE]
         if args.format == "json":  # every class listed has the asked genus
-            parts = []
             for (n, g0, a, b), block in groupby(chunk, itemgetter(0, 1, 2, 3)):
                 head = _CLASS_HEAD % (n, g0, a, b)
                 for ds in block:
@@ -129,20 +144,26 @@ def _print_classes(classes, args):
                     shape = (g0 == 0, len(cones), cones[0][1] == n)
                     if shape not in closes:
                         closes[shape] = _CLASS_CLOSE % (args.genus, special_roots.classify(ds))
-                    parts += head, ",".join(map(cone, cones)), closes[shape]
-            if start == chunks[0]:
-                parts[0] = "[" + parts[0][1:]  # the list opens in place of the first comma
+                    text = ",".join(map(cone, cones))
+                    parts += head, text, closes[shape]
+                    size += len(text)
+                    if size > _CHARS_PER_WRITE:
+                        flush()
             if start == chunks[-1]:
                 parts.append("\n]\n")
         elif chunk[0][0] == 2 * args.genus + 1:
             parts = [_ONE_CONE_TEXT % (n, g0, a, b, c, d)
                      for n, g0, a, b, ((c, d),) in chunk]
         else:
-            parts = [part for prefix, block in groupby(chunk, itemgetter(0, 1, 2, 3))
-                     for head in (_TEXT_HEAD % prefix,)
-                     for part in (head, (_TEXT_END + head).join(
-                         [", ".join(map(cone, ds[4])) for ds in block]), _TEXT_END)]
-        write("".join(parts))
+            for prefix, block in groupby(chunk, itemgetter(0, 1, 2, 3)):
+                head = _TEXT_HEAD % prefix
+                text = (_TEXT_END + head).join([", ".join(map(cone, ds[4])) for ds in block])
+                parts += head, text, _TEXT_END
+                size += len(text)
+                if size > _CHARS_PER_WRITE:
+                    flush()
+        if parts:
+            flush()
 
 
 def _print_count(count, args):

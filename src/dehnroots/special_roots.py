@@ -30,15 +30,16 @@ or the unique degree-3 root at genus 3 (the cube root of the twist on
 the genus-4 surface).  ``classify`` reads each tag, the cube root's too,
 off the class's shape.
 
-One counter, ``_degree_cells``, serves one cell (``class_count``) and the
+One counter, ``_degree_column``, serves one cell (``class_count``) and the
 whole table behind the paper's pair plot (``pair_table``, ``figure1``): one
 series pass per degree counts every rest g - g0*n up to the largest wanted
 genus, walking no shape and solving no twist pair, and that classification
-tags each cell whole.  Every cell of the table is checked against the class
-cap before a row is returned.  A row holds its tags as (tag, classes) pairs
-in tag order, so the table's memory follows its cells, not its classes;
-``figure1`` writes each pair in bounded chunks.  Neither runs the residue
-search.
+tags each cell whole.  A column is two lists indexed by genus, the class
+totals and each cell's (tag, classes) pairs in tag order, so a cell costs
+no dict.  Every populated cell of the table is checked against the class cap
+before a row is returned.  The table's memory follows its cells, not its
+classes; ``figure1`` writes each pair in bounded chunks.  Neither runs the
+residue search.
 """
 
 import enum
@@ -232,61 +233,60 @@ its ``class_count`` and ``tags``, the nonzero (RootTag, classes) pairs in tag or
 
 def class_count(g, n):
     """{RootTag: number of classes} of genus g <= 400 and degree n, nonzero entries
-    only, counted by the series of ``_degree_cells`` and tagged by the n >= g
+    only, counted by the series of ``_degree_column`` and tagged by the n >= g
     classification, without building a class.  A cell without a root (the lcm rule,
     ``has_root``) is empty at once."""
     if not _degree_occurs(g, n):
         return {}
     _check_ceiling(g, DATASETS_MAX_GENUS, "class_count is supported up to g")
-    return _degree_cells(n, [g])[g] if has_root(g, n) else {}
+    return dict(_degree_column(n, g)[1][g]) if has_root(g, n) else {}
 
 
-def _degree_cells(n, genera):
-    """{g: {tag: classes}} of the cells (g, n) for the rising ``genera``, nonzero entries
-    in tag order: the one tag counter, behind ``class_count`` and ``pair_table``.
+def _degree_column(n, top):
+    """(total, tags), lists indexed by genus g <= top: the classes of the cell (g, n), and
+    its nonzero (tag, classes) pairs in tag order, () for an empty cell.  The one tag
+    counter, behind ``class_count`` and ``pair_table``.
 
     Cell g holds the shapes of rest g - g0*n for each g0 >= 0, each counting the same for
-    every g0, so one series pass (``_rest_series``) counts every rest up to the largest
-    genus by the number of twist pairs.  The paper's n >= g classification tags each cell
-    whole.  A cell g < n has g0 = 0 and at most two cones, each weighing at least n/3, and
-    one cone of order d < n has no class, as n/d would divide a + b = ab, a unit: so it is
-    all MARGALIT_SCHLEIMER if n = 2g+1, all DE_ROOT otherwise.  In a cell g >= n, two cones
-    at g0 = 0 weigh at most n - 1 < g, so each class is PRIMARY or OTHER, by whether its
-    cones all have order n, summed in place over the rests g, g - n, ...; but cell (3, 3)
-    holds the cube root alone."""
-    top = genera[-1]
+    every g0, so one series pass (``_rest_series``) counts every rest up to top by the
+    number of twist pairs, and each count is summed in place over the rests g, g - n, ...
+    The paper's n >= g classification tags each cell whole.  A cell g < n has g0 = 0 and at
+    most two cones, each weighing at least n/3, and one cone of order d < n has no class,
+    as n/d would divide a + b = ab, a unit: so it is all MARGALIT_SCHLEIMER if n = 2g+1,
+    all DE_ROOT otherwise.  In a cell g >= n, two cones at g0 = 0 weigh at most n - 1 < g,
+    so each class is PRIMARY or OTHER, by whether its cones all have order n; but cell
+    (3, 3) holds the cube root alone."""
     primary, total = _rest_series(n, ms_count(n), top)
-    other = [t - p for t, p in zip(total, primary)]
-    for counts in primary, other:
+    for counts in primary, total:
         for g in range(n, len(counts)):  # counts[g] sums the rests g, g - n, g - 2n, ...
             counts[g] += counts[g - n]
-    cells = {}
-    for g in genera:
+    tags = [()] * len(total)
+    for g, (all_n, every) in enumerate(zip(primary, total)):
+        if not every:
+            continue
         if g < n:
-            tags = ((RootTag.MARGALIT_SCHLEIMER if n == 2 * g + 1 else RootTag.DE_ROOT, total[g]),)
+            tags[g] = ((RootTag.MARGALIT_SCHLEIMER if n == 2 * g + 1 else RootTag.DE_ROOT, every),)
         elif g == n == 3:
-            tags = ((RootTag.CUBE_OF_T4, primary[g]),)
-        else:  # in tag order
-            tags = ((RootTag.OTHER, other[g]), (RootTag.PRIMARY, primary[g]))
-        cells[g] = {tag: k for tag, k in tags if k}
-    return cells
+            tags[g] = ((RootTag.CUBE_OF_T4, all_n),)
+        else:  # in tag order, each only if nonzero
+            tags[g] = (((RootTag.OTHER, every - all_n),) if every > all_n else ()) + (
+                ((RootTag.PRIMARY, all_n),) if all_n else ())
+    return total, tags
 
 
 def pair_table(g_max, n_max, class_cap=None):
     """``PairRow``s (g, n, #classes, ((tag, classes), ...)) for every pair with a root,
     g <= g_max <= 400, n <= n_max, with the nonzero counts of ``class_count(g, n)`` in
-    tag order.  The table is counted degree by degree (``_degree_cells``); then every
-    cell is checked against the class cap in (g, n) order, so the first cell past it
-    fails, before any row is returned.  Memory follows the cells, not the classes."""
+    tag order.  The table is counted one column per degree (``_degree_column``); then its
+    populated cells are read in (g, n) order and checked against the class cap, so the
+    first cell past it fails, before any row is returned.  Memory follows the cells, not
+    the classes."""
     _check_ceiling(g_max, DATASETS_MAX_GENUS, "pair_table is supported up to g")
-    columns = {n: _degree_cells(n, range((n - 1) // 2, g_max + 1))
-               for n in range(3, min(n_max, 2 * g_max + 1) + 1, 2)}
+    columns = [(n, *_degree_column(n, g_max)) for n in range(3, min(n_max, 2 * g_max + 1) + 1, 2)]
     rows = []
     for g in range(g_max + 1):
-        for n in range(3, min(n_max, 2 * g + 1) + 1, 2):
-            cell = columns[n][g]
-            total = sum(cell.values())
-            _check_class_cap(g, n, total, class_cap)
-            if total:
-                rows.append(PairRow(g, n, total, tuple(cell.items())))
+        for n, total, tags in columns:  # a degree past 2g+1 has no class of genus g
+            if total[g]:
+                _check_class_cap(g, n, total[g], class_cap)
+                rows.append(PairRow(g, n, total[g], tags[g]))
     return rows

@@ -80,6 +80,21 @@ def _table_check():
             assert rows.get((g, n), 0) == independent_count(g, n), (g, n)
 
 
+def _cap_order_check():
+    # each class cap stops the table at the first cell, in (g, n) order, whose cap-lifted
+    # count passes it, and the largest cell's count lets every row through
+    rows = special_roots.pair_table(48, 33, class_cap=10**30)
+    largest = max(row.class_count for row in rows)
+    for cap in (0, 1, 1000, largest // 2, largest - 1, largest):
+        first = next((row for row in rows if row.class_count > cap), None)
+        try:
+            found = special_roots.pair_table(48, 33, class_cap=cap)
+        except enumeration.ClassCapExceeded as exc:
+            found = str(exc)
+        assert found == (rows if first is None else "more than %d classes of genus %d, "
+                         "degree %d" % (cap, first.genus, first.degree)), cap
+
+
 def _de_roots_check():
     # degrees for a genus against genera for a degree: every (d,e)-root degree of a
     # genus g < 200 is at most 6(g + 3/2)/5 < 401
@@ -91,14 +106,25 @@ def _de_roots_check():
         assert special_roots.de_roots(g) == degrees[g], g
 
 
+class _Writes(io.StringIO):
+    def write(self, text):
+        self.writes = getattr(self, "writes", 0) + 1
+        return super().write(text)
+
+
 def _print_classes_check():
-    # a JSON listing written in several chunks is still json.dumps of its documents
-    classes = enumeration.datasets(10)
-    out = io.StringIO()
+    # a JSON listing written in chunks cut by class count and by size is still json.dumps
+    # of its documents; a write cut by size holds more than the budget, so there are some,
+    # and at most len(text) // budget, besides one per chunk of classes
+    budget, classes, out = 500, enumeration.datasets(10), _Writes()
+    chunks = len(range(0, len(classes), 16))
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
         patch.setattr(cli, "_CLASSES_PER_WRITE", 16)
+        patch.setattr(cli, "_CHARS_PER_WRITE", budget)
         cli._print_classes(classes, Namespace(format="json", genus=10))
-    assert out.getvalue() == json.dumps([cli._tagged_json(ds) for ds in classes], indent=2) + "\n"
+    text = out.getvalue()
+    assert text == json.dumps([cli._tagged_json(ds) for ds in classes], indent=2) + "\n"
+    assert chunks < out.writes <= len(text) // budget + chunks, out.writes
 
 
 def _one_cone_check():
@@ -198,27 +224,31 @@ MUTANTS = {  # test id: (module, function, snippet, replacement, check)
                        "sums[(j + 1) % len(c)] += row[e]", _run_transform_check),
     "_pair_weights_shared_gcd": (enumeration, "_pair_weights",  # gcd(l, n) read as 1
                                  "gcd(n // e, power)", "gcd(n // e, 1)", _fractional_count_check),
-    "_degree_cells_pair_count": (special_roots, "_degree_cells", "ms_count(n)",
+    "_degree_cells_pair_count": (special_roots, "_degree_column", "ms_count(n)",
                                  "ms_count(n) + 1", _table_check),
     "has_root_bound": (enumeration, "has_root", "2 * g >= (n - 2) * (n - 1)",
                        "2 * g > (n - 2) * (n - 1)", _has_root_bound_check),
     "_rest_series_primary": (enumeration, "_rest_series",  # read after the last factor
                              "primary[::lone] = [a // n for a in all_n]",
                              "primary = [t // n for t in total]", _tags_check),
-    "_degree_cells_late_period": (special_roots, "_degree_cells",  # g0 >= 1 sums from g0 = 2
+    "_degree_cells_late_period": (special_roots, "_degree_column",  # g0 >= 1 sums from g0 = 2
                                   "range(n, len(counts))", "range(2 * n, len(counts))",
                                   _table_check),
-    "_degree_cells_low_cells": (special_roots, "_degree_cells",  # cell g = n tagged as g < n
+    "_degree_cells_low_cells": (special_roots, "_degree_column",  # cell g = n tagged as g < n
                                 "if g < n:", "if g <= n:", _tags_check),
-    "_degree_cells_maximal": (special_roots, "_degree_cells", "n == 2 * g + 1", "n == 2 * g - 1",
-                              _tags_check),
-    "_degree_cells_cube": (special_roots, "_degree_cells", "g == n == 3", "g == n == 5",
+    "_degree_cells_maximal": (special_roots, "_degree_column", "n == 2 * g + 1",
+                              "n == 2 * g - 1", _tags_check),
+    "_degree_cells_cube": (special_roots, "_degree_column", "g == n == 3", "g == n == 5",
                            _classify_check),
+    "pair_table_cap": (special_roots, "pair_table", "n, total[g], class_cap",
+                       "n, total[g] - 1, class_cap", _cap_order_check),
     "classify_cube": (special_roots, "classify", "n == cones == 3", "cones == 3",
                       _classify_check),
     "de_roots": (special_roots, "de_roots", "if gcd(g, d1) > 1:", "if False:", _de_roots_check),
     "_print_classes": (cli, "_print_classes", "if start == chunks[-1]:", "if start == chunks[0]:",
                        _print_classes_check),
+    "_print_classes_flush": (cli, "_print_classes", "parts, size = [], 0", "parts = []",
+                             _print_classes_check),
     "_print_classes_shape_key": (cli, "_print_classes", "(g0 == 0, len(cones), cones[0][1] == n)",
                                  "(g0 == 0, cones[0][1] == n)", _print_classes_check),
     "_print_classes_one_cone": (cli, "_print_classes", "% (n, g0, a, b, c, d)",

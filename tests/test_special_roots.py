@@ -287,10 +287,11 @@ def test_maximal_tag_is_read_off_the_shape():
 
 
 def test_pair_table_matches_class_count_cell_by_cell():
-    # class_count and the table share one counter (_degree_cells), so this checks only the
-    # series truncated at one genus against a whole column, the sums per residue mod n and
-    # class_count's lcm-rule shortcut for a cell without a root.  The per-tag counts meet
-    # independent checks in test_enumeration.  (36, 73) reaches past 2*g_max + 1
+    # class_count and the table share one counter (_degree_column), so this checks only the
+    # series truncated at one genus against a whole column, the sums per residue mod n, the
+    # table's reading of the columns by genus and class_count's lcm-rule shortcut for a cell
+    # without a root.  The per-tag counts meet independent checks in test_enumeration.
+    # (36, 73) reaches past 2*g_max + 1
     for g_max, n_max in ((60, 61), (36, 73)):
         rows = {(row.genus, row.degree): row for row in pair_table(g_max, n_max)}
         for g in range(g_max + 1):
@@ -334,6 +335,39 @@ def test_pair_table_memory_follows_its_cells():
         tracemalloc.stop()
     assert len(rows) == 742 and sum(row.class_count for row in rows) == 16_723_612
     assert peak < 8 * 2**20, peak
+
+
+def test_the_cap_lifted_table_holds_a_few_hundred_bytes_per_row():
+    # 4,813 rows of pair_table(200, 401), its caches filled by a first call: the columns
+    # hold a total and a tuple of (tag, classes) pairs per cell, 1.7 MB at the peak, where
+    # a dict per cell took 3.7 MB
+    pair_table(200, 401, class_cap=10**30)
+    tracemalloc.start()
+    try:
+        rows = pair_table(200, 401, class_cap=10**30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4_813 and peak < 600 * len(rows), peak / len(rows)
+
+
+def test_the_class_cap_stops_the_table_at_the_first_cell_past_it():
+    # for caps across the cell counts, the first cell in (g, n) order whose cap-lifted count
+    # passes the cap fails the table, and a cap at the largest cell lets every row through
+    rows = pair_table(48, 33, class_cap=10**30)
+    counts = sorted({row.class_count for row in rows})
+    for cap in [0] + counts[::20] + [counts[-1] - 1, counts[-1]]:
+        first = next((row for row in rows if row.class_count > cap), None)
+        if first is None:
+            assert pair_table(48, 33, class_cap=cap) == rows
+            continue
+        with pytest.raises(enumeration.ClassCapExceeded) as caught:
+            pair_table(48, 33, class_cap=cap)
+        assert str(caught.value) == "more than %d classes of genus %d, degree %d" % (
+            cap, first.genus, first.degree)
+    with pytest.raises(enumeration.ClassCapExceeded,
+                       match="^more than 1000 classes of genus 30, degree 7$"):
+        pair_table(48, 33, class_cap=1000)
 
 
 def _refuse_pairs_and_shapes(monkeypatch):
